@@ -45,7 +45,7 @@ for beta in (BidProfile((0.7, 0.1)), BidProfile((0.55, 0.45))):
 
 # Ties between learner and adversary bids make the outcome ambiguous; a tiny
 # uniform offset pushes grid bids off any fixed support almost surely.
-grid_bids = BidProfile((0.5, 0.25), grid_flag=True)
+grid_bids = BidProfile((0.5, 0.25))
 shifted = apply_tie_offset(grid_bids, 0.011, 0.25)
 print()
 print("tie-avoidance shift:", grid_bids.bids, "->", shifted.bids)

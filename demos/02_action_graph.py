@@ -30,7 +30,7 @@ g = build_graph(K, M)
 print(f"K={K}, 1/eps={M}: {g.n_nodes} nodes, {g.n_paths()} actions")
 print()
 
-profile = BidProfile((1.0, 0.5), grid_flag=True)
+profile = BidProfile((1.0, 0.5))
 path = encode(profile, M)
 print("bids", profile.bids, "encode to", path)
 print("decode back:", decode(path, M).bids)
@@ -39,8 +39,8 @@ print()
 adversary = BidProfile((0.8, 0.3))
 values = Valuation((1.0, 0.5))
 print("against adversary", adversary.bids, "the firing nodes are:")
-for node, price in firing_set(adversary, g):
-    print(f"  {node}: allocation {node.k_floor}, price {price:.2f}")
+for i, allocation, price in firing_set(adversary, g):
+    print(f"  {g.node_from_id(i)} (id {i}): allocation {allocation}, price {price:.2f}")
 print()
 
 print("utility decomposition over all actions (sub-utility sums vs clearing):")

@@ -50,7 +50,7 @@ for kk in (1, 2):
     print(f"  bid row {kk}: {np.round(row, 4)} sum={row.sum():.6f}")
 
 check = max(
-    abs(sum(p for path, p in dist.items() if node in path) - node_marginal(state, node))
-    for node in g.nodes()
+    abs(sum(p for path, p in dist.items() if node in path) - node_marginal(state, i))
+    for i, node in enumerate(g.nodes())
 )
 print(f"max |marginal - enumeration| = {check:.2e}")

@@ -102,7 +102,7 @@ def next_bids(
             draws = sorted(
                 (lo + (hi - lo) * rng.random() for _ in range(spec.k)), reverse=True
             )
-        return BidProfile(tuple(draws), grid_flag=False)
+        return BidProfile(tuple(draws))
     if spec.kind is AdversaryKind.SCHEDULE:
         if not (1 <= round_index <= len(spec.schedule)):
             raise WrongLength(
@@ -129,7 +129,7 @@ def next_bids(
     else:
         lo, hi = spec.h_bounds
         h = _draw_off_grid(rng, lo, min(hi, top), epsilon)
-    return BidProfile((top,) * (spec.k - 1) + (h,), grid_flag=False)
+    return BidProfile((top,) * (spec.k - 1) + (h,))
 
 
 def reduction_consistency_check(
@@ -150,8 +150,8 @@ def reduction_consistency_check(
         raise ValueError("reduction requires valuation (1, 0, ..., 0)")
     if not (0.0 < b1 <= 1.0):
         raise ValueError("learner scalar bid must lie in (0, 1]")
-    learner = BidProfile((b1,) + (0.0,) * (k - 1), grid_flag=False)
-    adversary = BidProfile((1.0,) * (k - 1) + (h,), grid_flag=False)
+    learner = BidProfile((b1,) + (0.0,) * (k - 1))
+    adversary = BidProfile((1.0,) * (k - 1) + (h,))
     outcome = clear_auction(learner, adversary, PricingRule.LAB, values)
     feedback_price = outcome.price if outcome.allocation > 0 else None
     return outcome.utility, (outcome.allocation, feedback_price)

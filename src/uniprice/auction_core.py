@@ -39,14 +39,9 @@ class PriceSetter(enum.Enum):
 
 @dataclass(frozen=True)
 class BidProfile:
-    """A non-increasing sequence of K bids in [0, 1].
-
-    ``grid_flag`` records whether every bid is an exact multiple of the grid
-    step the profile was validated against.
-    """
+    """A non-increasing sequence of K bids in [0, 1]."""
 
     bids: tuple[float, ...]
-    grid_flag: bool = False
 
     @property
     def k(self) -> int:
@@ -126,24 +121,20 @@ def validate_bid_profile(
         if a < b:
             raise NotMonotone(f"bids must be non-increasing, got {bids}")
 
-    grid_flag = False
-    if require_grid or require_off_grid:
-        if epsilon is None:
-            raise ValueError("epsilon is required for grid checks")
-    if epsilon is not None:
-        on_grid = all(grid_level(b, epsilon) is not None for b in bids)
-        if require_grid and not on_grid:
-            bad = next(b for b in bids if grid_level(b, epsilon) is None)
-            raise OffGrid(f"bid {bad} is not a multiple of {epsilon}")
-        if require_off_grid:
-            for b in bids:
-                if not (0.0 < b < 1.0) or grid_level(b, epsilon) is not None:
-                    raise TieDetected(
-                        f"adversary bid {b} violates the off-grid contract "
-                        f"(must lie in (0,1) off the {epsilon}-grid)"
-                    )
-        grid_flag = on_grid
-    return BidProfile(bids, grid_flag)
+    if (require_grid or require_off_grid) and epsilon is None:
+        raise ValueError("epsilon is required for grid checks")
+    if require_grid:
+        for b in bids:
+            if grid_level(b, epsilon) is None:
+                raise OffGrid(f"bid {b} is not a multiple of {epsilon}")
+    if require_off_grid:
+        for b in bids:
+            if not (0.0 < b < 1.0) or grid_level(b, epsilon) is not None:
+                raise TieDetected(
+                    f"adversary bid {b} violates the off-grid contract "
+                    f"(must lie in (0,1) off the {epsilon}-grid)"
+                )
+    return BidProfile(bids)
 
 
 def clear_auction(
@@ -232,7 +223,7 @@ def clip_dominated(bids: BidProfile, values: Valuation) -> BidProfile:
             )
     if clipped == bids.bids:
         return bids
-    return BidProfile(clipped, grid_flag=False)
+    return BidProfile(clipped)
 
 
 def apply_tie_offset(bids: BidProfile, offset: float, epsilon: float) -> BidProfile:
@@ -250,4 +241,4 @@ def apply_tie_offset(bids: BidProfile, offset: float, epsilon: float) -> BidProf
     if offset == 0.0:
         return bids
     shifted = tuple(min(b + offset, 1.0) for b in bids.bids)
-    return BidProfile(shifted, grid_flag=False)
+    return BidProfile(shifted)

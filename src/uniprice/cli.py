@@ -15,7 +15,7 @@ import numpy as np
 
 from .adversaries import AdversaryKind, AdversarySpec
 from .auction_core import PricingRule
-from .errors import ConfigError
+from .errors import AuctionError, ConfigError
 from .harness import (
     PlotScale,
     RunConfig,
@@ -55,11 +55,15 @@ _KEYS = {
 }
 
 
-def _parse_values(text: str) -> tuple[float, ...]:
+def _parse_values(text: str, n: Optional[int] = None) -> tuple[float, ...]:
+    """Comma-separated numbers; exactly ``n`` of them when ``n`` is given."""
     try:
-        return tuple(float(x) for x in text.split(","))
+        values = tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse values {text!r}") from exc
+    if n is not None and len(values) != n:
+        raise ConfigError(f"expected {n} comma-separated value(s), got {text!r}")
+    return values
 
 
 def parse_adversary(text: str, k: int) -> AdversarySpec:
@@ -77,10 +81,7 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
         profile = _parse_values(params)
         return AdversarySpec(AdversaryKind.FIXED, k, fixed_profile=profile)
     if name in ("iid", "iiduniform"):
-        bounds = (0.0, 1.0)
-        if params:
-            lo, hi = _parse_values(params)
-            bounds = (lo, hi)
+        bounds = _parse_values(params, 2) if params else (0.0, 1.0)
         return AdversarySpec(AdversaryKind.IID_UNIFORM, k, bounds=bounds)
     if name == "schedule":
         rows = []
@@ -98,16 +99,12 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
             return AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, k)
         head, _, rest = params.partition(":")
         if head == "uniform":
-            bounds = (0.0, 1.0)
-            if rest:
-                lo, hi = _parse_values(rest)
-                bounds = (lo, hi)
+            bounds = _parse_values(rest, 2) if rest else (0.0, 1.0)
             return AdversarySpec(
                 AdversaryKind.FIRST_PRICE_REDUCTION, k, h_bounds=bounds
             )
-        return AdversarySpec(
-            AdversaryKind.FIRST_PRICE_REDUCTION, k, h_value=float(head)
-        )
+        (h_value,) = _parse_values(head, 1)
+        return AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, k, h_value=h_value)
     raise ConfigError(f"unknown adversary kind {name!r}")
 
 
@@ -223,7 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(argv)
         traces = run_experiment(config)
-    except ConfigError as exc:
+    except AuctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finals = np.array([tr.final_regret for tr in traces])

@@ -33,6 +33,7 @@ from .learner import (
     allwinner_signal,
     bandit_signal,
     default_parameters,
+    full_info_signal,
     init_state,
     marginals,
     sample_path,
@@ -163,16 +164,12 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
             config.adversary, t, rng_adv, epsilon, require_off_grid=not perturb
         )
         if perturb:
-            beta_node = BidProfile(
-                tuple(b - offset for b in beta_market.bids), grid_flag=False
-            )
+            beta_node = BidProfile(tuple(b - offset for b in beta_market.bids))
         else:
             beta_node = beta_market
 
         path = sample_path(state, rng_learn)
-        grid_bids = BidProfile(
-            tuple(float(graph.levels[n.j]) for n in path if n.is_bid), grid_flag=True
-        )
+        grid_bids = BidProfile(tuple(float(graph.levels[n.j]) for n in path if n.is_bid))
         if perturb:
             market_bids = apply_tie_offset(grid_bids, offset, epsilon)
             outcome_market = clear_auction(
@@ -187,22 +184,17 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
 
         # exact expected utility and comparator totals, in market terms
         marg = marginals(state)
-        fs = firing_set(beta_node, graph)
+        events = firing_set(beta_node, graph)
+        w_market = [utility_sum(values.values, x, price + offset) for _, x, price in events]
         exp_market = 0.0
-        for node, price in fs:
-            w_market = utility_sum(values.values, node.k_floor, price + offset)
-            i = graph.node_id(node)
-            exp_market += float(marg[i]) * w_market
-            node_totals[i] += w_market
+        for m_i, w in zip(marg[events.ids].tolist(), w_market):
+            exp_market += m_i * w
+        node_totals[events.ids] += w_market
         cum_expected += exp_market
 
         fb = make_feedback(config.feedback, outcome_node, beta_node)
         if config.feedback is FeedbackMode.FULL_INFORMATION:
-            # same values full_info_signal would compute; reuses the scan
-            signal = {
-                node: utility_sum(values.values, node.k_floor, price)
-                for node, price in fs
-            }
+            signal = full_info_signal(beta_node, values, graph)
         elif config.feedback is FeedbackMode.BANDIT:
             signal = bandit_signal(path, fb, state, values)
         else:

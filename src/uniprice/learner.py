@@ -9,8 +9,10 @@ proportional to the product of node weights.  A symmetric forward pass
 yields exact node inclusion probabilities, which the partial-feedback
 estimators divide by.
 
-Everything runs in the log domain; the raw accumulators overflow after a
-few thousand rounds.
+Signals are keyed by node id: each maps the ids of a round's realized
+events (``pseudo_space.Events``) to their estimates, and ``update_weights``
+scatter-adds eta times them into the log weights.  Everything runs in the
+log domain; the raw accumulators overflow after a few thousand rounds.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ import numpy as np
 from .auction_core import BidProfile, Valuation, grid_level, utility_sum
 from .errors import HorizonTooShort, ZeroMarginal, ZeroObservationProbability
 from .pseudo_space import (
-    _BETA_HIGH,
+    _BETA_LOW,
     PseudoGraph,
     PseudoNode,
     PseudoPath,
+    _observed,
     firing_set,
-    observed_set_membership,
     zero_event_set,
 )
 
@@ -41,8 +43,8 @@ class FeedbackMode(Enum):
     ALL_WINNER = "allwinner"
 
 
-#: Sparse per-node signal fed to the weight update.
-EstimateVector = dict
+#: Sparse per-node signal fed to the weight update: node id -> value.
+EstimateVector = dict[int, float]
 
 
 @dataclass
@@ -54,7 +56,6 @@ class WeightState:
     backward: np.ndarray
     forward: np.ndarray
     log_gamma0: float = math.nan
-    round: int = 0
     fresh: bool = False
 
 
@@ -160,10 +161,9 @@ def marginals(state: WeightState) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def node_marginal(state: WeightState, node: PseudoNode) -> float:
+def node_marginal(state: WeightState, i: int) -> float:
+    """Inclusion probability of node id ``i``."""
     ensure_passes(state)
-    g = state.graph
-    i = g.node_id(node)
     v = math.exp(state.forward[i] + state.backward[i] - state.log_gamma0)
     return min(max(v, 0.0), 1.0)
 
@@ -190,9 +190,9 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> PseudoPath:
             j = jj
             break
     path = [PseudoNode(2, j)]
+    offset = g.row_offset.tolist()
     for kk in range(1, g.k):
-        bid_off = g._bid_offset[kk]
-        gap_off = g._gap_offset[kk]
+        bid_off, gap_off = offset[2 * kk - 2], offset[2 * kk - 1]
         while j > 0:
             gi = gap_off + j - 1
             p_gap = math.exp(lw[gi] + lg[gi] - lg[bid_off + j])
@@ -219,13 +219,13 @@ def path_log_probability(state: WeightState, path: PseudoPath) -> float:
 
 
 def update_weights(state: WeightState, signal: EstimateVector, eta: float) -> WeightState:
-    """Multiply each signalled node's weight by exp(eta * signal)."""
+    """Multiply each signalled node's weight by exp(eta * signal): a
+    scatter-add into the log weights."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    g = state.graph
-    for node, v in signal.items():
-        state.log_w[g.node_id(node)] += eta * v
-    state.round += 1
+    n = len(signal)
+    ids = np.fromiter(signal, dtype=np.intp, count=n)
+    state.log_w[ids] += eta * np.fromiter(signal.values(), dtype=float, count=n)
     state.fresh = False
     return state
 
@@ -239,32 +239,29 @@ def full_info_signal(
     """True sub-utility of every firing node; all other entries are zero
     and omitted."""
     return {
-        node: utility_sum(values.values, node.k_floor, price)
-        for node, price in firing_set(adversary, graph)
+        i: utility_sum(values.values, x, price)
+        for i, x, price in firing_set(adversary, graph)
     }
 
 
 def fired_node_from_feedback(
     bids: BidProfile, allocation: int, price: float, graph: PseudoGraph
-) -> Optional[PseudoNode]:
-    """Identify the played action's firing node from (allocation, price)
-    alone: a price equal to the learner's own allocation-th bid is a bid
-    node, any other price lands in the gap band below the next grid point."""
+) -> Optional[int]:
+    """Identify the id of the played action's firing node from
+    (allocation, price) alone: a price equal to the learner's own
+    allocation-th bid is a bid node, any other price lands in the gap band
+    below the next grid point."""
     if allocation == 0:
         return None
     if price == bids.bids[allocation - 1]:
         j = grid_level(price, graph.epsilon)
         if j is not None:
-            return PseudoNode(2 * allocation, j)
-    return PseudoNode(2 * allocation + 1, math.floor(price * graph.inv_epsilon))
+            return int(graph.bid_ids(allocation)[j])
+    return int(graph.gap_ids(allocation)[math.floor(price * graph.inv_epsilon)])
 
 
 def bandit_signal(
-    played: PseudoPath,
-    feedback,
-    state: WeightState,
-    values: Valuation,
-    fired: Optional[PseudoNode] = None,
+    played: PseudoPath, feedback, state: WeightState, values: Valuation
 ) -> EstimateVector:
     """Single-entry estimate (w - K) / P(node played) at the played node
     whose event is realized.
@@ -281,141 +278,77 @@ def bandit_signal(
     x = feedback.allocation
     g = state.graph
     if x == 0:
-        node, w = played[0], 0.0
+        i, w = int(g.bid_ids(1)[played[0].j]), 0.0
     else:
-        if fired is None:
-            own = BidProfile(
-                tuple(float(g.levels[n.j]) for n in played if n.is_bid), grid_flag=True
-            )
-            fired = fired_node_from_feedback(own, x, feedback.price, g)
-        node, w = fired, utility_sum(values.values, x, feedback.price)
-    p_node = node_marginal(state, node)
+        own = BidProfile(tuple(float(g.levels[n.j]) for n in played if n.is_bid))
+        i = fired_node_from_feedback(own, x, feedback.price, g)
+        w = utility_sum(values.values, x, feedback.price)
+    p_node = node_marginal(state, i)
     if p_node <= 0.0:
-        raise ZeroMarginal(f"played node {node} has zero inclusion probability")
-    return {node: (w - g.k) / p_node}
-
-
-def _observable_events(feedback, graph: PseudoGraph):
-    """All realized events the all-winner feedback pins down, i.e. those in
-    the observed set A(outcome), as (node, allocation, price) triples.
-
-    The feedback reveals the adversary's K - x winning bids and implies the
-    rest sit below the price, which decides the firing indicator for every
-    node with k > x, and for k = x at levels at or above the price.  Only a
-    zero allocation reveals beta_K, so only then does the list hold the
-    realized zero-allocation events (allocation 0, price beta_K).
-    """
-    k, m = graph.k, max(graph.inv_epsilon, 1)
-    x, p = feedback.allocation, feedback.price
-    top = feedback.adversary_winning_bids
-
-    def beta_rev(i: int) -> float:
-        return _BETA_HIGH if i <= 0 else top[i - 1]
-
-    out: list[tuple[PseudoNode, int, float]] = []
-    if x == 0:
-        out.extend((n, 0, top[-1]) for n in zero_event_set(BidProfile(top), graph))
-    for kk in range(max(x, 1), k + 1):
-        hi = beta_rev(k - kk)
-        if kk > x:
-            lo = beta_rev(k - kk + 1)
-        else:
-            lo = None  # beta_{K-x+1} <= p is below every admissible level
-        for j in range(m + 1):
-            level = j / m
-            if kk == x and level < p:
-                continue
-            fires = (hi > level > lo) if lo is not None else hi > level
-            if fires:
-                out.append((PseudoNode(2 * kk, j), kk, level))
-        if x <= kk < k:
-            beta_val = beta_rev(k - kk)
-            j = math.floor(beta_val * m)
-            if 0 <= j < m and j / m < beta_val < (j + 1) / m:
-                out.append((PseudoNode(2 * kk + 1, j), kk, beta_val))
-    return out
-
-
-def _exclusion_rank(node: PseudoNode, allocation: int, price: float) -> float:
-    """Composite key ordering outcome classes: allocation first, price next.
-
-    A realized event h is observable under outcome class o iff
-    rank(o) <= rank(h); prices never reach 2, so 2x + p is lexicographic.
-    Zero-allocation events rank below every firing node.
-    """
-    if node.is_bid:
-        return 2.0 * allocation + price
-    return 2.0 * allocation + 1.5  # any price beats a gap of lower k
+        raise ZeroMarginal(f"played node {g.node_from_id(i)} has zero inclusion probability")
+    return {i: (w - g.k) / p_node}
 
 
 def allwinner_signal(
     feedback, state: WeightState, values: Valuation
 ) -> EstimateVector:
-    """Estimates at every observable realized event: (w - K) / P(observable).
+    """Estimates at every observed realized event: (w - K) / P(observed).
 
-    Firing nodes carry w, the utility of their allocation at their price.
-    A zero allocation also reveals every zero-allocation event, with w = 0;
-    each gets the denominator P(x = 0), so every action's expected estimate
-    is its utility minus K.  The observation probability is one minus the
-    mass of sampled actions whose outcome would hide the node - exactly the
-    outcome classes ranked above it, all of which the feedback also makes
-    evaluable.
+    The feedback reveals the adversary's K - x winning bids and puts the
+    rest below the price, so the realized events it pins down are those
+    ``firing_set`` and ``zero_event_set`` find on the revealed profile
+    (the hidden bids set to the low sentinel) that pass the observed-set
+    rule ``_observed``.  Firing nodes carry w, the utility of their
+    allocation at their price.  Only a zero allocation reveals beta_K and
+    with it the zero-allocation events, with w = 0; each gets the
+    denominator P(x = 0), so every action's expected estimate is its
+    utility minus K.  The observation probability is one minus the mass of
+    the realized events ranked strictly above the event: the outcomes that
+    hide it, all of which the feedback also reveals.
     """
     g = state.graph
-    observable = _observable_events(feedback, g)
-    if not observable:
-        return {}
-    marg = marginals(state)
-    ranks = np.array([_exclusion_rank(n, x, pr) for n, x, pr in observable])
-    mass = marg[[g.node_id(n) for n, _, _ in observable]]
-    order = np.argsort(ranks, kind="stable")
-    sorted_ranks = ranks[order]
-    suffix = np.concatenate((np.cumsum(mass[order][::-1])[::-1], [0.0]))
-    out: EstimateVector = {}
-    for (node, x, price), r in zip(observable, ranks):
-        # mass of realized events ranked strictly above this one
-        idx = int(np.searchsorted(sorted_ranks, r, side="right"))
-        q = 1.0 - float(suffix[idx])
-        if q <= 0.0:
-            raise ZeroObservationProbability(
-                f"node {node} has zero observation probability"
-            )
-        w = utility_sum(values.values, x, price)
-        out[node] = (w - g.k) / q
-    return out
-
-
-@dataclass(frozen=True)
-class _ClassOutcome:
-    allocation: int
-    price: float
+    x, p = feedback.allocation, feedback.price
+    revealed = BidProfile(feedback.adversary_winning_bids + (_BETA_LOW,) * x)
+    events = zero_event_set(revealed, g) + firing_set(revealed, g)
+    seen = _observed(x, p, events.alloc, events.price)
+    ids, alloc, price = events.ids[seen], events.alloc[seen], events.price[seen]
+    rank = 2.0 * alloc + price  # the order ``_observed`` compares in
+    order = np.argsort(rank, kind="stable")
+    mass = marginals(state)[ids][order]
+    above = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
+    q = 1.0 - above[np.searchsorted(rank[order], rank, side="right")]
+    if np.any(q <= 0.0):
+        i = int(ids[np.argmax(q <= 0.0)])
+        raise ZeroObservationProbability(
+            f"node {g.node_from_id(i)} has zero observation probability"
+        )
+    return {
+        i: (utility_sum(values.values, a, pr) - g.k) / qi
+        for i, a, pr, qi in zip(ids.tolist(), alloc.tolist(), price.tolist(), q.tolist())
+    }
 
 
 def observation_probability(
-    node: PseudoNode, state: WeightState, adversary: BidProfile
+    node: int, state: WeightState, adversary: BidProfile
 ) -> float:
-    """P over the sampled action that ``node`` lands in the observed set.
+    """P over the sampled action that the realized event at node id
+    ``node`` lands in the observed set.
 
-    Partitions on the outcome class: every realized event is an outcome
-    with probability equal to its node's inclusion marginal.  A firing node
-    gives allocation k and its price; a zero-allocation event (see
-    ``zero_event_set``) gives allocation 0 at price beta_K.  Every action
-    holds exactly one realized event, so the class masses sum to one.
-    ``node`` may stand for either kind of event.  Membership is evaluated
-    directly per class; meant for oracles and tests, since it reads the raw
-    adversary profile.
+    Partitions on the outcome class: every realized event, a firing node
+    or a zero-allocation event (see ``zero_event_set``), is an outcome
+    with probability equal to its node's inclusion marginal, and every
+    action holds exactly one of them, so the class masses sum to one.
+    Membership is ``_observed`` per class; meant for oracles and tests,
+    since it reads the raw adversary profile.
     """
     g = state.graph
-    eps = g.epsilon
-    marg = marginals(state)
-    classes = [(o, o.k_floor, price) for o, price in firing_set(adversary, g)]
-    beta_k = adversary.bids[-1]
-    classes += [(z, 0, beta_k) for z in zero_event_set(adversary, g)]
-    total = 0.0
-    for o, x, price in classes:
-        if observed_set_membership(node, _ClassOutcome(x, price), eps):
-            total += float(marg[g.node_id(o)])
-    return min(total, 1.0)
+    events = firing_set(adversary, g) + zero_event_set(adversary, g)
+    hit = np.flatnonzero(events.ids == node)
+    if hit.size != 1:
+        raise ValueError(f"node {node} holds no realized event")
+    h = hit[0]
+    seen = _observed(events.alloc, events.price, events.alloc[h], events.price[h])
+    return min(float(marginals(state)[events.ids[seen]].sum()), 1.0)
 
 
 # --- expected utility and parameters -------------------------------------
@@ -426,13 +359,10 @@ def expected_utility(
 ) -> float:
     """Exact one-round expected utility of the current distribution:
     sum over firing nodes of marginal * sub-utility."""
-    g = state.graph
     marg = marginals(state)
     total = 0.0
-    for node, price in firing_set(adversary, g):
-        total += float(marg[g.node_id(node)]) * utility_sum(
-            values.values, node.k_floor, price
-        )
+    for i, x, price in firing_set(adversary, state.graph):
+        total += float(marg[i]) * utility_sum(values.values, x, price)
     return total
 
 

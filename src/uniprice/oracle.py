@@ -27,7 +27,6 @@ from .learner import (
 )
 from .pseudo_space import (
     PseudoGraph,
-    PseudoNode,
     PseudoPath,
     decode,
     enumerate_paths,
@@ -68,10 +67,8 @@ def node_totals_from_history(
     """Cumulative sub-utility of every node over the history."""
     totals = np.zeros(graph.n_nodes)
     for beta in histories:
-        for node, price in firing_set(beta, graph):
-            totals[graph.node_id(node)] += utility_sum(
-                values.values, node.k_floor, price
-            )
+        for i, x, price in firing_set(beta, graph):
+            totals[i] += utility_sum(values.values, x, price)
     return totals
 
 
@@ -199,7 +196,7 @@ def exact_estimator_expectation(
     if mode is FeedbackMode.FULL_INFORMATION:
         signal = full_info_signal(adversary, values, g)
         for path in comparators:
-            totals[path] = sum(signal.get(n, 0.0) for n in path)
+            totals[path] = sum(signal.get(g.node_id(n), 0.0) for n in path)
         return totals
     for sampled, p_sampled in dist.items():
         if p_sampled == 0.0:
@@ -212,7 +209,7 @@ def exact_estimator_expectation(
         else:
             signal = allwinner_signal(fb, state, values)
         for path in comparators:
-            contrib = sum(signal.get(n, 0.0) for n in path)
+            contrib = sum(signal.get(g.node_id(n), 0.0) for n in path)
             totals[path] += p_sampled * contrib
     return totals
 
@@ -242,24 +239,26 @@ def exact_second_moment(
         else:
             signal = full_info_signal(adversary, values, g)
         for path in comparators:
-            est = sum(signal.get(n, 0.0) for n in path)
+            est = sum(signal.get(g.node_id(n), 0.0) for n in path)
             total += p_sampled * dist[path] * est * est
     return total
 
 
 def brute_observation_probability(
-    node: PseudoNode,
+    node: int,
     state: WeightState,
     adversary: BidProfile,
     cap: int = DEFAULT_PATH_CAP,
 ) -> float:
-    """P(node observable) by enumerating every sampled action's outcome.
+    """P(node id ``node`` observable) by enumerating every sampled action's
+    outcome.
 
     ``node`` may be a firing node or a row-1 bid node whose zero-allocation
     event is realized; for the latter only zero-allocation outcomes reveal
     it, so the result is P(x = 0).
     """
     g = state.graph
+    node = g.node_from_id(node)
     dist = exact_path_distribution(state, cap)
     total = 0.0
     for sampled, p_sampled in dist.items():

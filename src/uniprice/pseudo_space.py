@@ -16,7 +16,13 @@ node is played) or not, independently of the rest of the path; firing nodes
 carry the whole utility of any action containing them.
 
 Nodes are stored as (k2, j) with k2 = 2k, so even k2 means a bid node and
-odd k2 a gap node.
+odd k2 a gap node.  ``PseudoNode`` serves paths (``encode``, ``decode``,
+the sampler's output) and the scalar references ``node_fires`` /
+``sub_utility``.  Within a round, events are node ids: ``firing_set`` and
+``zero_event_set`` return ``Events``, equal-length arrays of node id,
+allocation and price, which the accounting, the signals and the weight
+update consume; ``_observed`` is the one statement of which events
+all-winner feedback reveals.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .errors import MalformedPath, OffGrid, TooLarge
 
 _BETA_HIGH = 2.0  # sentinel above any bid, stands in for beta_0
 _BETA_LOW = -1.0  # sentinel below any bid, stands in for beta_{K+1}
+_GAP_RANK = 1.5  # observed-set price of a gap node: above every bid level
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,6 @@ class PseudoNode:
         """floor(k): the allocation credited when this node fires."""
         return self.k2 // 2
 
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        """Lexicographic position: k increasing, level decreasing."""
-        return (self.k2, -self.j)
-
     def __repr__(self) -> str:
         if self.is_bid:
             return f"h({self.k2 // 2},{self.j})"
@@ -68,8 +70,10 @@ class PseudoGraph:
     """DAG over all bid/bid-gap nodes for K items on a 1/M grid.
 
     Rows alternate bid(1), gap(1.5), bid(2), ..., bid(K) in topological
-    order; bid rows hold levels 0..M, gap rows 0..M-1 (a gap needs
-    (j+1)*eps <= 1).  Node ids are row-major for flat numpy storage.
+    order; row r holds nodes with k2 = r + 2.  Bid rows hold levels 0..M,
+    gap rows 0..M-1 (a gap needs (j+1)*eps <= 1).  Node ids are row-major:
+    row r holds ids ``row_offset[r]`` to ``row_offset[r + 1] - 1``, and
+    ``row`` / ``level`` give every id's row and grid level.
     """
 
     def __init__(self, k: int, inv_epsilon: int):
@@ -81,66 +85,37 @@ class PseudoGraph:
         self.inv_epsilon = inv_epsilon
         self.epsilon = 1.0 / inv_epsilon if inv_epsilon > 0 else 1.0
         m = inv_epsilon
-        self._bid_offset = {}
-        self._gap_offset = {}
-        nxt = 0
-        for kk in range(1, k + 1):
-            self._bid_offset[kk] = nxt
-            nxt += m + 1
-            if kk < k:
-                self._gap_offset[kk] = nxt
-                nxt += m
-        self.n_nodes = nxt
+        widths = np.tile((m + 1, m), k)[:-1]
+        self.row_offset = np.concatenate(([0], np.cumsum(widths)))
+        self.n_nodes = int(self.row_offset[-1])
+        self.row = np.repeat(np.arange(2 * k - 1), widths)
+        self.level = np.arange(self.n_nodes) - self.row_offset[self.row]
         self.levels = np.arange(m + 1) / max(m, 1)  # canonical grid prices
-        self._bid_ids = {
-            kk: np.arange(self._bid_offset[kk], self._bid_offset[kk] + m + 1)
-            for kk in range(1, k + 1)
-        }
-        self._gap_ids = {
-            kk: np.arange(self._gap_offset[kk], self._gap_offset[kk] + m)
-            for kk in range(1, k)
-        }
+        self._row_ids = np.split(np.arange(self.n_nodes), self.row_offset[1:-1])
 
     # --- node <-> id -----------------------------------------------------
 
     def node_id(self, node: PseudoNode) -> int:
-        if node.is_bid:
-            return self._bid_offset[node.k2 // 2] + node.j
-        return self._gap_offset[node.k2 // 2] + node.j
+        return int(self.row_offset[node.k2 - 2]) + node.j
 
     def node_from_id(self, node_id: int) -> PseudoNode:
-        for kk in range(1, self.k + 1):
-            off = self._bid_offset[kk]
-            if off <= node_id <= off + self.inv_epsilon:
-                return PseudoNode(2 * kk, node_id - off)
-            if kk < self.k:
-                off = self._gap_offset[kk]
-                if off <= node_id < off + self.inv_epsilon:
-                    return PseudoNode(2 * kk + 1, node_id - off)
-        raise KeyError(node_id)
+        if not 0 <= node_id < self.n_nodes:
+            raise KeyError(node_id)
+        return PseudoNode(int(self.row[node_id]) + 2, int(self.level[node_id]))
 
     def bid_ids(self, kk: int) -> np.ndarray:
         """Node ids of bid row k, levels 0..M.  Shared array; do not mutate."""
-        return self._bid_ids[kk]
+        return self._row_ids[2 * kk - 2]
 
     def gap_ids(self, kk: int) -> np.ndarray:
         """Node ids of gap row k+1/2, levels 0..M-1.  Shared array; do not mutate."""
-        return self._gap_ids[kk]
+        return self._row_ids[2 * kk - 1]
 
     def nodes(self) -> list[PseudoNode]:
-        out = []
-        m = self.inv_epsilon
-        for kk in range(1, self.k + 1):
-            out.extend(PseudoNode(2 * kk, j) for j in range(m + 1))
-            if kk < self.k:
-                out.extend(PseudoNode(2 * kk + 1, j) for j in range(m))
-        return out
-
-    def contains(self, node: PseudoNode) -> bool:
-        m = self.inv_epsilon
-        if node.is_bid:
-            return 2 <= node.k2 <= 2 * self.k and 0 <= node.j <= m
-        return 3 <= node.k2 <= 2 * self.k - 1 and 0 <= node.j <= m - 1
+        """Every node, in id order."""
+        return [
+            PseudoNode(r + 2, j) for r, j in zip(self.row.tolist(), self.level.tolist())
+        ]
 
     # --- graph structure --------------------------------------------------
 
@@ -149,26 +124,28 @@ class PseudoGraph:
         return [PseudoNode(2, j) for j in range(self.inv_epsilon, -1, -1)]
 
     def successors(self, node: PseudoNode) -> tuple[PseudoNode, ...]:
-        """Possible next elements of an action after ``node``.
-
-        Bid and gap nodes at the same (k, j) share successors: descend one
-        gap level, or place the next bid at the current level.  Level 0 can
-        only be followed by the next bid at 0.  Bid nodes at k = K are
-        terminal.
-        """
-        kk = node.k2 // 2
-        if node.is_bid and kk == self.k:
+        """Possible next elements of an action after ``node``; bid nodes at
+        k = K are terminal (see ``_next_nodes``)."""
+        if node.k2 == 2 * self.k:
             return ()
-        if node.j == 0:
-            return (PseudoNode(2 * (kk + 1), 0),)
-        return (
-            PseudoNode(2 * kk + 1, node.j - 1),
-            PseudoNode(2 * (kk + 1), node.j),
-        )
+        return _next_nodes(node)
 
     def n_paths(self) -> int:
         """|B_eps| = C(M + K, K): non-increasing K-tuples over M+1 levels."""
         return math.comb(self.inv_epsilon + self.k, self.k)
+
+
+def _next_nodes(node: PseudoNode) -> tuple[PseudoNode, ...]:
+    """Successor rule of the action graph, without the terminal row.
+
+    Bid and gap nodes at the same (k, j) share successors: descend one gap
+    level, or place the next bid at the current level.  Level 0 can only
+    be followed by the next bid at 0.
+    """
+    kk = node.k2 // 2
+    if node.j == 0:
+        return (PseudoNode(2 * (kk + 1), 0),)
+    return (PseudoNode(2 * kk + 1, node.j - 1), PseudoNode(2 * (kk + 1), node.j))
 
 
 def build_graph(k: int, inv_epsilon: int) -> PseudoGraph:
@@ -213,17 +190,8 @@ def decode(path: PseudoPath, inv_epsilon: int) -> BidProfile:
     for node in path:
         if node.j < 0 or node.j > (inv_epsilon if node.is_bid else inv_epsilon - 1):
             raise MalformedPath(f"node {node} outside the level range")
-        if prev is not None:
-            succs = (
-                (PseudoNode(2 * (prev.k2 // 2 + 1), 0),)
-                if prev.j == 0
-                else (
-                    PseudoNode(2 * (prev.k2 // 2) + 1, prev.j - 1),
-                    PseudoNode(2 * (prev.k2 // 2 + 1), prev.j),
-                )
-            )
-            if node not in succs:
-                raise MalformedPath(f"{node} does not follow {prev}")
+        if prev is not None and node not in _next_nodes(prev):
+            raise MalformedPath(f"{node} does not follow {prev}")
         if node.is_bid:
             kk = node.k2 // 2
             if kk in levels:
@@ -236,7 +204,7 @@ def decode(path: PseudoPath, inv_epsilon: int) -> BidProfile:
     if sorted(levels) != list(range(1, k_max + 1)):
         raise MalformedPath("path must contain one bid node per k")
     bids = tuple(levels[kk] / max(inv_epsilon, 1) for kk in range(1, k_max + 1))
-    return BidProfile(bids, grid_flag=True)
+    return BidProfile(bids)
 
 
 def _beta_at(beta: Sequence[float], i: int) -> float:
@@ -317,24 +285,34 @@ def firing_node(
     return None
 
 
+def _observed(x, p, allocation, price):
+    """The observed-set rule: an outcome of x items at price p reveals a
+    realized event of ``allocation`` items at ``price`` iff
+    2x + p <= 2*allocation + price.
+
+    Prices stay below 2, so the rank 2x + p orders by allocation first and
+    price next; the test compares the pairs in that order, so no rounding
+    enters.  The all-winner feedback shows every adversary bid above the
+    price, which decides every event of a larger allocation and those of
+    the same allocation at or above the price.  Only x = 0 (then
+    p = beta_K) reveals the zero-allocation events (allocation 0, price
+    beta_K).  Works elementwise on arrays.
+    """
+    return (x < allocation) | ((x == allocation) & (p <= price))
+
+
 def observed_set_membership(node: PseudoNode, outcome, epsilon: float) -> bool:
     """Whether all-winner feedback for ``outcome`` reveals enough to evaluate
-    the node's sub-utility.
+    the node's sub-utility: ``_observed`` with the node's allocation floor(k)
+    and its level as price, or ``_GAP_RANK`` for a gap node.
 
-    Membership rule: k > x, or k = x with j*eps >= p.  ``outcome`` needs
-    only ``allocation`` and ``price`` attributes.  A zero allocation reveals
-    every adversary bid, so everything is observable.  The same rule
-    covers a row-1 bid node whose zero-allocation event is realized
-    (j*eps < beta_K, see ``zero_event_set``): under x >= 1 the feedback
-    hides beta_K <= p, and j*eps < beta_K <= p fails the k = x branch, so
-    such a node is observed exactly when x = 0.
+    ``outcome`` needs only ``allocation`` and ``price`` attributes.  A zero
+    allocation reveals every node.  A row-1 bid node whose zero-allocation
+    event is realized (j*eps < beta_K, see ``zero_event_set``) is observed
+    exactly when x = 0: under x >= 1, j*eps < beta_K <= p.
     """
-    x = outcome.allocation
-    if node.k2 > 2 * x:
-        return True
-    if node.k2 == 2 * x:
-        return node.j / round(1.0 / epsilon) >= outcome.price
-    return False
+    price = node.j / round(1.0 / epsilon) if node.is_bid else _GAP_RANK
+    return bool(_observed(outcome.allocation, outcome.price, node.k_floor, price))
 
 
 def enumerate_paths(graph: PseudoGraph, cap: int = 10**6) -> Iterator[PseudoPath]:
@@ -360,40 +338,74 @@ def enumerate_paths(graph: PseudoGraph, cap: int = 10**6) -> Iterator[PseudoPath
         yield from walk([start])
 
 
-def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> list[PseudoNode]:
+@dataclass(frozen=True)
+class Events:
+    """Realized events of one round as equal-length arrays: node id, the
+    allocation the event credits, and its price.  Iterates as
+    (id, allocation, price) triples of Python scalars."""
+
+    ids: np.ndarray
+    alloc: np.ndarray
+    price: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[tuple[int, int, float]]:
+        return zip(self.ids.tolist(), self.alloc.tolist(), self.price.tolist())
+
+    def __add__(self, other: "Events") -> "Events":
+        return Events(
+            np.concatenate((self.ids, other.ids)),
+            np.concatenate((self.alloc, other.alloc)),
+            np.concatenate((self.price, other.price)),
+        )
+
+
+def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
     """Row-1 bid nodes whose zero-allocation event is realized: j*eps < beta_K.
 
     An action whose top bid is j*eps sits below every adversary bid and
     wins nothing, so none of its nodes fires (see ``node_fires``).  The
-    event's sub-utility is 0; it gives such actions the node on which the
-    partial-feedback estimators apply their -K shift.  With it, every
-    action holds exactly one realized event: its firing node or this one.
+    event has allocation 0 at price beta_K, so its sub-utility is 0; it
+    gives such actions the node on which the partial-feedback estimators
+    apply their -K shift.  With it, every action holds exactly one realized
+    event: its firing node or this one.
     """
-    below = np.nonzero(graph.levels < adversary.bids[-1])[0]
-    return [PseudoNode(2, int(j)) for j in below]
+    beta_k = adversary.bids[-1]
+    n = int(np.searchsorted(graph.levels, beta_k, side="left"))
+    return Events(graph.bid_ids(1)[:n], np.zeros(n, dtype=int), np.full(n, beta_k))
 
 
-def firing_set(
-    adversary: BidProfile, graph: PseudoGraph
-) -> list[tuple[PseudoNode, float]]:
-    """All nodes that fire against ``adversary``, with their prices.
+def firing_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
+    """All nodes that fire against ``adversary``, in id order, with the
+    allocation floor(k) and the price of each (see ``node_fires``).
 
-    There are at most 2(K^2 + M) of them: per allocation k, one grid level
-    range of bid nodes plus at most one gap band.
+    Per allocation k, the bid row fires on the levels strictly between
+    beta_{K-k+1} and beta_{K-k}, one contiguous range, and the gap row
+    k+1/2 fires at most at j = floor(beta_{K-k} * M), at the adversary's
+    price.  So there are at most 2(K^2 + M) of them.
     """
-    beta = adversary.bids
-    kk = graph.k
-    m = graph.inv_epsilon
-    levels = graph.levels
-    out: list[tuple[PseudoNode, float]] = []
-    for k in range(1, kk + 1):
-        hi = _beta_at(beta, kk - k)
-        lo = _beta_at(beta, kk - k + 1)
-        for j in np.nonzero((levels < hi) & (levels > lo))[0]:
-            out.append((PseudoNode(2 * k, int(j)), float(levels[j])))
-        if k < kk:
-            p = _beta_at(beta, kk - k)
+    k, m, levels = graph.k, graph.inv_epsilon, graph.levels
+    offset = graph.row_offset.tolist()
+    beta = (_BETA_HIGH, *adversary.bids, _BETA_LOW)  # beta[i] = beta_i
+    # bid row kk fires on levels lo[kk-1] .. hi[kk-1]-1
+    lo = np.searchsorted(levels, beta[k:0:-1], side="right").tolist()
+    hi = np.searchsorted(levels, beta[k - 1 :: -1], side="left").tolist()
+    ids: list[int] = []
+    alloc: list[int] = []
+    price: list[float] = []
+    for kk in range(1, k + 1):
+        a, b = lo[kk - 1], hi[kk - 1]
+        if a < b:
+            ids.extend(range(offset[2 * kk - 2] + a, offset[2 * kk - 2] + b))
+            alloc.extend([kk] * (b - a))
+            price.extend(levels[a:b].tolist())
+        if kk < k:
+            p = beta[k - kk]
             j = math.floor(p * m)
             if 0 <= j < m and j / m < p < (j + 1) / m:
-                out.append((PseudoNode(2 * k + 1, j), p))
-    return out
+                ids.append(offset[2 * kk - 1] + j)
+                alloc.append(kk)
+                price.append(p)
+    return Events(np.array(ids, dtype=int), np.array(alloc, dtype=int), np.array(price))

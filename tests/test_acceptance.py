@@ -59,7 +59,7 @@ def off_grid_profile(rng, k, m):
 
 def all_grid_profiles(k, m):
     return [
-        BidProfile(tuple(j / m for j in sorted(combo, reverse=True)), grid_flag=True)
+        BidProfile(tuple(j / m for j in sorted(combo, reverse=True)))
         for combo in itertools.combinations_with_replacement(range(m + 1), k)
     ]
 

@@ -36,7 +36,7 @@ def off_grid_profile(rng, k, m):
 class TestValidate:
     def test_valid_grid_profile(self):
         p = validate_bid_profile([1.0, 0.5], 2, epsilon=0.25, require_grid=True)
-        assert p.bids == (1.0, 0.5) and p.grid_flag
+        assert p.bids == (1.0, 0.5)
 
     def test_not_monotone(self):
         with pytest.raises(NotMonotone):
@@ -55,8 +55,7 @@ class TestValidate:
             validate_bid_profile([1.2, 0.5], 2)
 
     def test_off_grid_contract(self):
-        p = validate_bid_profile([0.83, 0.31], 2, epsilon=0.25, require_off_grid=True)
-        assert not p.grid_flag
+        validate_bid_profile([0.83, 0.31], 2, epsilon=0.25, require_off_grid=True)
         with pytest.raises(TieDetected):
             validate_bid_profile([0.75, 0.31], 2, epsilon=0.25, require_off_grid=True)
         with pytest.raises(TieDetected):
@@ -232,13 +231,12 @@ class TestClipDominated:
 
 class TestTieOffset:
     def test_zero_offset_identity(self):
-        p = BidProfile((0.5, 0.25), grid_flag=True)
+        p = BidProfile((0.5, 0.25))
         assert apply_tie_offset(p, 0.0, 0.25) is p
 
     def test_uniform_shift(self):
         out = apply_tie_offset(BidProfile((0.5, 0.25)), 0.01, 0.25)
         assert out.bids == (0.51, 0.26)
-        assert not out.grid_flag
 
     def test_top_bid_capped(self):
         out = apply_tie_offset(BidProfile((1.0, 0.5)), 0.01, 0.25)

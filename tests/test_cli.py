@@ -114,3 +114,19 @@ class TestMain:
     def test_error_exit_code(self, capsys):
         assert main(["--units", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def assert_one_line_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_adversary_bounds_exit_2(self, capsys):
+        i = MINIMAL.index("--adversary")
+        argv = MINIMAL[: i + 1] + ["iid:0.5"] + MINIMAL[i + 2 :]
+        self.assert_one_line_error(argv, capsys)
+
+    def test_auction_error_exits_2(self, capsys):
+        # defaults need T > K: HorizonTooShort is an AuctionError, not a ConfigError
+        i = MINIMAL.index("--horizon")
+        argv = MINIMAL[: i + 1] + ["2"] + MINIMAL[i + 2 :]
+        self.assert_one_line_error(argv, capsys)

@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from uniprice import (
     best_fixed_action_exhaustive,
     build_graph,
     fit_loglog_slope,
+    node_fires,
+    observed_set_membership,
     run_experiment,
     write_csv,
     write_svg,
@@ -191,6 +196,75 @@ class TestRunExperiment:
 
         with pytest.raises(TieDetected):
             run_experiment(cfg)
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def _realized(graph, adversary):
+    """Realized events by the scalar reference: the firing nodes, and the
+    row-1 bid nodes below every adversary bid (zero-allocation events)."""
+    nodes = graph.nodes()
+    fired = [n for n in nodes if node_fires(n, adversary, graph.epsilon)[0]]
+    zero = [n for n in nodes if n.k2 == 2 and graph.levels[n.j] < adversary.bids[-1]]
+    return fired, zero
+
+
+class TestBenchmarkContract:
+    """perfbench/tracing.py wraps the names harness imports and counts from
+    their arguments; these checks fail when harness stops calling them the
+    way the traced benchmark counts."""
+
+    @pytest.mark.parametrize("mode", list(FeedbackMode))
+    def test_traced_run_counts_rounds_nodes_and_entries(self, mode, monkeypatch):
+        from uniprice import harness
+
+        firing_set, make_feedback_ = harness.firing_set, harness.make_feedback
+        expected = {"nodes": 0, "entries": 0}
+        graphs = []
+
+        @functools.wraps(firing_set)
+        def spy_firing_set(adversary, graph):
+            graphs.append(graph)
+            expected["nodes"] += len(_realized(graph, adversary)[0])
+            return firing_set(adversary, graph)
+
+        @functools.wraps(make_feedback_)
+        def spy_make_feedback(feedback_mode, outcome, adversary):
+            g = graphs[-1]
+            fired, zero = _realized(g, adversary)
+            if feedback_mode is FeedbackMode.BANDIT:
+                expected["entries"] += 1
+            elif feedback_mode is FeedbackMode.FULL_INFORMATION:
+                expected["entries"] += len(fired)
+            else:
+                expected["entries"] += sum(
+                    observed_set_membership(h, outcome, g.epsilon) for h in fired + zero
+                )
+            return make_feedback_(feedback_mode, outcome, adversary)
+
+        monkeypatch.setattr(harness, "firing_set", spy_firing_set)
+        monkeypatch.setattr(harness, "make_feedback", spy_make_feedback)
+        tracer = _load_tracer()()
+        tracer.install()
+        try:
+            run_experiment(small_config(feedback=mode, horizon=64, replications=1))
+        finally:
+            tracer.remove()
+        assert harness.firing_set is spy_firing_set
+        n_spans = len(tracer.start)
+        calls = tracer.times(0, n_spans).calls
+        assert calls["feedback.make_feedback"] == 64
+        assert calls["learner.update_weights"] == 64
+        assert calls["learner.ensure_passes"] >= 64
+        tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
+        assert tracer.counts["pseudo_space.firing_set.nodes"] == expected["nodes"]
+        assert tracer.counts["learner.signal.entries"] == expected["entries"]
 
 
 class TestCsv:

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniprice import (
     BidProfile,
@@ -25,6 +27,7 @@ from uniprice import (
     node_fires,
     node_marginal,
     observation_probability,
+    observed_set_membership,
     path_log_probability,
     path_utility,
     sample_path,
@@ -32,6 +35,7 @@ from uniprice import (
     update_weights,
     zero_event_set,
 )
+from uniprice.auction_core import grid_level
 from uniprice.errors import HorizonTooShort, ZeroMarginal
 from uniprice.feedback import AllWinnerFeedback, BanditFeedback, make_feedback
 from uniprice.learner import allwinner_signal, ensure_passes, _logsumexp
@@ -124,7 +128,7 @@ class TestMarginals:
         paths = list(enumerate_paths(g))
         for node in g.nodes():
             frac = sum(1 for p in paths if node in p) / len(paths)
-            assert node_marginal(s, node) == pytest.approx(frac, abs=1e-12)
+            assert node_marginal(s, g.node_id(node)) == pytest.approx(frac, abs=1e-12)
 
     def test_bid_rows_normalize(self):
         rng = np.random.default_rng(2)
@@ -199,7 +203,6 @@ class TestUpdate:
         before = s.log_w.copy()
         update_weights(s, {}, 0.5)
         assert np.array_equal(s.log_w, before)
-        assert s.round == 1
 
     def test_bandit_signals_nonpositive(self):
         rng = np.random.default_rng(6)
@@ -246,7 +249,7 @@ class TestSignals:
             sig = full_info_signal(beta, v, g)
             assert len(sig) <= 2 * (k * k + m)
             for path in enumerate_paths(g):
-                total = sum(sig.get(n, 0.0) for n in path)
+                total = sum(sig.get(g.node_id(n), 0.0) for n in path)
                 assert total == path_utility(path, beta, v, g.epsilon)
 
     def test_bandit_signal_single_entry(self):
@@ -258,9 +261,10 @@ class TestSignals:
         o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.BANDIT, o, beta)
         sig = bandit_signal(path, fb, s, v)
-        assert set(sig) == {gap(1, 3)}
-        expected = (o.utility - 2) / node_marginal(s, gap(1, 3))
-        assert sig[gap(1, 3)] == pytest.approx(expected, rel=1e-12)
+        fired = g.node_id(gap(1, 3))
+        assert set(sig) == {fired}
+        expected = (o.utility - 2) / node_marginal(s, fired)
+        assert sig[fired] == pytest.approx(expected, rel=1e-12)
 
     def test_bandit_zero_allocation_empty(self):
         # winning nothing realizes the zero-allocation event of the played
@@ -270,8 +274,9 @@ class TestSignals:
         fb = BanditFeedback(0, None)
         path = encode(BidProfile((0.25, 0.0)), 4)
         sig = bandit_signal(path, fb, s, Valuation((1.0, 0.5)))
-        assert set(sig) == {bid(1, 1)}
-        assert sig[bid(1, 1)] == pytest.approx(-2 / node_marginal(s, bid(1, 1)), rel=1e-12)
+        top = g.node_id(bid(1, 1))
+        assert set(sig) == {top}
+        assert sig[top] == pytest.approx(-2 / node_marginal(s, top), rel=1e-12)
 
     def test_bandit_zero_marginal_error(self):
         g = build_graph(2, 4)
@@ -310,13 +315,13 @@ class TestSignals:
             o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
             sig = allwinner_signal(fb, s, v)
-            zero_events = set(zero_event_set(beta, g))
+            zero_events = set(zero_event_set(beta, g).ids.tolist())
             for node, val in sig.items():
                 if node in zero_events:
                     w = 0.0
                 else:
-                    assert node_fires(node, beta, g.epsilon)[0]
-                    w = sub_utility(node, beta, v, g.epsilon)
+                    assert node_fires(g.node_from_id(node), beta, g.epsilon)[0]
+                    w = sub_utility(g.node_from_id(node), beta, v, g.epsilon)
                 q = observation_probability(node, s, beta)
                 assert val == pytest.approx((w - g.k) / q, rel=1e-10)
 
@@ -327,7 +332,7 @@ class TestSignals:
             for _ in range(10):
                 s = random_state(g, rng)
                 beta = off_grid_profile(rng, k, m)
-                events = [n for n, _ in firing_set(beta, g)] + zero_event_set(beta, g)
+                events = (firing_set(beta, g) + zero_event_set(beta, g)).ids.tolist()
                 for node in events:
                     fast = observation_probability(node, s, beta)
                     brute = brute_observation_probability(node, s, beta)
@@ -345,12 +350,62 @@ class TestSignals:
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
         assert fb.adversary_winning_bids == beta.bids
         sig = allwinner_signal(fb, s, v)
-        zero_events = {bid(1, 0), bid(1, 1)}  # levels 0 and 0.25 lie below 0.3
-        assert set(zero_event_set(beta, g)) == zero_events
-        assert set(sig) == {n for n, _ in firing_set(beta, g)} | zero_events
+        # levels 0 and 0.25 lie below 0.3
+        zero_events = {g.node_id(bid(1, 0)), g.node_id(bid(1, 1))}
+        assert set(zero_event_set(beta, g).ids.tolist()) == zero_events
+        assert set(sig) == set(firing_set(beta, g).ids.tolist()) | zero_events
         p_zero = sum(node_marginal(s, n) for n in zero_events)
         for node in zero_events:
             assert sig[node] == pytest.approx(-2 / p_zero, rel=1e-12)
+
+
+@st.composite
+def instances(draw):
+    """K in 1..4, M in 0..8, an off-grid adversary and a grid learner profile."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 8))
+    g = build_graph(k, m)
+    off_grid = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
+        lambda b: grid_level(b, g.epsilon) is None
+    )
+    beta = sorted(draw(st.lists(off_grid, min_size=k, max_size=k)), reverse=True)
+    levels = sorted(draw(st.lists(st.integers(0, m), min_size=k, max_size=k)), reverse=True)
+    bids = BidProfile(tuple(float(g.levels[j]) for j in levels))
+    return g, BidProfile(tuple(beta)), bids
+
+
+class TestEventProperties:
+    @given(instances())
+    @settings(max_examples=300, deadline=None)
+    def test_firing_set_is_the_scalar_scan(self, instance):
+        g, beta, _ = instance
+        scan = [
+            (g.node_id(n), price)
+            for n in g.nodes()
+            for fires, price in [node_fires(n, beta, g.epsilon)]
+            if fires
+        ]
+        assert [(i, price) for i, _, price in firing_set(beta, g)] == scan
+
+    @given(instances())
+    @settings(max_examples=300, deadline=None)
+    def test_allwinner_signal_covers_the_observed_set(self, instance):
+        g, beta, bids = instance
+        v = Valuation((0.5,) * g.k)
+        outcome = clear_auction(bids, beta, PricingRule.LAB, v)
+        fb = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
+        sig = allwinner_signal(fb, init_state(g), v)
+
+        def realized(h):
+            zero_event = h.k2 == 2 and g.levels[h.j] < beta.bids[-1]
+            return zero_event or node_fires(h, beta, g.epsilon)[0]
+
+        observed = [
+            g.node_id(h)
+            for h in g.nodes()
+            if realized(h) and observed_set_membership(h, outcome, g.epsilon)
+        ]
+        assert list(sig) == observed
 
 
 class TestExpectedUtility:
@@ -374,9 +429,9 @@ class TestExpectedUtility:
         s = init_state(g)
         beta = BidProfile((0.999, 0.997))
         v = Valuation((1.0, 1.0))
-        fired = dict(firing_set(beta, g))
-        assert set(fired) == {bid(2, 2), gap(1, 1)}
-        expect = node_marginal(s, gap(1, 1)) * (1.0 - 0.999)
+        fired = set(firing_set(beta, g).ids.tolist())
+        assert fired == {g.node_id(bid(2, 2)), g.node_id(gap(1, 1))}
+        expect = node_marginal(s, g.node_id(gap(1, 1))) * (1.0 - 0.999)
         assert expected_utility(s, beta, v) == pytest.approx(expect, abs=1e-15)
 
     def test_degenerate_single_path(self):
@@ -461,6 +516,13 @@ class TestEdgeCases:
         with pytest.raises(ZeroObservationProbability):
             allwinner_signal(fb, s, Valuation((1.0, 0.5)))
 
+    def test_allwinner_one_level_grid(self):
+        # M = 0: the single level 0 lies below the adversary's bid, so winning
+        # nothing reveals its zero-allocation event, observed with certainty
+        fb = AllWinnerFeedback(0, 0.4, (0.4,))
+        sig = allwinner_signal(fb, init_state(build_graph(1, 0)), Valuation((0.9,)))
+        assert sig == {0: -1.0}
+
     def test_passes_stable_at_extreme_weights(self):
         rng = np.random.default_rng(14)
         g = build_graph(2, 8)
@@ -478,6 +540,6 @@ class TestEdgeCases:
         # shifted-adversary frame: negative node-space bids never fire
         g = build_graph(2, 2)
         beta_shifted = BidProfile((0.3, -0.004))
-        fired = [n for n, _ in firing_set(beta_shifted, g)]
-        assert gap(1, 0) in fired  # 0 < 0.3 < 0.5
-        assert all(node_fires(n, beta_shifted, g.epsilon)[0] for n in fired)
+        fired = firing_set(beta_shifted, g).ids.tolist()
+        assert g.node_id(gap(1, 0)) in fired  # 0 < 0.3 < 0.5
+        assert all(node_fires(g.node_from_id(i), beta_shifted, g.epsilon)[0] for i in fired)

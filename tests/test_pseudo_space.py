@@ -38,7 +38,7 @@ def all_grid_profiles(k, m):
     out = []
     for combo in itertools.combinations_with_replacement(range(m + 1), k):
         levels = sorted(combo, reverse=True)
-        out.append(BidProfile(tuple(j / m for j in levels), grid_flag=True))
+        out.append(BidProfile(tuple(j / m for j in levels)))
     return out
 
 
@@ -232,11 +232,11 @@ class TestFiring:
             for _ in range(50):
                 beta = off_grid_profile(rng, k, m)
                 expected = {
-                    (n, node_fires(n, beta, g.epsilon)[1])
+                    (g.node_id(n), node_fires(n, beta, g.epsilon)[1])
                     for n in g.nodes()
                     if node_fires(n, beta, g.epsilon)[0]
                 }
-                got = set(firing_set(beta, g))
+                got = {(i, price) for i, _, price in firing_set(beta, g)}
                 assert got == expected
                 assert len(got) <= 2 * (k * k + m)
 
@@ -248,10 +248,15 @@ class TestFiring:
             g = build_graph(k, m)
             for _ in range(30):
                 beta = off_grid_profile(rng, k, m)
-                zero = set(zero_event_set(beta, g))
-                assert all(n.k2 == 2 and n.j / m < beta.bids[-1] for n in zero)
+                zero = set(zero_event_set(beta, g).ids.tolist())
+                assert all(
+                    g.node_from_id(i).k2 == 2 and g.node_from_id(i).j / m < beta.bids[-1]
+                    for i in zero
+                )
                 for path in enumerate_paths(g):
-                    assert (path[0] in zero) == (firing_node(path, beta, g.epsilon) is None)
+                    assert (g.node_id(path[0]) in zero) == (
+                        firing_node(path, beta, g.epsilon) is None
+                    )
 
 
 class TestObservedSet:
