@@ -13,7 +13,9 @@ from collections import Counter
 import numpy as np
 
 from uniprice import (
+    BidProfile,
     build_graph,
+    encode,
     exact_path_distribution,
     init_state,
     marginals,
@@ -33,7 +35,12 @@ state.log_w[:] = weights
 dist = exact_path_distribution(state)  # brute-force normalization
 print(f"{len(dist)} actions; exact vs sampled frequencies (100k draws):")
 n = 100_000
-counts = Counter(sample_path(state, rng) for _ in range(n))
+# the walk returns the K bid levels of the action; encode gives its nodes
+drawn = Counter(sample_path(state, rng) for _ in range(n))
+counts = Counter({
+    encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g.inv_epsilon): c
+    for levels, c in drawn.items()
+})
 for path, p in sorted(dist.items(), key=lambda kv: -kv[1]):
     sampler_p = np.exp(path_log_probability(state, path))
     print(

@@ -40,7 +40,6 @@ from uniprice import (
 )
 from uniprice.adversaries import next_bids
 from uniprice.feedback import make_feedback
-from uniprice.pseudo_space import decode
 
 
 def run(horizon, seed, zero_event):
@@ -58,10 +57,11 @@ def run(horizon, seed, zero_event):
     checkpoints = {}
     for t in range(1, horizon + 1):
         beta = next_bids(spec, t, rng_adv, eps)
-        path = sample_path(state, rng)
-        outcome = clear_auction(decode(path, m), beta, PricingRule.LAB, values)
+        levels = sample_path(state, rng)
+        bids = BidProfile(tuple(float(graph.levels[j]) for j in levels))
+        outcome = clear_auction(bids, beta, PricingRule.LAB, values)
         fb = make_feedback(FeedbackMode.BANDIT, outcome, beta)
-        signal = bandit_signal(path, fb, state, values)
+        signal = bandit_signal(levels, fb, state, values)
         if not zero_event and outcome.allocation == 0:
             signal = {}  # before: winning nothing gave no signal
         update_weights(state, signal, eta)

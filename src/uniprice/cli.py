@@ -8,6 +8,7 @@ rejected.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -64,6 +65,30 @@ def _parse_values(text: str, n: Optional[int] = None) -> tuple[float, ...]:
     if n is not None and len(values) != n:
         raise ConfigError(f"expected {n} comma-separated value(s), got {text!r}")
     return values
+
+
+def _number(cast, value, key: str):
+    """``cast(value)`` for ``cast`` int or float, or a ConfigError that
+    names the key (config-file values arrive as text)."""
+    try:
+        return cast(value)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
+
+
+def _check_writable(path: str, key: str) -> None:
+    """Fail before any simulation when ``path`` cannot be written: its
+    directory must exist and be writable, and the path must not be a
+    directory or a read-only file."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if (
+        os.path.isdir(path)
+        or not os.path.isdir(parent)
+        or not os.access(parent, os.W_OK)
+        or (os.path.exists(path) and not os.access(path, os.W_OK))
+    ):
+        raise ConfigError(f"cannot write --{key} {path!r}")
 
 
 def parse_adversary(text: str, k: int) -> AdversarySpec:
@@ -166,11 +191,11 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     units = pick(args.units, "units")
     if units is None:
         raise ConfigError("missing --units")
-    units = int(units)
+    units = _number(int, units, "units")
     horizon = pick(args.horizon, "horizon")
     if horizon is None:
         raise ConfigError("missing --horizon")
-    horizon = int(horizon)
+    horizon = _number(int, horizon, "horizon")
     feedback = pick(args.feedback, "feedback")
     if feedback is None:
         raise ConfigError("missing --feedback")
@@ -202,14 +227,14 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         feedback=_FEEDBACK[feedback],
         values=_parse_values(values),
         adversary=parse_adversary(adversary, units),
-        seed=int(pick(args.seed, "seed", 0)),
+        seed=_number(int, pick(args.seed, "seed", 0), "seed"),
         pricing=_PRICING[pricing],
-        replications=int(pick(args.reps, "reps", 1)),
-        epsilon=None if epsilon is None else float(epsilon),
-        eta=None if eta is None else float(eta),
+        replications=_number(int, pick(args.reps, "reps", 1), "reps"),
+        epsilon=None if epsilon is None else _number(float, epsilon, "epsilon"),
+        eta=None if eta is None else _number(float, eta, "eta"),
         tie_mode=_TIE[tie_mode],
         param_form=param_form,
-        workers=int(pick(args.workers, "workers", 1)),
+        workers=_number(int, pick(args.workers, "workers", 1), "workers"),
         out=pick(args.out, "out"),
         plot=pick(args.plot, "plot"),
         scale=_SCALE[scale],
@@ -219,6 +244,9 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = parse_config(argv)
+        for key, path in (("out", config.out), ("plot", config.plot)):
+            if path:
+                _check_writable(path, key)
         traces = run_experiment(config)
     except AuctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -233,12 +261,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"final regret: mean={finals.mean():.6g} min={finals.min():.6g} "
         f"max={finals.max():.6g}"
     )
-    if config.out:
-        write_csv(traces, config.out)
-        print(f"wrote {config.out}")
-    if config.plot:
-        write_svg(traces, config.plot, config.scale)
-        print(f"wrote {config.plot}")
+    try:
+        if config.out:
+            write_csv(traces, config.out)
+            print(f"wrote {config.out}")
+        if config.plot:
+            write_svg(traces, config.plot, config.scale)
+            print(f"wrote {config.plot}")
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

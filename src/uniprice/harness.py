@@ -24,7 +24,7 @@ from .auction_core import (
     Valuation,
     apply_tie_offset,
     clear_auction,
-    utility_sum,
+    utility_sum,  # noqa: F401  perfbench/tracing.py wraps harness.utility_sum by name
 )
 from .errors import ConfigError
 from .feedback import make_feedback
@@ -33,6 +33,7 @@ from .learner import (
     allwinner_signal,
     bandit_signal,
     default_parameters,
+    expectation,
     full_info_signal,
     init_state,
     marginals,
@@ -40,7 +41,7 @@ from .learner import (
     update_weights,
 )
 from .oracle import best_fixed_total
-from .pseudo_space import build_graph, firing_set
+from .pseudo_space import build_graph, event_utilities, firing_set
 
 
 class TieMode(enum.Enum):
@@ -150,6 +151,7 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     perturb = config.tie_mode is TieMode.PERTURB
     offset = float(rng_tie.uniform(0.0, epsilon / 100.0)) if perturb else 0.0
 
+    level_prices = graph.levels.tolist()
     node_totals = np.zeros(graph.n_nodes)
     realized = np.empty(horizon)
     expected = np.empty(horizon)
@@ -168,8 +170,8 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         else:
             beta_node = beta_market
 
-        path = sample_path(state, rng_learn)
-        grid_bids = BidProfile(tuple(float(graph.levels[n.j]) for n in path if n.is_bid))
+        levels = sample_path(state, rng_learn)
+        grid_bids = BidProfile(tuple(level_prices[j] for j in levels))
         if perturb:
             market_bids = apply_tie_offset(grid_bids, offset, epsilon)
             outcome_market = clear_auction(
@@ -185,18 +187,17 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         # exact expected utility and comparator totals, in market terms
         marg = marginals(state)
         events = firing_set(beta_node, graph)
-        w_market = [utility_sum(values.values, x, price + offset) for _, x, price in events]
-        exp_market = 0.0
-        for m_i, w in zip(marg[events.ids].tolist(), w_market):
-            exp_market += m_i * w
+        w_node = event_utilities(events, values)
+        w_market = event_utilities(events, values, offset) if perturb else w_node
+        exp_market = expectation(marg[events.ids], w_market)
         node_totals[events.ids] += w_market
         cum_expected += exp_market
 
         fb = make_feedback(config.feedback, outcome_node, beta_node)
         if config.feedback is FeedbackMode.FULL_INFORMATION:
-            signal = full_info_signal(beta_node, values, graph)
+            signal = full_info_signal(events, w_node)
         elif config.feedback is FeedbackMode.BANDIT:
-            signal = bandit_signal(path, fb, state, values)
+            signal = bandit_signal(levels, fb, state, values)
         else:
             signal = allwinner_signal(fb, state, values)
         update_weights(state, signal, eta)

@@ -18,9 +18,9 @@ log domain; the raw accumulators overflow after a few thousand rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +28,11 @@ from .auction_core import BidProfile, Valuation, grid_level, utility_sum
 from .errors import HorizonTooShort, ZeroMarginal, ZeroObservationProbability
 from .pseudo_space import (
     _BETA_LOW,
+    Events,
     PseudoGraph,
-    PseudoNode,
     PseudoPath,
     _observed,
+    event_utilities,
     firing_set,
     zero_event_set,
 )
@@ -49,7 +50,12 @@ EstimateVector = dict[int, float]
 
 @dataclass
 class WeightState:
-    """Log-domain node weights plus the backward/forward accumulators."""
+    """Log-domain node weights plus the backward/forward accumulators.
+
+    ``w_rows``, ``b_rows`` and ``f_rows`` are the (bid, gap) row views of
+    ``log_w``, ``backward`` and ``forward`` (see ``PseudoGraph.rows``),
+    built once; the arrays are updated in place, never replaced.
+    """
 
     graph: PseudoGraph
     log_w: np.ndarray
@@ -57,6 +63,15 @@ class WeightState:
     forward: np.ndarray
     log_gamma0: float = math.nan
     fresh: bool = False
+    w_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    b_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    f_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = self.graph.rows
+        self.w_rows = rows(self.log_w)
+        self.b_rows = rows(self.backward)
+        self.f_rows = rows(self.forward)
 
 
 def init_state(graph: PseudoGraph) -> WeightState:
@@ -71,23 +86,32 @@ def init_state(graph: PseudoGraph) -> WeightState:
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
+    m = float(np.maximum.reduce(a))
     if not math.isfinite(m):
         return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    return m + math.log(float(np.add.reduce(np.exp(a - m))))
 
 
-def _chain_lse(mult: np.ndarray, add: np.ndarray) -> np.ndarray:
-    """Solve G[0] = add[0], G[i] = logaddexp(mult[i-1] + G[i-1], add[i]).
+def _chain_scan(
+    op: np.ufunc, mult: np.ndarray, prefix: np.ndarray, add: np.ndarray, out: np.ndarray
+) -> None:
+    """out[0] = add[0], out[i] = op(mult[i-1] + out[i-1], add[i]), for the
+    associative ``op`` ``np.logaddexp`` or ``np.maximum``.
 
-    Rewritten as a cumulative log-sum-exp so numpy does the scan:
-    with P[i] = mult[0] + ... + mult[i-1],
-    G[i] = P[i] + LSE_{i' <= i} (add[i'] - P[i']).
+    ``prefix`` holds 0 and the running sums of ``mult``, so that
+    out[i] = prefix[i] + op-accumulate over i' <= i of (add[i'] - prefix[i'])
+    and numpy does the scan.  A -inf in ``mult`` cuts the chain, which the
+    prefix form cannot express (it would subtract -inf); such rows run the
+    recursion step by step.  ``out`` may be ``add``.
     """
-    if add.size == 1:
-        return add.copy()
-    p = np.concatenate(([0.0], np.cumsum(mult)))
-    return p + np.logaddexp.accumulate(add - p)
+    if math.isfinite(prefix[-1]):
+        np.subtract(add, prefix, out=out)
+        op.accumulate(out, out=out)
+        np.add(out, prefix, out=out)
+        return
+    out[0] = add[0]
+    for i in range(1, len(out)):
+        out[i] = op(mult[i - 1] + out[i - 1], add[i])
 
 
 def backward_pass(state: WeightState) -> WeightState:
@@ -95,53 +119,57 @@ def backward_pass(state: WeightState) -> WeightState:
     elsewhere Gamma(h) = sum over successors h' of W(h') Gamma(h').
 
     Bid and gap nodes at the same (k, j) share successors, so one scan per
-    k-level fills both rows.
+    k-level fills both rows: bid row k is the scan of its successors' terms
+    along gap row k, and gap row k is its first M entries.  One cumsum
+    gives every gap row's prefix sums.
     """
     g = state.graph
     m = g.inv_epsilon
-    lw, lg = state.log_w, state.backward
-    lg[g.bid_ids(g.k)] = 0.0
-    for kk in range(g.k - 1, 0, -1):
-        nxt = g.bid_ids(kk + 1)
-        c = lw[nxt] + lg[nxt]
-        if m == 0:
-            g_ext = c
-        else:
-            gap = g.gap_ids(kk)
-            g_ext = _chain_lse(lw[gap], c)
-            lg[gap] = g_ext[:m]
-        lg[g.bid_ids(kk)] = g_ext
-    b1 = g.bid_ids(1)
-    state.log_gamma0 = _logsumexp(lw[b1] + lg[b1])
+    w_bid, w_gap = state.w_rows
+    b_bid, b_gap = state.b_rows
+    prefix = np.zeros((g.k - 1, m + 1))
+    w_gap.cumsum(axis=1, out=prefix[:, 1:])
+    b_bid[-1] = 0.0
+    for r in range(g.k - 2, -1, -1):
+        out = b_bid[r]
+        np.add(w_bid[r + 1], b_bid[r + 1], out=out)
+        _chain_scan(np.logaddexp, w_gap[r], prefix[r], out, out)
+    b_gap[...] = b_bid[:-1, :m]
+    state.log_gamma0 = _logsumexp(w_bid[0] + b_bid[0])
     return state
 
 
 def forward_pass(state: WeightState) -> WeightState:
     """Fill F: prefix weight products including the node's own weight.
     F(h) = W(h) * sum over predecessors h' of F(h'), seeded on the first
-    bid row with F = W."""
+    bid row with F = W.
+
+    The top level has one predecessor, the top of the bid row above, so
+    that column is a cumsum.  Gap row k runs from the top level down,
+    F_gap(j) = W_gap(j) * (F_bid(j+1) + F_gap(j+1)), a scan along the
+    reversed row; one cumsum gives the prefix sums of every reversed gap
+    row below its top level.
+    """
     g = state.graph
     m = g.inv_epsilon
-    lw, lf = state.log_w, state.forward
-    b1 = g.bid_ids(1)
-    lf[b1] = lw[b1]
-    for kk in range(1, g.k):
-        cur = g.bid_ids(kk)
-        nxt = g.bid_ids(kk + 1)
-        if m == 0:
-            lf[nxt] = lw[nxt] + lf[cur]
-            continue
-        gap = g.gap_ids(kk)
-        # gap row, from the top level down:
-        # F_gap(j) = W_gap(j) * (F_bid(j+1) + F_gap(j+1))
-        a_rev = lw[gap][::-1]
-        c_rev = lf[cur][m:0:-1]
-        h = _chain_lse(a_rev[1:], a_rev + c_rev)
-        lf[gap] = h[::-1]
-        out = np.empty(m + 1)
-        out[:m] = lw[nxt][:m] + np.logaddexp(lf[cur][:m], lf[gap])
-        out[m] = lw[nxt][m] + lf[cur][m]
-        lf[nxt] = out
+    w_bid, w_gap = state.w_rows
+    f_bid, f_gap = state.f_rows
+    w_bid[:, m].cumsum(out=f_bid[:, m])
+    if m == 0:
+        return state
+    f_bid[0, :m] = w_bid[0, :m]
+    w_low, f_low = w_bid[:, :m], f_bid[:, :m]
+    w_gap_down, f_gap_down = w_gap[:, ::-1], f_gap[:, ::-1]
+    f_bid_down = f_bid[:, m:0:-1]
+    below_top = w_gap_down[:, 1:]
+    prefix = np.zeros((g.k - 1, m))
+    below_top.cumsum(axis=1, out=prefix[:, 1:])
+    for r in range(g.k - 1):
+        out = f_gap_down[r]
+        np.add(w_gap_down[r], f_bid_down[r], out=out)
+        _chain_scan(np.logaddexp, below_top[r], prefix[r], out, out)
+        np.logaddexp(f_low[r], f_gap[r], out=f_low[r + 1])
+        np.add(w_low[r + 1], f_low[r + 1], out=f_low[r + 1])
     return state
 
 
@@ -157,8 +185,11 @@ def marginals(state: WeightState) -> np.ndarray:
     """Inclusion probability of every node under the current distribution:
     P(h in sampled path) = F(h) Gamma(h) / Gamma_0."""
     ensure_passes(state)
-    out = np.exp(state.forward + state.backward - state.log_gamma0)
-    return np.clip(out, 0.0, 1.0)
+    out = np.add(state.forward, state.backward)
+    np.subtract(out, state.log_gamma0, out=out)
+    np.exp(out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def node_marginal(state: WeightState, i: int) -> float:
@@ -168,40 +199,36 @@ def node_marginal(state: WeightState, i: int) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def sample_path(state: WeightState, rng: np.random.Generator) -> PseudoPath:
-    """Draw one action with probability (prod of its node weights) / Gamma_0.
+def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]:
+    """Draw one action with probability (prod of its node weights) / Gamma_0
+    and return its K bid levels (``encode`` gives its nodes).
 
-    Walks the graph sampling each next node with probability
-    W(h') Gamma(h') / Gamma(h); level-0 nodes have a single successor and
-    consume no randomness.  Bid and gap nodes at the same (k, j) share both
-    successors and Gamma, so the walk only tracks (stage, level).
+    The start level j of bid row 1 is drawn with probability
+    W(h) Gamma(h) / Gamma_0.  Should rounding leave u at or above the
+    summed probabilities, the draw falls back to the highest start level
+    of positive probability.  Then each row walks down its gap levels,
+    taking each step with probability W(gap) Gamma(gap) / Gamma(bid); bid
+    and gap nodes at the same (k, j) share both successors and Gamma, so
+    the walk only tracks the level.  Level 0 consumes no randomness.
     """
     ensure_passes(state)
-    g = state.graph
-    lw, lg = state.log_w, state.backward
-    b1 = g.bid_ids(1)
-    probs = np.exp(lw[b1] + lg[b1] - state.log_gamma0)
-    u = rng.random()
-    acc = 0.0
-    j = g.inv_epsilon
-    for jj, pr in enumerate(probs):
-        acc += pr
-        if u < acc:
-            j = jj
-            break
-    path = [PseudoNode(2, j)]
-    offset = g.row_offset.tolist()
-    for kk in range(1, g.k):
-        bid_off, gap_off = offset[2 * kk - 2], offset[2 * kk - 1]
+    w_bid, w_gap = state.w_rows
+    b_bid, b_gap = state.b_rows
+    probs = np.exp(w_bid[0] + b_bid[0] - state.log_gamma0)
+    cum = probs.cumsum()
+    j = int(cum.searchsorted(rng.random(), side="right"))
+    if j == len(cum):
+        j = int(np.flatnonzero(probs)[-1])
+    levels = [j]
+    # log of each gap step's probability, gap level j - 1 from bid level j
+    steps = (w_gap + b_gap - b_bid[:-1, 1:]).tolist()
+    for row in steps:
         while j > 0:
-            gi = gap_off + j - 1
-            p_gap = math.exp(lw[gi] + lg[gi] - lg[bid_off + j])
-            if rng.random() >= p_gap:
+            if rng.random() >= math.exp(row[j - 1]):
                 break
             j -= 1
-            path.append(PseudoNode(2 * kk + 1, j))
-        path.append(PseudoNode(2 * (kk + 1), j))
-    return tuple(path)
+        levels.append(j)
+    return tuple(levels)
 
 
 def path_log_probability(state: WeightState, path: PseudoPath) -> float:
@@ -233,15 +260,11 @@ def update_weights(state: WeightState, signal: EstimateVector, eta: float) -> We
 # --- feedback signals ---------------------------------------------------
 
 
-def full_info_signal(
-    adversary: BidProfile, values: Valuation, graph: PseudoGraph
-) -> EstimateVector:
-    """True sub-utility of every firing node; all other entries are zero
-    and omitted."""
-    return {
-        i: utility_sum(values.values, x, price)
-        for i, x, price in firing_set(adversary, graph)
-    }
+def full_info_signal(events: Events, utilities: np.ndarray) -> EstimateVector:
+    """True sub-utility of every firing node: ``events`` is the round's
+    ``firing_set`` and ``utilities`` its ``event_utilities``.  All other
+    entries are zero and omitted."""
+    return dict(zip(events.ids.tolist(), utilities.tolist()))
 
 
 def fired_node_from_feedback(
@@ -261,26 +284,27 @@ def fired_node_from_feedback(
 
 
 def bandit_signal(
-    played: PseudoPath, feedback, state: WeightState, values: Valuation
+    levels: Sequence[int], feedback, state: WeightState, values: Valuation
 ) -> EstimateVector:
     """Single-entry estimate (w - K) / P(node played) at the played node
     whose event is realized.
 
-    ``feedback`` needs only ``allocation`` and ``price``.  A won allocation
-    x >= 1 realizes the fired node, with w the utility of x items at the
-    price.  A zero allocation realizes the zero-allocation event of the
-    played top-bid node (1, j), with w = 0, so the entry is -K / P((1, j)).
-    Every action holds exactly one realized event, so the expected estimate
-    of every action is its utility minus K.  The constant -K shift keeps
+    ``levels`` are the played action's K bid levels (``sample_path``'s
+    output); ``feedback`` needs only ``allocation`` and ``price``.  A won
+    allocation x >= 1 realizes the fired node, with w the utility of x
+    items at the price.  A zero allocation realizes the zero-allocation
+    event of the played top-bid node (1, j), with w = 0, so the entry is
+    -K / P((1, j)).  Every action holds exactly one realized event, so the
+    expected estimate of every action is its utility minus K.  The constant -K shift keeps
     every entry non-positive, which controls the estimator's range; the
     bias is the same for all actions and cancels in the regret.
     """
     x = feedback.allocation
     g = state.graph
     if x == 0:
-        i, w = int(g.bid_ids(1)[played[0].j]), 0.0
+        i, w = int(g.bid_ids(1)[levels[0]]), 0.0
     else:
-        own = BidProfile(tuple(float(g.levels[n.j]) for n in played if n.is_bid))
+        own = BidProfile(tuple(float(g.levels[j]) for j in levels))
         i = fired_node_from_feedback(own, x, feedback.price, g)
         w = utility_sum(values.values, x, feedback.price)
     p_node = node_marginal(state, i)
@@ -322,10 +346,8 @@ def allwinner_signal(
         raise ZeroObservationProbability(
             f"node {g.node_from_id(i)} has zero observation probability"
         )
-    return {
-        i: (utility_sum(values.values, a, pr) - g.k) / qi
-        for i, a, pr, qi in zip(ids.tolist(), alloc.tolist(), price.tolist(), q.tolist())
-    }
+    estimates = (event_utilities(Events(ids, alloc, price), values) - g.k) / q
+    return dict(zip(ids.tolist(), estimates.tolist()))
 
 
 def observation_probability(
@@ -359,11 +381,16 @@ def expected_utility(
 ) -> float:
     """Exact one-round expected utility of the current distribution:
     sum over firing nodes of marginal * sub-utility."""
-    marg = marginals(state)
-    total = 0.0
-    for i, x, price in firing_set(adversary, state.graph):
-        total += float(marg[i]) * utility_sum(values.values, x, price)
-    return total
+    events = firing_set(adversary, state.graph)
+    return expectation(marginals(state)[events.ids], event_utilities(events, values))
+
+
+def expectation(marg: np.ndarray, utilities: np.ndarray) -> float:
+    """Sum of marg * utilities, added left to right from 0.0."""
+    if not len(marg):
+        return 0.0
+    # cumsum adds left to right; 0.0 + gives the loop's +0.0 when every term is -0.0
+    return 0.0 + float((marg * utilities).cumsum()[-1])
 
 
 def default_parameters(

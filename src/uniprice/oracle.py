@@ -21,6 +21,7 @@ from .feedback import make_feedback
 from .learner import (
     FeedbackMode,
     WeightState,
+    _chain_scan,
     allwinner_signal,
     bandit_signal,
     full_info_signal,
@@ -30,6 +31,7 @@ from .pseudo_space import (
     PseudoPath,
     decode,
     enumerate_paths,
+    event_utilities,
     firing_set,
     observed_set_membership,
 )
@@ -72,29 +74,23 @@ def node_totals_from_history(
     return totals
 
 
-def _chain_max(mult: np.ndarray, add: np.ndarray) -> np.ndarray:
-    """S[0] = add[0]; S[i] = max(mult[i-1] + S[i-1], add[i]), as a scan."""
-    if add.size == 1:
-        return add.copy()
-    p = np.concatenate(([0.0], np.cumsum(mult)))
-    return p + np.maximum.accumulate(add - p)
-
-
 def best_fixed_total(node_totals: np.ndarray, graph: PseudoGraph) -> float:
     """Value of the max-weight source-to-sink path, without backtracking.
 
-    Vectorized stage scan; used in the per-round regret accounting where
+    Stage scan on the row views of ``node_totals`` (``PseudoGraph.rows``),
+    one row at a time from the last bid row up, with one cumsum for every
+    gap row's prefix sums; used in the per-round regret accounting where
     only the comparator's total matters.
     """
     g = graph
-    value = node_totals[g.bid_ids(g.k)]
-    for kk in range(g.k - 1, 0, -1):
-        if g.inv_epsilon > 0:
-            s = _chain_max(node_totals[g.gap_ids(kk)], value)
-        else:
-            s = value
-        value = node_totals[g.bid_ids(kk)] + s
-    return float(value.max())
+    t_bid, t_gap = g.rows(node_totals)
+    prefix = np.zeros((g.k - 1, g.inv_epsilon + 1))
+    t_gap.cumsum(axis=1, out=prefix[:, 1:])
+    value = t_bid[-1].copy()
+    for r in range(g.k - 2, -1, -1):
+        _chain_scan(np.maximum, t_gap[r], prefix[r], value, value)
+        np.add(t_bid[r], value, out=value)
+    return float(np.maximum.reduce(value))
 
 
 def best_fixed_action_dp(
@@ -157,6 +153,11 @@ def best_fixed_action_dp(
     return tuple(path), total
 
 
+def _bid_levels(path: PseudoPath) -> tuple[int, ...]:
+    """The K bid levels of ``path``, the form ``sample_path`` returns."""
+    return tuple(n.j for n in path if n.is_bid)
+
+
 def exact_path_distribution(
     state: WeightState, cap: int = DEFAULT_PATH_CAP
 ) -> dict[PseudoPath, float]:
@@ -194,7 +195,8 @@ def exact_estimator_expectation(
     comparators = list(dist)
     totals = {path: 0.0 for path in comparators}
     if mode is FeedbackMode.FULL_INFORMATION:
-        signal = full_info_signal(adversary, values, g)
+        events = firing_set(adversary, g)
+        signal = full_info_signal(events, event_utilities(events, values))
         for path in comparators:
             totals[path] = sum(signal.get(g.node_id(n), 0.0) for n in path)
         return totals
@@ -205,7 +207,7 @@ def exact_estimator_expectation(
         outcome = clear_auction(bids, adversary, PricingRule.LAB, values)
         fb = make_feedback(mode, outcome, adversary)
         if mode is FeedbackMode.BANDIT:
-            signal = bandit_signal(sampled, fb, state, values)
+            signal = bandit_signal(_bid_levels(sampled), fb, state, values)
         else:
             signal = allwinner_signal(fb, state, values)
         for path in comparators:
@@ -233,11 +235,12 @@ def exact_second_moment(
         outcome = clear_auction(bids, adversary, PricingRule.LAB, values)
         fb = make_feedback(mode, outcome, adversary)
         if mode is FeedbackMode.BANDIT:
-            signal = bandit_signal(sampled, fb, state, values)
+            signal = bandit_signal(_bid_levels(sampled), fb, state, values)
         elif mode is FeedbackMode.ALL_WINNER:
             signal = allwinner_signal(fb, state, values)
         else:
-            signal = full_info_signal(adversary, values, g)
+            events = firing_set(adversary, g)
+            signal = full_info_signal(events, event_utilities(events, values))
         for path in comparators:
             est = sum(signal.get(g.node_id(n), 0.0) for n in path)
             total += p_sampled * dist[path] * est * est

@@ -16,13 +16,14 @@ node is played) or not, independently of the rest of the path; firing nodes
 carry the whole utility of any action containing them.
 
 Nodes are stored as (k2, j) with k2 = 2k, so even k2 means a bid node and
-odd k2 a gap node.  ``PseudoNode`` serves paths (``encode``, ``decode``,
-the sampler's output) and the scalar references ``node_fires`` /
-``sub_utility``.  Within a round, events are node ids: ``firing_set`` and
-``zero_event_set`` return ``Events``, equal-length arrays of node id,
-allocation and price, which the accounting, the signals and the weight
-update consume; ``_observed`` is the one statement of which events
-all-winner feedback reveals.
+odd k2 a gap node.  ``PseudoNode`` serves paths (``encode``, ``decode``)
+and the scalar references ``node_fires`` / ``sub_utility``.  Within a
+round, events are node ids: ``firing_set`` and ``zero_event_set`` return
+``Events``, equal-length arrays of node id, allocation and price, which the
+accounting, the signals and the weight update consume; ``event_utilities``
+gives all their sub-utilities at once, and ``_observed`` is the one
+statement of which events all-winner feedback reveals.  Per-node arrays
+are read row by row through ``PseudoGraph.rows``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class PseudoGraph:
     order; row r holds nodes with k2 = r + 2.  Bid rows hold levels 0..M,
     gap rows 0..M-1 (a gap needs (j+1)*eps <= 1).  Node ids are row-major:
     row r holds ids ``row_offset[r]`` to ``row_offset[r + 1] - 1``, and
-    ``row`` / ``level`` give every id's row and grid level.
+    ``row`` / ``level`` give every id's row and grid level.  Bid row k
+    starts at id (k-1)(2M+1), with its gap row right after it.
     """
 
     def __init__(self, k: int, inv_epsilon: int):
@@ -110,6 +112,18 @@ class PseudoGraph:
     def gap_ids(self, kk: int) -> np.ndarray:
         """Node ids of gap row k+1/2, levels 0..M-1.  Shared array; do not mutate."""
         return self._row_ids[2 * kk - 1]
+
+    def rows(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the contiguous per-node array ``a``: the bid rows as a
+        (K, M+1) array and the gap rows as a (K-1, M) array, both with row
+        stride 2M+1 ids.  Writes go through to ``a``."""
+        m = self.inv_epsilon
+        step = a.strides[0]
+        strides = (step * (2 * m + 1), step)
+        return (
+            np.ndarray((self.k, m + 1), a.dtype, a, 0, strides),
+            np.ndarray((self.k - 1, m), a.dtype, a, step * (m + 1), strides),
+        )
 
     def nodes(self) -> list[PseudoNode]:
         """Every node, in id order."""
@@ -360,6 +374,23 @@ class Events:
             np.concatenate((self.alloc, other.alloc)),
             np.concatenate((self.price, other.price)),
         )
+
+
+def event_utilities(events: Events, values: Valuation, offset: float = 0.0) -> np.ndarray:
+    """``utility_sum`` of every event's allocation at its price plus
+    ``offset``, in K elementwise steps.
+
+    ``firing_set`` and ``zero_event_set`` list events by ascending
+    allocation, so step l adds v_l - price to the suffix of events that
+    credit more than l items.  Each event sums its terms from 0.0 in
+    ``utility_sum``'s order, so the values are bitwise the same.
+    """
+    price = events.price + offset
+    w = np.zeros(len(price))
+    starts = events.alloc.searchsorted(np.arange(len(values.values)), side="right")
+    for v, s in zip(values.values, starts.tolist()):
+        w[s:] += v - price[s:]
+    return w
 
 
 def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> Events:

@@ -7,6 +7,7 @@ lines as they complete.
 import itertools
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from uniprice import (
     exact_estimator_expectation,
     exact_path_distribution,
     exact_second_moment,
+    firing_set,
     full_info_signal,
     init_state,
     node_fires,
@@ -44,6 +46,7 @@ from uniprice import (
     update_weights,
 )
 from uniprice.harness import csv_bytes, fit_loglog_slope
+from uniprice.pseudo_space import event_utilities
 
 
 def report(num, ok, detail=""):
@@ -160,7 +163,8 @@ def test_criterion_3_sampler_exactness():
 
     def updated():
         s = init_state(g)
-        update_weights(s, full_info_signal(beta, v, g), 0.8)
+        events = firing_set(beta, g)
+        update_weights(s, full_info_signal(events, event_utilities(events, v)), 0.8)
         return s
 
     n_draws = 100_000
@@ -174,10 +178,12 @@ def test_criterion_3_sampler_exactness():
             gap = abs(math.exp(path_log_probability(s, path)) - dist[path])
             worst_gap = max(worst_gap, gap)
         rng = np.random.Generator(np.random.Philox(seed))
-        counts = {path: 0 for path in paths}
-        for _ in range(n_draws):
-            counts[sample_path(s, rng)] += 1
-        observed = np.array([counts[p] for p in paths])
+        drawn = Counter(sample_path(s, rng) for _ in range(n_draws))
+        counts = {
+            encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g.inv_epsilon): c
+            for levels, c in drawn.items()
+        }
+        observed = np.array([counts.get(p, 0) for p in paths])
         expected = np.array([dist[p] * n_draws for p in paths])
         stat = scipy.stats.chisquare(observed, expected)
         worst_p = min(worst_p, stat.pvalue)

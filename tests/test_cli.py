@@ -52,6 +52,22 @@ class TestParseConfig:
         assert cfg.feedback is FeedbackMode.FULL_INFORMATION
         assert cfg.replications == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("units", "abc"), ("horizon", "1.5"), ("seed", "x"), ("reps", "two"),
+         ("workers", ""), ("epsilon", "tenth"), ("eta", "fast")],
+    )
+    def test_bad_number_in_config_file_exits_2(self, key, value, tmp_path, capsys):
+        settings = {
+            "units": "2", "horizon": "60", "feedback": "full", "adversary": "iid",
+            "values": "1,0.5", key: value,
+        }
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("units=2\nbogus=1\n")
@@ -119,6 +135,18 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_unwritable_output_exits_2_before_simulating(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        from uniprice import cli
+
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: runs.append(config))
+        for target in (tmp_path / "missing" / "x.out", tmp_path):
+            self.assert_one_line_error(MINIMAL + [flag, str(target)], capsys)
+        assert runs == []
 
     def test_malformed_adversary_bounds_exit_2(self, capsys):
         i = MINIMAL.index("--adversary")

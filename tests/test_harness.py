@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -26,6 +27,7 @@ from uniprice import (
     write_svg,
 )
 from uniprice.auction_core import PricingRule
+from uniprice.cli import parse_config
 from uniprice.errors import ConfigError
 from uniprice.feedback import (
     AllWinnerFeedback,
@@ -265,6 +267,40 @@ class TestBenchmarkContract:
         tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
         assert tracer.counts["pseudo_space.firing_set.nodes"] == expected["nodes"]
         assert tracer.counts["learner.signal.entries"] == expected["entries"]
+
+
+class TestGoldenDigests:
+    """sha256 of ``csv_bytes`` for fixed runs, as the code gave them before
+    the row-view passes, the level walk and the vectorised sub-utilities:
+    a change meant to keep the output bytes must keep these."""
+
+    K2 = ["--units", "2", "--values", "1.0,0.5", "--horizon", "300", "--reps", "2",
+          "--adversary", "iid", "--seed", "5"]
+    K3_PERTURB = ["--units", "3", "--values", "1,0.7,0.4", "--horizon", "2000",
+                  "--tie-mode", "perturb", "--adversary", "iid", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (K2 + ["--feedback", "full"],
+             "15b7da366fe4c020b7f81fedacb601215de0db87af3b33ec70eb8c201eb9f925"),
+            (K2 + ["--feedback", "bandit"],
+             "0465580867e7a8f200a6073dbc217163d200cf56a78acc41c0bc90f6909e8a3e"),
+            (K2 + ["--feedback", "allwinner"],
+             "29660b378f0cee2697f0ec586dc09fdb09b28a6c378bf50d7d747489faea1ca9"),
+            (K3_PERTURB + ["--feedback", "full"],
+             "c741ac71d928a2032179e1a90b0b219e496f208008164426d45365f8ec0d3110"),
+            (K3_PERTURB + ["--feedback", "bandit"],
+             "4d0d192a27edbef38ffecb631709c24d07b6b40664f54c5d49593e8698eece8f"),
+            (K3_PERTURB + ["--feedback", "allwinner"],
+             "cef31ffe1acf4494d11c0d83b75760d026a6a954c50c0917137a522746f32bb4"),
+        ],
+        ids=["k2-full", "k2-bandit", "k2-allwinner",
+             "k3-perturb-full", "k3-perturb-bandit", "k3-perturb-allwinner"],
+    )
+    def test_csv_sha256(self, argv, digest):
+        traces = run_experiment(parse_config(argv))
+        assert hashlib.sha256(csv_bytes(traces)).hexdigest() == digest
 
 
 class TestCsv:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uniprice import (
@@ -39,7 +39,10 @@ from uniprice.auction_core import grid_level
 from uniprice.errors import HorizonTooShort, ZeroMarginal
 from uniprice.feedback import AllWinnerFeedback, BanditFeedback, make_feedback
 from uniprice.learner import allwinner_signal, ensure_passes, _logsumexp
+from uniprice.pseudo_space import event_utilities
 from uniprice.oracle import (
+    best_fixed_action_dp,
+    best_fixed_total,
     brute_observation_probability,
     exact_path_distribution,
 )
@@ -62,6 +65,21 @@ def off_grid_profile(rng, k, m):
         draws = sorted(rng.uniform(0, 1, k), reverse=True)
         if all(round(b * m) / m != b and 0 < b < 1 for b in draws):
             return BidProfile(tuple(draws))
+
+
+def full_info(beta, v, g):
+    """The full-information signal of adversary ``beta``."""
+    events = firing_set(beta, g)
+    return full_info_signal(events, event_utilities(events, v))
+
+
+def as_path(g, levels):
+    """The nodes of the action whose bid levels ``sample_path`` returned."""
+    return encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g.inv_epsilon)
+
+
+def levels_of(path):
+    return tuple(n.j for n in path if n.is_bid)
 
 
 def random_state(graph, rng, scale=1.0):
@@ -154,9 +172,10 @@ class TestSampler:
     def test_degenerate_single_path(self):
         g = build_graph(1, 0)
         s = init_state(g)
-        path = sample_path(s, rng_from(0))
-        assert path == (bid(1, 0),)
-        assert math.exp(path_log_probability(s, path)) == pytest.approx(1.0)
+        levels = sample_path(s, rng_from(0))
+        assert levels == (0,)
+        assert as_path(g, levels) == (bid(1, 0),)
+        assert math.exp(path_log_probability(s, as_path(g, levels))) == pytest.approx(1.0)
 
     def test_empirical_frequencies_random_weights(self):
         g = build_graph(2, 2)
@@ -164,7 +183,7 @@ class TestSampler:
         dist = exact_path_distribution(s)
         rng = rng_from(42)
         n = 40000
-        counts = Counter(sample_path(s, rng) for _ in range(n))
+        counts = Counter(as_path(g, lv) for lv in [sample_path(s, rng) for _ in range(n)])
         for path, p in dist.items():
             assert counts[path] / n == pytest.approx(p, abs=0.02)
 
@@ -179,13 +198,39 @@ class TestSampler:
                     p, abs=1e-12
                 )
 
+    def test_rounding_falls_back_to_highest_positive_level(self):
+        # the top start level has weight 0 and the start probabilities sum to
+        # less than the largest draw, so that draw lies past every level
+        g = build_graph(2, 2)
+        s = init_state(g)
+        s.log_w[:] = [
+            1.8267565599574231, -3.0783319101980338, -np.inf, 0.06963722766094482,
+            1.3182500241810684, 0.385629249998389, 1.8272586275861753, 0.0317437591517664,
+        ]
+        top_draw = 1.0 - 2.0**-53
+        start = marginals(s)[g.bid_ids(1)]
+        assert start[2] == 0.0 and start.cumsum()[-1] < top_draw
+
+        class TopDraw:
+            def random(self):
+                return top_draw
+
+        levels = sample_path(s, TopDraw())
+        assert levels[0] == 1
+        v = Valuation((1.0, 0.5))
+        for beta in (BidProfile((0.8, 0.3)), BidProfile((0.9, 0.7))):
+            o = clear_auction(decode(as_path(g, levels), 2), beta, PricingRule.LAB, v)
+            fb = make_feedback(FeedbackMode.BANDIT, o, beta)
+            (estimate,) = bandit_signal(levels, fb, s, v).values()
+            assert math.isfinite(estimate)
+
     def test_one_full_info_update_tilts_by_utility(self):
         g = build_graph(2, 2)
         s = init_state(g)
         beta = BidProfile((0.83, 0.31))
         v = Valuation((1.0, 0.5))
         eta = 0.7
-        update_weights(s, full_info_signal(beta, v, g), eta)
+        update_weights(s, full_info(beta, v, g), eta)
         dist = exact_path_distribution(s)
         scores = {
             path: eta * path_utility(path, beta, v, g.epsilon)
@@ -211,10 +256,10 @@ class TestUpdate:
         for _ in range(50):
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
-            path = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
+            levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
+            o = clear_auction(decode(as_path(g, levels), 4), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-            for val in bandit_signal(path, fb, s, v).values():
+            for val in bandit_signal(levels, fb, s, v).values():
                 assert val <= 0.0
 
     def test_cumulative_identity_full_info(self):
@@ -225,7 +270,7 @@ class TestUpdate:
         rng = np.random.default_rng(7)
         betas = [off_grid_profile(rng, 2, 2) for _ in range(5)]
         for beta in betas:
-            update_weights(s, full_info_signal(beta, v, g), eta)
+            update_weights(s, full_info(beta, v, g), eta)
         dist = exact_path_distribution(s)
         for path, p in dist.items():
             total = sum(path_utility(path, b, v, g.epsilon) for b in betas)
@@ -246,7 +291,7 @@ class TestSignals:
             g = build_graph(k, m)
             v = Valuation(tuple(rng.uniform(0, 1, k)))
             beta = off_grid_profile(rng, k, m)
-            sig = full_info_signal(beta, v, g)
+            sig = full_info(beta, v, g)
             assert len(sig) <= 2 * (k * k + m)
             for path in enumerate_paths(g):
                 total = sum(sig.get(g.node_id(n), 0.0) for n in path)
@@ -260,7 +305,7 @@ class TestSignals:
         path = encode(BidProfile((1.0, 0.5)), 4)
         o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-        sig = bandit_signal(path, fb, s, v)
+        sig = bandit_signal(levels_of(path), fb, s, v)
         fired = g.node_id(gap(1, 3))
         assert set(sig) == {fired}
         expected = (o.utility - 2) / node_marginal(s, fired)
@@ -273,7 +318,7 @@ class TestSignals:
         s = random_state(g, np.random.default_rng(15))
         fb = BanditFeedback(0, None)
         path = encode(BidProfile((0.25, 0.0)), 4)
-        sig = bandit_signal(path, fb, s, Valuation((1.0, 0.5)))
+        sig = bandit_signal(levels_of(path), fb, s, Valuation((1.0, 0.5)))
         top = g.node_id(bid(1, 1))
         assert set(sig) == {top}
         assert sig[top] == pytest.approx(-2 / node_marginal(s, top), rel=1e-12)
@@ -285,7 +330,7 @@ class TestSignals:
         path = encode(BidProfile((1.0, 0.5)), 4)
         fb = BanditFeedback(1, 0.8)
         with pytest.raises(ZeroMarginal):
-            bandit_signal(path, fb, s, Valuation((1.0, 0.5)))
+            bandit_signal(levels_of(path), fb, s, Valuation((1.0, 0.5)))
 
     def test_allwinner_superset_of_bandit(self):
         rng = np.random.default_rng(9)
@@ -294,11 +339,11 @@ class TestSignals:
         for _ in range(50):
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
-            path = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
+            levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
+            o = clear_auction(decode(as_path(g, levels), 4), beta, PricingRule.LAB, v)
             fb_b = make_feedback(FeedbackMode.BANDIT, o, beta)
             fb_a = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig_b = bandit_signal(path, fb_b, s, v)
+            sig_b = bandit_signal(levels, fb_b, s, v)
             sig_a = allwinner_signal(fb_a, s, v)
             assert set(sig_b) <= set(sig_a)
             for val in sig_a.values():
@@ -311,8 +356,8 @@ class TestSignals:
         for _ in range(30):
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
-            path = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
+            levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
+            o = clear_auction(decode(as_path(g, levels), 4), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
             sig = allwinner_signal(fb, s, v)
             zero_events = set(zero_event_set(beta, g).ids.tolist())
@@ -406,6 +451,42 @@ class TestEventProperties:
             if realized(h) and observed_set_membership(h, outcome, g.epsilon)
         ]
         assert list(sig) == observed
+
+
+@st.composite
+def weighted_graphs(draw):
+    """K in 1..4, M in 0..6 and a per-node log weight, some of them -inf."""
+    g = build_graph(draw(st.integers(1, 4)), draw(st.integers(0, 6)))
+    weight = st.one_of(st.floats(-5.0, 5.0), st.just(-math.inf))
+    return g, np.array(draw(st.lists(weight, min_size=g.n_nodes, max_size=g.n_nodes)))
+
+
+def best_path_weight(g, w):
+    """Largest sum of ``w`` over the nodes of an action, by enumeration."""
+    return max(sum(w[g.node_id(n)] for n in path) for path in enumerate_paths(g))
+
+
+class TestRowKernelProperties:
+    @given(weighted_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_marginals_are_node_inclusion_sums(self, instance):
+        g, log_w = instance
+        assume(math.isfinite(best_path_weight(g, log_w)))  # some action has weight > 0
+        s = init_state(g)
+        s.log_w[:] = log_w
+        dist = exact_path_distribution(s)
+        marg = marginals(s)
+        for i, node in enumerate(g.nodes()):
+            enum = sum(p for path, p in dist.items() if node in path)
+            assert marg[i] == pytest.approx(enum, abs=1e-9)
+
+    @given(weighted_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_best_fixed_total_is_the_dp_total(self, instance):
+        g, totals = instance
+        assume(math.isfinite(best_path_weight(g, totals)))
+        _, dp_total = best_fixed_action_dp(totals, g)
+        assert best_fixed_total(totals, g) == pytest.approx(dp_total, abs=1e-9)
 
 
 class TestExpectedUtility:
