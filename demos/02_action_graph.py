@@ -31,25 +31,26 @@ print(f"K={K}, 1/eps={M}: {g.n_nodes} nodes, {g.n_paths()} actions")
 print()
 
 profile = BidProfile((1.0, 0.5))
-path = encode(profile, M)
-print("bids", profile.bids, "encode to", path)
-print("decode back:", decode(path, M).bids)
+path = encode(profile, g)
+print("bids", profile.bids, "encode to node ids", path)
+print("  that is", " -> ".join(g.label(i) for i in path))
+print("decode back:", decode(path, g).bids)
 print()
 
 adversary = BidProfile((0.8, 0.3))
 values = Valuation((1.0, 0.5))
 print("against adversary", adversary.bids, "the firing nodes are:")
 for i, allocation, price in firing_set(adversary, g):
-    print(f"  {g.node_from_id(i)} (id {i}): allocation {allocation}, price {price:.2f}")
+    print(f"  {g.label(i)} (id {i}): allocation {allocation}, price {price:.2f}")
 print()
 
 print("utility decomposition over all actions (sub-utility sums vs clearing):")
 for p in enumerate_paths(g):
-    bids = decode(p, M)
+    bids = decode(p, g)
     u_clear = clear_auction(bids, adversary, PricingRule.LAB, values).utility
-    u_path = path_utility(p, adversary, values, g.epsilon)
-    star = firing_node(p, adversary, g.epsilon)
+    u_path = path_utility(p, adversary, values, g)
+    star = firing_node(p, adversary, g)
     assert u_path == u_clear
     if star is not None and abs(u_clear) > 1e-12:
-        print(f"  bids {bids.bids}: u={u_clear:+.3f} credited to {star}")
+        print(f"  bids {bids.bids}: u={u_clear:+.3f} credited to {g.label(star)}")
 print("  (all", g.n_paths(), "actions matched exactly; zero-win actions omitted)")

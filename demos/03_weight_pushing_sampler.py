@@ -35,16 +35,17 @@ state.log_w[:] = weights
 dist = exact_path_distribution(state)  # brute-force normalization
 print(f"{len(dist)} actions; exact vs sampled frequencies (100k draws):")
 n = 100_000
-# the walk returns the K bid levels of the action; encode gives its nodes
+# the walk returns the K bid levels of the action; encode gives its node ids
 drawn = Counter(sample_path(state, rng) for _ in range(n))
 counts = Counter({
-    encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g.inv_epsilon): c
+    encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g): c
     for levels, c in drawn.items()
 })
 for path, p in sorted(dist.items(), key=lambda kv: -kv[1]):
     sampler_p = np.exp(path_log_probability(state, path))
+    nodes = " ".join(g.label(i) for i in path)
     print(
-        f"  {str(path):58s} exact {p:.4f}  walk-product {sampler_p:.4f}  "
+        f"  {nodes:34s} exact {p:.4f}  walk-product {sampler_p:.4f}  "
         f"empirical {counts[path] / n:.4f}"
     )
 
@@ -57,7 +58,7 @@ for kk in (1, 2):
     print(f"  bid row {kk}: {np.round(row, 4)} sum={row.sum():.6f}")
 
 check = max(
-    abs(sum(p for path, p in dist.items() if node in path) - node_marginal(state, i))
-    for i, node in enumerate(g.nodes())
+    abs(sum(p for path, p in dist.items() if i in path) - node_marginal(state, i))
+    for i in range(g.n_nodes)
 )
 print(f"max |marginal - enumeration| = {check:.2e}")

@@ -41,7 +41,7 @@ print(f"{'bids':>14s} {'true u':>8s} {'bandit E':>9s} {'all-winner E':>13s}")
 exp_b = exact_estimator_expectation(state, adversary, values, FeedbackMode.BANDIT)
 exp_a = exact_estimator_expectation(state, adversary, values, FeedbackMode.ALL_WINNER)
 for path in exp_b:
-    bids = decode(path, g.inv_epsilon)
+    bids = decode(path, g)
     u = clear_auction(bids, adversary, PricingRule.LAB, values).utility
     print(
         f"{str(bids.bids):>14s} {u:+8.3f} {exp_b[path]:+9.3f} {exp_a[path]:+13.3f}"

@@ -52,7 +52,7 @@ def run(horizon, seed, zero_event):
     spec = AdversarySpec(AdversaryKind.IID_UNIFORM, k)
     rng = np.random.Generator(np.random.Philox(seed))
     rng_adv = np.random.Generator(np.random.Philox(seed + 1))
-    zero_path = encode(BidProfile((0.0,) * k), m)
+    zero_path = encode(BidProfile((0.0,) * k), graph)
     probe = BidProfile((0.55, 0.45))
     checkpoints = {}
     for t in range(1, horizon + 1):

@@ -75,7 +75,6 @@ from .oracle import (
 )
 from .pseudo_space import (
     PseudoGraph,
-    PseudoNode,
     build_graph,
     decode,
     encode,

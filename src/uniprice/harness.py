@@ -199,7 +199,7 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         elif config.feedback is FeedbackMode.BANDIT:
             signal = bandit_signal(levels, fb, state, values)
         else:
-            signal = allwinner_signal(fb, state, values)
+            signal = allwinner_signal(fb, state, values, marg)
         update_weights(state, signal, eta)
 
         comparator_total = best_fixed_total(node_totals, graph)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .auction_core import BidProfile, Valuation, grid_level, utility_sum
+from .auction_core import BidProfile, Valuation, utility_sum
 from .errors import HorizonTooShort, ZeroMarginal, ZeroObservationProbability
 from .pseudo_space import (
     _BETA_LOW,
@@ -232,16 +232,13 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
 
 
 def path_log_probability(state: WeightState, path: PseudoPath) -> float:
-    """Log probability of ``path`` under the sampler, as the explicit product
-    of its start and transition conditionals."""
+    """Log probability of ``path`` (node ids) under the sampler, as the
+    explicit product of its start and transition conditionals."""
     ensure_passes(state)
-    g = state.graph
     lw, lg = state.log_w, state.backward
-    i0 = g.node_id(path[0])
-    total = lw[i0] + lg[i0] - state.log_gamma0
-    for prev, node in zip(path, path[1:]):
-        i, ip = g.node_id(node), g.node_id(prev)
-        total += lw[i] + lg[i] - lg[ip]
+    total = lw[path[0]] + lg[path[0]] - state.log_gamma0
+    for prev, i in zip(path, path[1:]):
+        total += lw[i] + lg[i] - lg[prev]
     return float(total)
 
 
@@ -268,18 +265,17 @@ def full_info_signal(events: Events, utilities: np.ndarray) -> EstimateVector:
 
 
 def fired_node_from_feedback(
-    bids: BidProfile, allocation: int, price: float, graph: PseudoGraph
+    levels: Sequence[int], allocation: int, price: float, graph: PseudoGraph
 ) -> Optional[int]:
-    """Identify the id of the played action's firing node from
-    (allocation, price) alone: a price equal to the learner's own
-    allocation-th bid is a bid node, any other price lands in the gap band
-    below the next grid point."""
+    """Identify the id of the played action's firing node from its bid
+    ``levels`` and (allocation, price) alone: a price equal to the learner's
+    own allocation-th bid is a bid node, any other price lands in the gap
+    band below the next grid point."""
     if allocation == 0:
         return None
-    if price == bids.bids[allocation - 1]:
-        j = grid_level(price, graph.epsilon)
-        if j is not None:
-            return int(graph.bid_ids(allocation)[j])
+    j = levels[allocation - 1]
+    if price == graph.levels[j]:
+        return int(graph.bid_ids(allocation)[j])
     return int(graph.gap_ids(allocation)[math.floor(price * graph.inv_epsilon)])
 
 
@@ -304,17 +300,16 @@ def bandit_signal(
     if x == 0:
         i, w = int(g.bid_ids(1)[levels[0]]), 0.0
     else:
-        own = BidProfile(tuple(float(g.levels[j]) for j in levels))
-        i = fired_node_from_feedback(own, x, feedback.price, g)
+        i = fired_node_from_feedback(levels, x, feedback.price, g)
         w = utility_sum(values.values, x, feedback.price)
     p_node = node_marginal(state, i)
     if p_node <= 0.0:
-        raise ZeroMarginal(f"played node {g.node_from_id(i)} has zero inclusion probability")
+        raise ZeroMarginal(f"played node {g.label(i)} has zero inclusion probability")
     return {i: (w - g.k) / p_node}
 
 
 def allwinner_signal(
-    feedback, state: WeightState, values: Valuation
+    feedback, state: WeightState, values: Valuation, marg: np.ndarray
 ) -> EstimateVector:
     """Estimates at every observed realized event: (w - K) / P(observed).
 
@@ -328,7 +323,8 @@ def allwinner_signal(
     denominator P(x = 0), so every action's expected estimate is its
     utility minus K.  The observation probability is one minus the mass of
     the realized events ranked strictly above the event: the outcomes that
-    hide it, all of which the feedback also reveals.
+    hide it, all of which the feedback also reveals.  ``marg`` is
+    ``marginals(state)``, which the caller already holds for the round.
     """
     g = state.graph
     x, p = feedback.allocation, feedback.price
@@ -338,13 +334,13 @@ def allwinner_signal(
     ids, alloc, price = events.ids[seen], events.alloc[seen], events.price[seen]
     rank = 2.0 * alloc + price  # the order ``_observed`` compares in
     order = np.argsort(rank, kind="stable")
-    mass = marginals(state)[ids][order]
+    mass = marg[ids][order]
     above = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
     q = 1.0 - above[np.searchsorted(rank[order], rank, side="right")]
     if np.any(q <= 0.0):
         i = int(ids[np.argmax(q <= 0.0)])
         raise ZeroObservationProbability(
-            f"node {g.node_from_id(i)} has zero observation probability"
+            f"node {g.label(i)} has zero observation probability"
         )
     estimates = (event_utilities(Events(ids, alloc, price), values) - g.k) / q
     return dict(zip(ids.tolist(), estimates.tolist()))

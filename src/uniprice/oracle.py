@@ -5,13 +5,14 @@ every action against every round's clearing, the exact action distribution
 by listing path weight products, and exact estimator expectations by
 averaging the actual signal code over every possible sampled action.  These
 are the oracles the fast paths are tested against; none of them reuse the
-weight-pushing recursions.
+weight-pushing recursions.  Actions are paths of node ids
+(``pseudo_space.PseudoPath``), listed by ``enumerate_paths``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .learner import (
     allwinner_signal,
     bandit_signal,
     full_info_signal,
+    marginals,
 )
 from .pseudo_space import (
     PseudoGraph,
@@ -52,7 +54,7 @@ def best_fixed_action_exhaustive(
     best_path = None
     best_total = -math.inf
     for path in enumerate_paths(graph, cap):
-        bids = decode(path, graph.inv_epsilon)
+        bids = decode(path, graph)
         total = 0.0
         for beta in histories:
             total += clear_auction(bids, beta, PricingRule.LAB, values).utility
@@ -127,35 +129,20 @@ def best_fixed_action_dp(
 
     # backtrack; starts and successor lists are in lexicographic order, so
     # keeping the first strict maximizer lands on the lex-smallest optimum
-    start = None
-    start_val = -math.inf
-    for n in g.start_nodes():
-        v = float(best[g.node_id(n)])
-        if v > start_val:
-            start, start_val = n, v
-    path = [start]
-    node = start
-    while True:
-        succs = g.successors(node)
-        if not succs:
-            break
-        nxt_node = None
-        nxt_val = -math.inf
+    path: list[int] = []
+    succs = g.bid_ids(1)[::-1].tolist()
+    while succs:
+        node, node_val = succs[0], -math.inf
         for cand in succs:
-            v = float(best[g.node_id(cand)])
-            if v > nxt_val:
-                nxt_node, nxt_val = cand, v
-        node = nxt_node
+            v = float(best[cand])
+            if v > node_val:
+                node, node_val = cand, v
         path.append(node)
+        succs = g.successors(node)
     total = 0.0
-    for n in path:
-        total += float(node_totals[g.node_id(n)])
+    for i in path:
+        total += float(node_totals[i])
     return tuple(path), total
-
-
-def _bid_levels(path: PseudoPath) -> tuple[int, ...]:
-    """The K bid levels of ``path``, the form ``sample_path`` returns."""
-    return tuple(n.j for n in path if n.is_bid)
 
 
 def exact_path_distribution(
@@ -166,15 +153,47 @@ def exact_path_distribution(
     Normalizes over the enumerated products rather than through Gamma_0, so
     it is an independent check of the weight-pushing recursion.
     """
-    g = state.graph
-    paths = list(enumerate_paths(g, cap))
-    scores = np.array(
-        [sum(state.log_w[g.node_id(n)] for n in path) for path in paths]
-    )
+    paths = list(enumerate_paths(state.graph, cap))
+    log_w = state.log_w.tolist()
+    scores = np.array([sum(log_w[i] for i in path) for path in paths])
     mx = scores.max()
     weights = np.exp(scores - mx)
     weights /= weights.sum()
     return {path: float(p) for path, p in zip(paths, weights)}
+
+
+def _estimates(
+    state: WeightState,
+    adversary: BidProfile,
+    values: Valuation,
+    mode: FeedbackMode,
+    dist: dict[PseudoPath, float],
+) -> Iterator[tuple[float, list[float]]]:
+    """For every sampled action of positive probability in ``dist``: its
+    probability and the estimated utility of every comparator action, in
+    ``dist``'s order.
+
+    Clears the sampled action against ``adversary``, narrows the outcome
+    with ``make_feedback`` and runs the mode's signal code on it, as the
+    harness does in a round.
+    """
+    g = state.graph
+    marg = marginals(state)
+    for sampled, p_sampled in dist.items():
+        if p_sampled == 0.0:
+            continue
+        bids = decode(sampled, g)
+        outcome = clear_auction(bids, adversary, PricingRule.LAB, values)
+        fb = make_feedback(mode, outcome, adversary)
+        if mode is FeedbackMode.BANDIT:
+            bid_nodes = [i for i in sampled if g.row[i] % 2 == 0]
+            signal = bandit_signal(g.level[bid_nodes].tolist(), fb, state, values)
+        elif mode is FeedbackMode.ALL_WINNER:
+            signal = allwinner_signal(fb, state, values, marg)
+        else:
+            events = firing_set(adversary, g)
+            signal = full_info_signal(events, event_utilities(events, values))
+        yield p_sampled, [sum(signal.get(i, 0.0) for i in path) for path in dist]
 
 
 def exact_estimator_expectation(
@@ -190,29 +209,11 @@ def exact_estimator_expectation(
     Runs the same view construction the harness uses, so the expectation
     covers the full learner-facing pipeline.
     """
-    g = state.graph
     dist = exact_path_distribution(state, cap)
-    comparators = list(dist)
-    totals = {path: 0.0 for path in comparators}
-    if mode is FeedbackMode.FULL_INFORMATION:
-        events = firing_set(adversary, g)
-        signal = full_info_signal(events, event_utilities(events, values))
-        for path in comparators:
-            totals[path] = sum(signal.get(g.node_id(n), 0.0) for n in path)
-        return totals
-    for sampled, p_sampled in dist.items():
-        if p_sampled == 0.0:
-            continue
-        bids = decode(sampled, g.inv_epsilon)
-        outcome = clear_auction(bids, adversary, PricingRule.LAB, values)
-        fb = make_feedback(mode, outcome, adversary)
-        if mode is FeedbackMode.BANDIT:
-            signal = bandit_signal(_bid_levels(sampled), fb, state, values)
-        else:
-            signal = allwinner_signal(fb, state, values)
-        for path in comparators:
-            contrib = sum(signal.get(g.node_id(n), 0.0) for n in path)
-            totals[path] += p_sampled * contrib
+    totals = dict.fromkeys(dist, 0.0)
+    for p_sampled, estimates in _estimates(state, adversary, values, mode, dist):
+        for path, est in zip(dist, estimates):
+            totals[path] += p_sampled * est
     return totals
 
 
@@ -224,26 +225,11 @@ def exact_second_moment(
     cap: int = DEFAULT_PATH_CAP,
 ) -> float:
     """Exact value of sum over actions of P(action) * E[estimate(action)^2]."""
-    g = state.graph
     dist = exact_path_distribution(state, cap)
-    comparators = list(dist)
     total = 0.0
-    for sampled, p_sampled in dist.items():
-        if p_sampled == 0.0:
-            continue
-        bids = decode(sampled, g.inv_epsilon)
-        outcome = clear_auction(bids, adversary, PricingRule.LAB, values)
-        fb = make_feedback(mode, outcome, adversary)
-        if mode is FeedbackMode.BANDIT:
-            signal = bandit_signal(_bid_levels(sampled), fb, state, values)
-        elif mode is FeedbackMode.ALL_WINNER:
-            signal = allwinner_signal(fb, state, values)
-        else:
-            events = firing_set(adversary, g)
-            signal = full_info_signal(events, event_utilities(events, values))
-        for path in comparators:
-            est = sum(signal.get(g.node_id(n), 0.0) for n in path)
-            total += p_sampled * dist[path] * est * est
+    for p_sampled, estimates in _estimates(state, adversary, values, mode, dist):
+        for p_path, est in zip(dist.values(), estimates):
+            total += p_sampled * p_path * est * est
     return total
 
 
@@ -261,12 +247,11 @@ def brute_observation_probability(
     it, so the result is P(x = 0).
     """
     g = state.graph
-    node = g.node_from_id(node)
     dist = exact_path_distribution(state, cap)
     total = 0.0
     for sampled, p_sampled in dist.items():
-        bids = decode(sampled, g.inv_epsilon)
+        bids = decode(sampled, g)
         outcome = clear_auction(bids, adversary, PricingRule.LAB, Valuation((0.0,) * g.k))
-        if observed_set_membership(node, outcome, g.epsilon):
+        if observed_set_membership(node, outcome, g):
             total += p_sampled
     return total

@@ -15,15 +15,17 @@ node either "fires" (its price/allocation event is realized whenever the
 node is played) or not, independently of the rest of the path; firing nodes
 carry the whole utility of any action containing them.
 
-Nodes are stored as (k2, j) with k2 = 2k, so even k2 means a bid node and
-odd k2 a gap node.  ``PseudoNode`` serves paths (``encode``, ``decode``)
-and the scalar references ``node_fires`` / ``sub_utility``.  Within a
-round, events are node ids: ``firing_set`` and ``zero_event_set`` return
-``Events``, equal-length arrays of node id, allocation and price, which the
-accounting, the signals and the weight update consume; ``event_utilities``
-gives all their sub-utilities at once, and ``_observed`` is the one
-statement of which events all-winner feedback reveals.  Per-node arrays
-are read row by row through ``PseudoGraph.rows``.
+A node is its id in a ``PseudoGraph``, and an action is the tuple of its
+node ids (``PseudoPath``).  ``encode`` / ``decode`` map grid profiles to
+paths and back, ``PseudoGraph.successors`` is the one statement of the
+successor rule, and ``node_fires`` / ``sub_utility`` are the scalar
+references for a single node.  Within a round, events are node-id arrays:
+``firing_set`` and ``zero_event_set`` return ``Events``, equal-length
+arrays of node id, allocation and price, which the accounting, the signals
+and the weight update consume; ``event_utilities`` gives all their
+sub-utilities at once, and ``_observed`` is the one statement of which
+events all-winner feedback reveals.  Per-node arrays are read row by row
+through ``PseudoGraph.rows``.
 """
 
 from __future__ import annotations
@@ -35,47 +37,26 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .auction_core import BidProfile, Valuation, grid_level, utility_sum
-from .errors import MalformedPath, OffGrid, TooLarge
+from .errors import MalformedPath, OffGrid, TooLarge, WrongLength
 
 _BETA_HIGH = 2.0  # sentinel above any bid, stands in for beta_0
 _BETA_LOW = -1.0  # sentinel below any bid, stands in for beta_{K+1}
 _GAP_RANK = 1.5  # observed-set price of a gap node: above every bid level
 
 
-@dataclass(frozen=True)
-class PseudoNode:
-    """One bid or bid-gap variable; k2 = 2k, j the grid level."""
-
-    k2: int
-    j: int
-
-    @property
-    def is_bid(self) -> bool:
-        return self.k2 % 2 == 0
-
-    @property
-    def k_floor(self) -> int:
-        """floor(k): the allocation credited when this node fires."""
-        return self.k2 // 2
-
-    def __repr__(self) -> str:
-        if self.is_bid:
-            return f"h({self.k2 // 2},{self.j})"
-        return f"h({self.k2 // 2}.5,{self.j})"
-
-
-PseudoPath = tuple[PseudoNode, ...]
+PseudoPath = tuple[int, ...]
 
 
 class PseudoGraph:
     """DAG over all bid/bid-gap nodes for K items on a 1/M grid.
 
     Rows alternate bid(1), gap(1.5), bid(2), ..., bid(K) in topological
-    order; row r holds nodes with k2 = r + 2.  Bid rows hold levels 0..M,
-    gap rows 0..M-1 (a gap needs (j+1)*eps <= 1).  Node ids are row-major:
-    row r holds ids ``row_offset[r]`` to ``row_offset[r + 1] - 1``, and
-    ``row`` / ``level`` give every id's row and grid level.  Bid row k
-    starts at id (k-1)(2M+1), with its gap row right after it.
+    order: row r is bid row k = r/2 + 1 for even r and gap row k + 1/2,
+    k = (r + 1)/2, for odd r.  Bid rows hold levels 0..M, gap
+    rows 0..M-1 (a gap needs (j+1)*eps <= 1).  Node ids are row-major: row
+    r holds ids ``row_offset[r]`` to ``row_offset[r + 1] - 1``, and ``row``
+    / ``level`` give every id's row and grid level.  Bid row k starts at id
+    (k-1)(2M+1), with its gap row right after it.
     """
 
     def __init__(self, k: int, inv_epsilon: int):
@@ -94,16 +75,6 @@ class PseudoGraph:
         self.level = np.arange(self.n_nodes) - self.row_offset[self.row]
         self.levels = np.arange(m + 1) / max(m, 1)  # canonical grid prices
         self._row_ids = np.split(np.arange(self.n_nodes), self.row_offset[1:-1])
-
-    # --- node <-> id -----------------------------------------------------
-
-    def node_id(self, node: PseudoNode) -> int:
-        return int(self.row_offset[node.k2 - 2]) + node.j
-
-    def node_from_id(self, node_id: int) -> PseudoNode:
-        if not 0 <= node_id < self.n_nodes:
-            raise KeyError(node_id)
-        return PseudoNode(int(self.row[node_id]) + 2, int(self.level[node_id]))
 
     def bid_ids(self, kk: int) -> np.ndarray:
         """Node ids of bid row k, levels 0..M.  Shared array; do not mutate."""
@@ -125,41 +96,33 @@ class PseudoGraph:
             np.ndarray((self.k - 1, m), a.dtype, a, step * (m + 1), strides),
         )
 
-    def nodes(self) -> list[PseudoNode]:
-        """Every node, in id order."""
-        return [
-            PseudoNode(r + 2, j) for r, j in zip(self.row.tolist(), self.level.tolist())
-        ]
+    def label(self, i: int) -> str:
+        """``h(k,j)`` for a bid node, ``h(k.5,j)`` for a gap node."""
+        r, j = int(self.row[i]), int(self.level[i])
+        return f"h({r // 2 + 1}{'.5' if r % 2 else ''},{j})"
 
     # --- graph structure --------------------------------------------------
 
-    def start_nodes(self) -> list[PseudoNode]:
-        """Entry nodes h_{1,j}, listed lexicographically (j descending)."""
-        return [PseudoNode(2, j) for j in range(self.inv_epsilon, -1, -1)]
+    def successors(self, i: int) -> tuple[int, ...]:
+        """Possible next nodes of an action after node id ``i``, in
+        lexicographic order; bid nodes at k = K are terminal.
 
-    def successors(self, node: PseudoNode) -> tuple[PseudoNode, ...]:
-        """Possible next elements of an action after ``node``; bid nodes at
-        k = K are terminal (see ``_next_nodes``)."""
-        if node.k2 == 2 * self.k:
+        Bid and gap nodes at the same (k, j) share successors: descend one
+        gap level, or place the next bid at the current level.  Level 0 can
+        only be followed by the next bid at 0.
+        """
+        r, j = int(self.row[i]), int(self.level[i])
+        if r == 2 * self.k - 2:
             return ()
-        return _next_nodes(node)
+        gap_row = r | 1  # the gap row of this k; the next bid row follows it
+        next_bid = int(self.row_offset[gap_row + 1]) + j
+        if j == 0:
+            return (next_bid,)
+        return (int(self.row_offset[gap_row]) + j - 1, next_bid)
 
     def n_paths(self) -> int:
         """|B_eps| = C(M + K, K): non-increasing K-tuples over M+1 levels."""
         return math.comb(self.inv_epsilon + self.k, self.k)
-
-
-def _next_nodes(node: PseudoNode) -> tuple[PseudoNode, ...]:
-    """Successor rule of the action graph, without the terminal row.
-
-    Bid and gap nodes at the same (k, j) share successors: descend one gap
-    level, or place the next bid at the current level.  Level 0 can only
-    be followed by the next bid at 0.
-    """
-    kk = node.k2 // 2
-    if node.j == 0:
-        return (PseudoNode(2 * (kk + 1), 0),)
-    return (PseudoNode(2 * kk + 1, node.j - 1), PseudoNode(2 * (kk + 1), node.j))
 
 
 def build_graph(k: int, inv_epsilon: int) -> PseudoGraph:
@@ -167,58 +130,49 @@ def build_graph(k: int, inv_epsilon: int) -> PseudoGraph:
     return PseudoGraph(k, inv_epsilon)
 
 
-def encode(bids: BidProfile, inv_epsilon: int) -> PseudoPath:
-    """Map a grid-aligned profile to its node sequence.
+def encode(bids: BidProfile, graph: PseudoGraph) -> PseudoPath:
+    """Map a grid-aligned profile of K bids to its node ids.
 
     The path holds bid node (k, b_k/eps) for every k, with the gap nodes for
     every whole grid band lying between consecutive bids.
     """
-    epsilon = 1.0 / inv_epsilon if inv_epsilon > 0 else 1.0
+    if len(bids.bids) != graph.k:
+        raise WrongLength(f"expected {graph.k} bids, got {len(bids.bids)}")
     levels = []
     for b in bids.bids:
-        j = grid_level(b, epsilon)
-        if j is None or not (0 <= j <= inv_epsilon):
-            raise OffGrid(f"bid {b} is not on the 1/{inv_epsilon} grid")
+        j = grid_level(b, graph.epsilon)
+        if j is None or not (0 <= j <= graph.inv_epsilon):
+            raise OffGrid(f"bid {b} is not on the 1/{graph.inv_epsilon} grid")
         levels.append(j)
-    k = len(levels)
-    path: list[PseudoNode] = []
-    for kk in range(1, k + 1):
-        path.append(PseudoNode(2 * kk, levels[kk - 1]))
-        if kk < k:
-            for j in range(levels[kk - 1] - 1, levels[kk] - 1, -1):
-                path.append(PseudoNode(2 * kk + 1, j))
+    path: list[int] = []
+    for kk in range(1, graph.k + 1):
+        j = levels[kk - 1]
+        path.append(int(graph.bid_ids(kk)[j]))
+        if kk < graph.k:
+            gaps = graph.gap_ids(kk).tolist()
+            path.extend(gaps[jj] for jj in range(j - 1, levels[kk] - 1, -1))
     return tuple(path)
 
 
-def decode(path: PseudoPath, inv_epsilon: int) -> BidProfile:
-    """Map a node sequence back to its grid profile, validating structure."""
-    epsilon = 1.0 / inv_epsilon if inv_epsilon > 0 else 1.0
+def decode(path: PseudoPath, graph: PseudoGraph) -> BidProfile:
+    """Map a path of node ids back to its grid profile, validating that it
+    starts on bid row 1, follows ``PseudoGraph.successors`` and ends on a
+    terminal node."""
     if not path:
         raise MalformedPath("empty path")
-    first = path[0]
-    if first.k2 != 2 or not (0 <= first.j <= inv_epsilon):
-        raise MalformedPath(f"path must start at a first-bid node, got {first}")
-    levels = {}
-    prev: Optional[PseudoNode] = None
-    k_max = 0
-    for node in path:
-        if node.j < 0 or node.j > (inv_epsilon if node.is_bid else inv_epsilon - 1):
-            raise MalformedPath(f"node {node} outside the level range")
-        if prev is not None and node not in _next_nodes(prev):
-            raise MalformedPath(f"{node} does not follow {prev}")
-        if node.is_bid:
-            kk = node.k2 // 2
-            if kk in levels:
-                raise MalformedPath(f"duplicate bid node for k={kk}")
-            levels[kk] = node.j
-            k_max = max(k_max, kk)
-        prev = node
-    if prev is None or not prev.is_bid:
-        raise MalformedPath("path must end at a bid node")
-    if sorted(levels) != list(range(1, k_max + 1)):
-        raise MalformedPath("path must contain one bid node per k")
-    bids = tuple(levels[kk] / max(inv_epsilon, 1) for kk in range(1, k_max + 1))
-    return BidProfile(bids)
+    for i in path:
+        if not 0 <= i < graph.n_nodes:
+            raise MalformedPath(f"node id {i} is not in the graph")
+    label = graph.label
+    if graph.row[path[0]] != 0:
+        raise MalformedPath(f"path must start at a first-bid node, got {label(path[0])}")
+    for prev, i in zip(path, path[1:]):
+        if i not in graph.successors(prev):
+            raise MalformedPath(f"{label(i)} does not follow {label(prev)}")
+    if graph.successors(path[-1]):
+        raise MalformedPath(f"path must end at a bid node (K, j), got {label(path[-1])}")
+    bid_nodes = [i for i in path if graph.row[i] % 2 == 0]
+    return BidProfile(tuple(graph.levels[graph.level[bid_nodes]].tolist()))
 
 
 def _beta_at(beta: Sequence[float], i: int) -> float:
@@ -231,9 +185,10 @@ def _beta_at(beta: Sequence[float], i: int) -> float:
 
 
 def node_fires(
-    node: PseudoNode, adversary: BidProfile, epsilon: float
+    i: int, adversary: BidProfile, graph: PseudoGraph
 ) -> tuple[bool, Optional[float]]:
-    """Decide whether the node's outcome event is realized against ``adversary``.
+    """Decide whether node id ``i``'s outcome event is realized against
+    ``adversary``.
 
     Bid node (k, j) fires iff exactly K-k adversary bids exceed j*eps
     (beta_{K-k} > j*eps > beta_{K-k+1}); the price is then the learner's own
@@ -243,59 +198,59 @@ def node_fires(
     """
     beta = adversary.bids
     kk = len(beta)
-    m = node.k2 // 2
-    grid = round(1.0 / epsilon)
-    if node.is_bid:
-        level = node.j / grid
+    r, j = int(graph.row[i]), int(graph.level[i])
+    m = r // 2 + 1
+    level = float(graph.levels[j])
+    if r % 2 == 0:
         if _beta_at(beta, kk - m) > level > _beta_at(beta, kk - m + 1):
             return True, level
         return False, None
     p = _beta_at(beta, kk - m)
-    if node.j / grid < p < (node.j + 1) / grid:
+    if level < p < graph.levels[j + 1]:
         return True, p
     return False, None
 
 
 def sub_utility(
-    node: PseudoNode,
+    i: int,
     adversary: BidProfile,
     values: Valuation,
-    epsilon: float,
+    graph: PseudoGraph,
 ) -> float:
-    """Utility credited to a single node: zero unless the node fires, in
+    """Utility credited to node id ``i``: zero unless the node fires, in
     which case it is the full utility of winning floor(k) items at the
     node's price."""
-    fires, price = node_fires(node, adversary, epsilon)
+    fires, price = node_fires(i, adversary, graph)
     if not fires:
         return 0.0
-    return utility_sum(values.values, node.k_floor, price)
+    return utility_sum(values.values, int(graph.row[i]) // 2 + 1, price)
 
 
 def path_utility(
     path: PseudoPath,
     adversary: BidProfile,
     values: Valuation,
-    epsilon: float,
+    graph: PseudoGraph,
 ) -> float:
     """Sum of sub-utilities over the path; equals the LAB clearing utility
     of the decoded profile exactly."""
     total = 0.0
-    for node in path:
-        total += sub_utility(node, adversary, values, epsilon)
+    for i in path:
+        total += sub_utility(i, adversary, values, graph)
     return total
 
 
 def firing_node(
-    path: PseudoPath, adversary: BidProfile, epsilon: float
-) -> Optional[PseudoNode]:
-    """The unique node on the path whose event is realized, if any.
+    path: PseudoPath, adversary: BidProfile, graph: PseudoGraph
+) -> Optional[int]:
+    """The id of the unique node on the path whose event is realized, if any.
 
     Absent exactly when the decoded action wins nothing.
     """
-    for node in path:
-        fires, _ = node_fires(node, adversary, epsilon)
+    for i in path:
+        fires, _ = node_fires(i, adversary, graph)
         if fires:
-            return node
+            return i
     return None
 
 
@@ -315,22 +270,24 @@ def _observed(x, p, allocation, price):
     return (x < allocation) | ((x == allocation) & (p <= price))
 
 
-def observed_set_membership(node: PseudoNode, outcome, epsilon: float) -> bool:
+def observed_set_membership(i: int, outcome, graph: PseudoGraph) -> bool:
     """Whether all-winner feedback for ``outcome`` reveals enough to evaluate
-    the node's sub-utility: ``_observed`` with the node's allocation floor(k)
-    and its level as price, or ``_GAP_RANK`` for a gap node.
+    node id ``i``'s sub-utility: ``_observed`` with the node's allocation
+    floor(k) and its level as price, or ``_GAP_RANK`` for a gap node.
 
     ``outcome`` needs only ``allocation`` and ``price`` attributes.  A zero
     allocation reveals every node.  A row-1 bid node whose zero-allocation
     event is realized (j*eps < beta_K, see ``zero_event_set``) is observed
     exactly when x = 0: under x >= 1, j*eps < beta_K <= p.
     """
-    price = node.j / round(1.0 / epsilon) if node.is_bid else _GAP_RANK
-    return bool(_observed(outcome.allocation, outcome.price, node.k_floor, price))
+    r, j = int(graph.row[i]), int(graph.level[i])
+    price = graph.levels[j] if r % 2 == 0 else _GAP_RANK
+    return bool(_observed(outcome.allocation, outcome.price, r // 2 + 1, price))
 
 
 def enumerate_paths(graph: PseudoGraph, cap: int = 10**6) -> Iterator[PseudoPath]:
-    """Yield every maximal path exactly once, in lexicographic order.
+    """Yield every maximal path exactly once, in lexicographic order: start
+    levels descending, then ``PseudoGraph.successors`` in their order.
 
     Raises TooLarge when the instance holds more than ``cap`` actions.
     """
@@ -338,7 +295,7 @@ def enumerate_paths(graph: PseudoGraph, cap: int = 10**6) -> Iterator[PseudoPath
     if total > cap:
         raise TooLarge(f"{total} paths exceed the cap of {cap}")
 
-    def walk(prefix: list[PseudoNode]) -> Iterator[PseudoPath]:
+    def walk(prefix: list[int]) -> Iterator[PseudoPath]:
         succs = graph.successors(prefix[-1])
         if not succs:
             yield tuple(prefix)
@@ -348,7 +305,7 @@ def enumerate_paths(graph: PseudoGraph, cap: int = 10**6) -> Iterator[PseudoPath
             yield from walk(prefix)
             prefix.pop()
 
-    for start in graph.start_nodes():
+    for start in graph.bid_ids(1)[::-1].tolist():
         yield from walk([start])
 
 

@@ -19,7 +19,6 @@ from uniprice import (
     BidProfile,
     FeedbackMode,
     PricingRule,
-    PseudoNode,
     RunConfig,
     Valuation,
     best_fixed_action_dp,
@@ -111,9 +110,9 @@ def test_criterion_1_bijection():
             paths = list(enumerate_paths(g))
             assert len(paths) == math.comb(k + m, k)
             for b in profiles:
-                assert decode(encode(b, m), m).bids == b.bids
+                assert decode(encode(b, g), g).bids == b.bids
             for path in paths:
-                assert encode(decode(path, m), m) == path
+                assert encode(decode(path, g), g) == path
             checked += len(profiles)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 5.0
@@ -134,10 +133,10 @@ def test_criterion_2_decomposition():
                 beta = off_grid_profile(rng, k, m)
                 v = Valuation(tuple(rng.uniform(0, 1, k)))
                 for path in paths:
-                    o = clear_auction(decode(path, m), beta, PricingRule.LAB, v)
-                    assert path_utility(path, beta, v, g.epsilon) == o.utility
+                    o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
+                    assert path_utility(path, beta, v, g) == o.utility
                     fired = sum(
-                        1 for n in path if node_fires(n, beta, g.epsilon)[0]
+                        1 for n in path if node_fires(n, beta, g)[0]
                     )
                     assert fired <= 1
                     assert (fired == 1) == (o.allocation > 0)
@@ -158,7 +157,7 @@ def test_criterion_3_sampler_exactness():
 
     def boosted():
         s = init_state(g)
-        s.log_w[g.node_id(PseudoNode(2, 1))] = 1.0  # weight e on one start node
+        s.log_w[g.bid_ids(1)[1]] = 1.0  # weight e on one start node
         return s
 
     def updated():
@@ -180,7 +179,7 @@ def test_criterion_3_sampler_exactness():
         rng = np.random.Generator(np.random.Philox(seed))
         drawn = Counter(sample_path(s, rng) for _ in range(n_draws))
         counts = {
-            encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g.inv_epsilon): c
+            encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g): c
             for levels, c in drawn.items()
         }
         observed = np.array([counts.get(p, 0) for p in paths])
@@ -221,7 +220,7 @@ def test_criterion_4_estimator_bias():
             for mode in (FeedbackMode.BANDIT, FeedbackMode.ALL_WINNER):
                 exp = exact_estimator_expectation(s, beta, v, mode)
                 for path, e in exp.items():
-                    o = clear_auction(decode(path, m), beta, PricingRule.LAB, v)
+                    o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
                     target = o.utility - 2.0
                     worst = max(worst, abs(e - target))
     ok = worst <= 1e-9

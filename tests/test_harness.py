@@ -211,9 +211,12 @@ def _load_tracer():
 def _realized(graph, adversary):
     """Realized events by the scalar reference: the firing nodes, and the
     row-1 bid nodes below every adversary bid (zero-allocation events)."""
-    nodes = graph.nodes()
-    fired = [n for n in nodes if node_fires(n, adversary, graph.epsilon)[0]]
-    zero = [n for n in nodes if n.k2 == 2 and graph.levels[n.j] < adversary.bids[-1]]
+    nodes = range(graph.n_nodes)
+    fired = [n for n in nodes if node_fires(n, adversary, graph)[0]]
+    zero = [
+        n for n in nodes
+        if graph.row[n] == 0 and graph.levels[graph.level[n]] < adversary.bids[-1]
+    ]
     return fired, zero
 
 
@@ -246,7 +249,7 @@ class TestBenchmarkContract:
                 expected["entries"] += len(fired)
             else:
                 expected["entries"] += sum(
-                    observed_set_membership(h, outcome, g.epsilon) for h in fired + zero
+                    observed_set_membership(h, outcome, g) for h in fired + zero
                 )
             return make_feedback_(feedback_mode, outcome, adversary)
 

@@ -10,7 +10,6 @@ from uniprice import (
     BidProfile,
     FeedbackMode,
     PricingRule,
-    PseudoNode,
     Valuation,
     bandit_signal,
     build_graph,
@@ -48,12 +47,12 @@ from uniprice.oracle import (
 )
 
 
-def bid(k, j):
-    return PseudoNode(2 * k, j)
+def bid(g, k, j):
+    return int(g.bid_ids(k)[j])
 
 
-def gap(k, j):
-    return PseudoNode(2 * k + 1, j)
+def gap(g, k, j):
+    return int(g.gap_ids(k)[j])
 
 
 def rng_from(seed):
@@ -75,11 +74,11 @@ def full_info(beta, v, g):
 
 def as_path(g, levels):
     """The nodes of the action whose bid levels ``sample_path`` returned."""
-    return encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g.inv_epsilon)
+    return encode(BidProfile(tuple(float(g.levels[j]) for j in levels)), g)
 
 
-def levels_of(path):
-    return tuple(n.j for n in path if n.is_bid)
+def levels_of(g, path):
+    return tuple(int(g.level[n]) for n in path if g.row[n] % 2 == 0)
 
 
 def random_state(graph, rng, scale=1.0):
@@ -103,7 +102,7 @@ class TestPasses:
     def test_gamma0_boosted_node(self):
         g = build_graph(1, 1)
         s = init_state(g)
-        s.log_w[g.node_id(bid(1, 1))] = 1.0
+        s.log_w[bid(g, 1, 1)] = 1.0
         ensure_passes(s)
         assert math.exp(s.log_gamma0) == pytest.approx(1 + math.e, rel=1e-12)
 
@@ -114,7 +113,7 @@ class TestPasses:
             s = random_state(g, rng)
             ensure_passes(s)
             scores = [
-                sum(s.log_w[g.node_id(n)] for n in path) for path in enumerate_paths(g)
+                sum(s.log_w[n] for n in path) for path in enumerate_paths(g)
             ]
             assert s.log_gamma0 == pytest.approx(_logsumexp(np.array(scores)), abs=1e-12)
 
@@ -122,10 +121,10 @@ class TestPasses:
         g = build_graph(2, 1)
         s = init_state(g)
         ensure_passes(s)
-        assert math.exp(s.forward[g.node_id(bid(2, 0))]) == pytest.approx(2.0)
+        assert math.exp(s.forward[bid(g, 2, 0)]) == pytest.approx(2.0)
         # start nodes carry their own weight
         for j in (0, 1):
-            assert s.forward[g.node_id(bid(1, j))] == s.log_w[g.node_id(bid(1, j))]
+            assert s.forward[bid(g, 1, j)] == s.log_w[bid(g, 1, j)]
 
     def test_flow_conservation(self):
         rng = np.random.default_rng(1)
@@ -144,9 +143,9 @@ class TestMarginals:
         g = build_graph(2, 2)
         s = init_state(g)
         paths = list(enumerate_paths(g))
-        for node in g.nodes():
+        for node in range(g.n_nodes):
             frac = sum(1 for p in paths if node in p) / len(paths)
-            assert node_marginal(s, g.node_id(node)) == pytest.approx(frac, abs=1e-12)
+            assert node_marginal(s, node) == pytest.approx(frac, abs=1e-12)
 
     def test_bid_rows_normalize(self):
         rng = np.random.default_rng(2)
@@ -163,9 +162,9 @@ class TestMarginals:
         s = random_state(g, rng, scale=2.0)
         dist = exact_path_distribution(s)
         marg = marginals(s)
-        for node in g.nodes():
+        for node in range(g.n_nodes):
             enum = sum(p for path, p in dist.items() if node in path)
-            assert marg[g.node_id(node)] == pytest.approx(enum, abs=1e-10)
+            assert marg[node] == pytest.approx(enum, abs=1e-10)
 
 
 class TestSampler:
@@ -174,7 +173,7 @@ class TestSampler:
         s = init_state(g)
         levels = sample_path(s, rng_from(0))
         assert levels == (0,)
-        assert as_path(g, levels) == (bid(1, 0),)
+        assert as_path(g, levels) == (bid(g, 1, 0),)
         assert math.exp(path_log_probability(s, as_path(g, levels))) == pytest.approx(1.0)
 
     def test_empirical_frequencies_random_weights(self):
@@ -219,7 +218,7 @@ class TestSampler:
         assert levels[0] == 1
         v = Valuation((1.0, 0.5))
         for beta in (BidProfile((0.8, 0.3)), BidProfile((0.9, 0.7))):
-            o = clear_auction(decode(as_path(g, levels), 2), beta, PricingRule.LAB, v)
+            o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.BANDIT, o, beta)
             (estimate,) = bandit_signal(levels, fb, s, v).values()
             assert math.isfinite(estimate)
@@ -233,7 +232,7 @@ class TestSampler:
         update_weights(s, full_info(beta, v, g), eta)
         dist = exact_path_distribution(s)
         scores = {
-            path: eta * path_utility(path, beta, v, g.epsilon)
+            path: eta * path_utility(path, beta, v, g)
             for path in dist
         }
         z = _logsumexp(np.array(list(scores.values())))
@@ -257,7 +256,7 @@ class TestUpdate:
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            o = clear_auction(decode(as_path(g, levels), 4), beta, PricingRule.LAB, v)
+            o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.BANDIT, o, beta)
             for val in bandit_signal(levels, fb, s, v).values():
                 assert val <= 0.0
@@ -273,11 +272,11 @@ class TestUpdate:
             update_weights(s, full_info(beta, v, g), eta)
         dist = exact_path_distribution(s)
         for path, p in dist.items():
-            total = sum(path_utility(path, b, v, g.epsilon) for b in betas)
+            total = sum(path_utility(path, b, v, g) for b in betas)
             num = math.exp(eta * total)
             den = sum(
                 math.exp(
-                    eta * sum(path_utility(q, b, v, g.epsilon) for b in betas)
+                    eta * sum(path_utility(q, b, v, g) for b in betas)
                 )
                 for q in dist
             )
@@ -294,19 +293,19 @@ class TestSignals:
             sig = full_info(beta, v, g)
             assert len(sig) <= 2 * (k * k + m)
             for path in enumerate_paths(g):
-                total = sum(sig.get(g.node_id(n), 0.0) for n in path)
-                assert total == path_utility(path, beta, v, g.epsilon)
+                total = sum(sig.get(n, 0.0) for n in path)
+                assert total == path_utility(path, beta, v, g)
 
     def test_bandit_signal_single_entry(self):
         g = build_graph(2, 4)
         s = init_state(g)
         v = Valuation((1.0, 0.5))
         beta = BidProfile((0.8, 0.3))
-        path = encode(BidProfile((1.0, 0.5)), 4)
-        o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
+        path = encode(BidProfile((1.0, 0.5)), g)
+        o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-        sig = bandit_signal(levels_of(path), fb, s, v)
-        fired = g.node_id(gap(1, 3))
+        sig = bandit_signal(levels_of(g, path), fb, s, v)
+        fired = gap(g, 1, 3)
         assert set(sig) == {fired}
         expected = (o.utility - 2) / node_marginal(s, fired)
         assert sig[fired] == pytest.approx(expected, rel=1e-12)
@@ -317,20 +316,20 @@ class TestSignals:
         g = build_graph(2, 4)
         s = random_state(g, np.random.default_rng(15))
         fb = BanditFeedback(0, None)
-        path = encode(BidProfile((0.25, 0.0)), 4)
-        sig = bandit_signal(levels_of(path), fb, s, Valuation((1.0, 0.5)))
-        top = g.node_id(bid(1, 1))
+        path = encode(BidProfile((0.25, 0.0)), g)
+        sig = bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)))
+        top = bid(g, 1, 1)
         assert set(sig) == {top}
         assert sig[top] == pytest.approx(-2 / node_marginal(s, top), rel=1e-12)
 
     def test_bandit_zero_marginal_error(self):
         g = build_graph(2, 4)
         s = init_state(g)
-        s.log_w[g.node_id(gap(1, 3))] = -800.0  # weight underflows to zero
-        path = encode(BidProfile((1.0, 0.5)), 4)
+        s.log_w[gap(g, 1, 3)] = -800.0  # weight underflows to zero
+        path = encode(BidProfile((1.0, 0.5)), g)
         fb = BanditFeedback(1, 0.8)
         with pytest.raises(ZeroMarginal):
-            bandit_signal(levels_of(path), fb, s, Valuation((1.0, 0.5)))
+            bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)))
 
     def test_allwinner_superset_of_bandit(self):
         rng = np.random.default_rng(9)
@@ -340,11 +339,11 @@ class TestSignals:
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            o = clear_auction(decode(as_path(g, levels), 4), beta, PricingRule.LAB, v)
+            o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb_b = make_feedback(FeedbackMode.BANDIT, o, beta)
             fb_a = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
             sig_b = bandit_signal(levels, fb_b, s, v)
-            sig_a = allwinner_signal(fb_a, s, v)
+            sig_a = allwinner_signal(fb_a, s, v, marginals(s))
             assert set(sig_b) <= set(sig_a)
             for val in sig_a.values():
                 assert val <= 0.0
@@ -357,16 +356,16 @@ class TestSignals:
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            o = clear_auction(decode(as_path(g, levels), 4), beta, PricingRule.LAB, v)
+            o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig = allwinner_signal(fb, s, v)
+            sig = allwinner_signal(fb, s, v, marginals(s))
             zero_events = set(zero_event_set(beta, g).ids.tolist())
             for node, val in sig.items():
                 if node in zero_events:
                     w = 0.0
                 else:
-                    assert node_fires(g.node_from_id(node), beta, g.epsilon)[0]
-                    w = sub_utility(g.node_from_id(node), beta, v, g.epsilon)
+                    assert node_fires(node, beta, g)[0]
+                    w = sub_utility(node, beta, v, g)
                 q = observation_probability(node, s, beta)
                 assert val == pytest.approx((w - g.k) / q, rel=1e-10)
 
@@ -389,14 +388,14 @@ class TestSignals:
         s = init_state(g)
         v = Valuation((1.0, 0.5))
         beta = BidProfile((0.8, 0.3))
-        path = encode(BidProfile((0.0, 0.0)), 4)
-        o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
+        path = encode(BidProfile((0.0, 0.0)), g)
+        o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
         assert fb.adversary_winning_bids == beta.bids
-        sig = allwinner_signal(fb, s, v)
+        sig = allwinner_signal(fb, s, v, marginals(s))
         # levels 0 and 0.25 lie below 0.3
-        zero_events = {g.node_id(bid(1, 0)), g.node_id(bid(1, 1))}
+        zero_events = {bid(g, 1, 0), bid(g, 1, 1)}
         assert set(zero_event_set(beta, g).ids.tolist()) == zero_events
         assert set(sig) == set(firing_set(beta, g).ids.tolist()) | zero_events
         p_zero = sum(node_marginal(s, n) for n in zero_events)
@@ -425,9 +424,9 @@ class TestEventProperties:
     def test_firing_set_is_the_scalar_scan(self, instance):
         g, beta, _ = instance
         scan = [
-            (g.node_id(n), price)
-            for n in g.nodes()
-            for fires, price in [node_fires(n, beta, g.epsilon)]
+            (n, price)
+            for n in range(g.n_nodes)
+            for fires, price in [node_fires(n, beta, g)]
             if fires
         ]
         assert [(i, price) for i, _, price in firing_set(beta, g)] == scan
@@ -439,16 +438,17 @@ class TestEventProperties:
         v = Valuation((0.5,) * g.k)
         outcome = clear_auction(bids, beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
-        sig = allwinner_signal(fb, init_state(g), v)
+        s = init_state(g)
+        sig = allwinner_signal(fb, s, v, marginals(s))
 
         def realized(h):
-            zero_event = h.k2 == 2 and g.levels[h.j] < beta.bids[-1]
-            return zero_event or node_fires(h, beta, g.epsilon)[0]
+            zero_event = g.row[h] == 0 and g.levels[g.level[h]] < beta.bids[-1]
+            return zero_event or node_fires(h, beta, g)[0]
 
         observed = [
-            g.node_id(h)
-            for h in g.nodes()
-            if realized(h) and observed_set_membership(h, outcome, g.epsilon)
+            h
+            for h in range(g.n_nodes)
+            if realized(h) and observed_set_membership(h, outcome, g)
         ]
         assert list(sig) == observed
 
@@ -463,7 +463,7 @@ def weighted_graphs(draw):
 
 def best_path_weight(g, w):
     """Largest sum of ``w`` over the nodes of an action, by enumeration."""
-    return max(sum(w[g.node_id(n)] for n in path) for path in enumerate_paths(g))
+    return max(sum(w[n] for n in path) for path in enumerate_paths(g))
 
 
 class TestRowKernelProperties:
@@ -476,8 +476,8 @@ class TestRowKernelProperties:
         s.log_w[:] = log_w
         dist = exact_path_distribution(s)
         marg = marginals(s)
-        for i, node in enumerate(g.nodes()):
-            enum = sum(p for path, p in dist.items() if node in path)
+        for i in range(g.n_nodes):
+            enum = sum(p for path, p in dist.items() if i in path)
             assert marg[i] == pytest.approx(enum, abs=1e-9)
 
     @given(weighted_graphs())
@@ -498,7 +498,7 @@ class TestExpectedUtility:
         v = Valuation((1.0, 0.5))
         dist = exact_path_distribution(s)
         enum = sum(
-            p * path_utility(path, beta, v, g.epsilon) for path, p in dist.items()
+            p * path_utility(path, beta, v, g) for path, p in dist.items()
         )
         assert expected_utility(s, beta, v) == pytest.approx(enum, abs=1e-12)
 
@@ -511,8 +511,8 @@ class TestExpectedUtility:
         beta = BidProfile((0.999, 0.997))
         v = Valuation((1.0, 1.0))
         fired = set(firing_set(beta, g).ids.tolist())
-        assert fired == {g.node_id(bid(2, 2)), g.node_id(gap(1, 1))}
-        expect = node_marginal(s, g.node_id(gap(1, 1))) * (1.0 - 0.999)
+        assert fired == {bid(g, 2, 2), gap(g, 1, 1)}
+        expect = node_marginal(s, gap(g, 1, 1)) * (1.0 - 0.999)
         assert expected_utility(s, beta, v) == pytest.approx(expect, abs=1e-15)
 
     def test_degenerate_single_path(self):
@@ -520,8 +520,8 @@ class TestExpectedUtility:
         s = init_state(g)
         beta = BidProfile((0.4,))
         v = Valuation((0.9,))
-        path = (bid(1, 0),)
-        assert expected_utility(s, beta, v) == path_utility(path, beta, v, g.epsilon)
+        path = (bid(g, 1, 0),)
+        assert expected_utility(s, beta, v) == path_utility(path, beta, v, g)
 
 
 class TestDefaultParameters:
@@ -577,7 +577,7 @@ class TestEdgeCases:
             for mode in (FeedbackMode.BANDIT, FeedbackMode.ALL_WINNER):
                 exp = exact_estimator_expectation(s, beta, v, mode)
                 for path, e in exp.items():
-                    o = clear_auction(decode(path, 4), beta, PricingRule.LAB, v)
+                    o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
                     target = o.utility - 3
                     assert e == pytest.approx(target, abs=1e-9)
 
@@ -588,20 +588,21 @@ class TestEdgeCases:
         s = init_state(g)
         # concentrate all probability mass on the all-ones action, whose
         # outcome (win both at price 1) hides every lower outcome class
-        for node in (bid(1, 2), bid(2, 2)):
-            s.log_w[g.node_id(node)] = 400.0
+        for node in (bid(g, 1, 2), bid(g, 2, 2)):
+            s.log_w[node] = 400.0
         beta = BidProfile((0.8, 0.3))
         # a zero-allocation view claims every node is observable, which is
         # inconsistent with the concentrated state
         fb = AllWinnerFeedback(0, 0.3, beta.bids)
         with pytest.raises(ZeroObservationProbability):
-            allwinner_signal(fb, s, Valuation((1.0, 0.5)))
+            allwinner_signal(fb, s, Valuation((1.0, 0.5)), marginals(s))
 
     def test_allwinner_one_level_grid(self):
         # M = 0: the single level 0 lies below the adversary's bid, so winning
         # nothing reveals its zero-allocation event, observed with certainty
         fb = AllWinnerFeedback(0, 0.4, (0.4,))
-        sig = allwinner_signal(fb, init_state(build_graph(1, 0)), Valuation((0.9,)))
+        s = init_state(build_graph(1, 0))
+        sig = allwinner_signal(fb, s, Valuation((0.9,)), marginals(s))
         assert sig == {0: -1.0}
 
     def test_passes_stable_at_extreme_weights(self):
@@ -622,5 +623,5 @@ class TestEdgeCases:
         g = build_graph(2, 2)
         beta_shifted = BidProfile((0.3, -0.004))
         fired = firing_set(beta_shifted, g).ids.tolist()
-        assert g.node_id(gap(1, 0)) in fired  # 0 < 0.3 < 0.5
-        assert all(node_fires(g.node_from_id(i), beta_shifted, g.epsilon)[0] for i in fired)
+        assert gap(g, 1, 0) in fired  # 0 < 0.3 < 0.5
+        assert all(node_fires(i, beta_shifted, g)[0] for i in fired)

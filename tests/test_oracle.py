@@ -51,11 +51,11 @@ class TestComparators:
         beta = BidProfile((0.8, 0.3))
         v = Valuation((1.0, 0.5))
         path, total = best_fixed_action_exhaustive([beta], g, v)
-        bids = decode(path, 4)
+        bids = decode(path, g)
         o = clear_auction(bids, beta, PricingRule.LAB, v)
         assert o.allocation == 1
         assert total == max(
-            clear_auction(decode(p, 4), beta, PricingRule.LAB, v).utility
+            clear_auction(decode(p, g), beta, PricingRule.LAB, v).utility
             for p in enumerate_paths(g)
         )
 
@@ -77,8 +77,8 @@ class TestComparators:
     def test_single_positive_node_dominates(self):
         g = build_graph(2, 2)
         totals = np.zeros(g.n_nodes)
-        node = g.nodes()[3]
-        totals[g.node_id(node)] = 1.0
+        node = 3
+        totals[node] = 1.0
         path, total = best_fixed_action_dp(totals, g)
         assert node in path
         assert total == 1.0
@@ -89,9 +89,9 @@ class TestComparators:
         history = [off_grid_profile(rng, 2, 3) for _ in range(7)]
         v = Valuation((0.9, 0.6))
         totals = node_totals_from_history(history, g, v)
-        for node in g.nodes():
-            direct = sum(sub_utility(node, beta, v, g.epsilon) for beta in history)
-            assert totals[g.node_id(node)] == pytest.approx(direct, abs=1e-12)
+        for node in range(g.n_nodes):
+            direct = sum(sub_utility(node, beta, v, g) for beta in history)
+            assert totals[node] == pytest.approx(direct, abs=1e-12)
 
 
 class TestExactDistribution:
@@ -121,7 +121,7 @@ class TestEstimatorExpectations:
         v = Valuation((1.0, 0.5))
         exp = exact_estimator_expectation(s, beta, v, FeedbackMode.FULL_INFORMATION)
         for path, e in exp.items():
-            o = clear_auction(decode(path, 2), beta, PricingRule.LAB, v)
+            o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
             assert e == pytest.approx(o.utility, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [FeedbackMode.BANDIT, FeedbackMode.ALL_WINNER])
@@ -134,7 +134,7 @@ class TestEstimatorExpectations:
             v = Valuation(tuple(rng.uniform(0, 1, 2)))
             exp = exact_estimator_expectation(s, beta, v, mode)
             for path, e in exp.items():
-                o = clear_auction(decode(path, 2), beta, PricingRule.LAB, v)
+                o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
                 target = o.utility - 2
                 assert e == pytest.approx(target, abs=1e-9)
 

@@ -7,7 +7,6 @@ import pytest
 from uniprice import (
     BidProfile,
     PricingRule,
-    PseudoNode,
     Valuation,
     build_graph,
     clear_auction,
@@ -22,15 +21,15 @@ from uniprice import (
     sub_utility,
     zero_event_set,
 )
-from uniprice.errors import MalformedPath, OffGrid, TooLarge
+from uniprice.errors import MalformedPath, OffGrid, TooLarge, WrongLength
 
 
-def bid(k, j):
-    return PseudoNode(2 * k, j)
+def bid(g, k, j):
+    return int(g.bid_ids(k)[j])
 
 
-def gap(k, j):
-    return PseudoNode(2 * k + 1, j)
+def gap(g, k, j):
+    return int(g.gap_ids(k)[j])
 
 
 def all_grid_profiles(k, m):
@@ -53,12 +52,12 @@ class TestGraph:
     def test_k1_has_no_edges(self):
         g = build_graph(1, 2)
         assert g.n_nodes == 3
-        for node in g.nodes():
+        for node in range(g.n_nodes):
             assert g.successors(node) == ()
 
     def test_k2_m1_paths(self):
         g = build_graph(2, 1)
-        assert {repr(n) for n in g.nodes()} == {
+        assert {g.label(n) for n in range(g.n_nodes)} == {
             "h(1,0)",
             "h(1,1)",
             "h(1.5,0)",
@@ -67,18 +66,18 @@ class TestGraph:
         }
         paths = set(enumerate_paths(g))
         assert paths == {
-            (bid(1, 1), bid(2, 1)),
-            (bid(1, 1), gap(1, 0), bid(2, 0)),
-            (bid(1, 0), bid(2, 0)),
+            (bid(g, 1, 1), bid(g, 2, 1)),
+            (bid(g, 1, 1), gap(g, 1, 0), bid(g, 2, 0)),
+            (bid(g, 1, 0), bid(g, 2, 0)),
         }
 
     def test_successor_structure(self):
         g = build_graph(3, 4)
-        assert g.successors(bid(1, 3)) == (gap(1, 2), bid(2, 3))
-        assert g.successors(gap(1, 2)) == (gap(1, 1), bid(2, 2))
-        assert g.successors(bid(2, 0)) == (bid(3, 0),)
-        assert g.successors(gap(2, 0)) == (bid(3, 0),)
-        assert g.successors(bid(3, 2)) == ()
+        assert g.successors(bid(g, 1, 3)) == (gap(g, 1, 2), bid(g, 2, 3))
+        assert g.successors(gap(g, 1, 2)) == (gap(g, 1, 1), bid(g, 2, 2))
+        assert g.successors(bid(g, 2, 0)) == (bid(g, 3, 0),)
+        assert g.successors(gap(g, 2, 0)) == (bid(g, 3, 0),)
+        assert g.successors(bid(g, 3, 2)) == ()
 
     def test_path_counts(self):
         for k in (1, 2, 3):
@@ -90,9 +89,9 @@ class TestGraph:
     def test_every_path_spans_all_stages(self):
         g = build_graph(3, 3)
         for path in enumerate_paths(g):
-            assert path[0].k2 == 2
-            assert path[-1].k2 == 6
-            ks = [n.k2 // 2 for n in path if n.is_bid]
+            assert g.row[path[0]] == 0
+            assert g.row[path[-1]] == 4
+            ks = [g.row[n] // 2 + 1 for n in path if g.row[n] % 2 == 0]
             assert ks == [1, 2, 3]
             for prev, node in zip(path, path[1:]):
                 assert node in g.successors(prev)
@@ -105,79 +104,91 @@ class TestGraph:
         with pytest.raises(TooLarge):
             list(enumerate_paths(build_graph(3, 4), cap=10))
 
-    def test_node_id_roundtrip(self):
-        g = build_graph(3, 4)
-        for node in g.nodes():
-            assert g.node_from_id(g.node_id(node)) == node
-
 
 class TestBijection:
     def test_encode_examples(self):
-        assert encode(BidProfile((1.0, 0.5)), 2) == (bid(1, 2), gap(1, 1), bid(2, 1))
-        assert encode(BidProfile((1.0, 1.0)), 2) == (bid(1, 2), bid(2, 2))
-        assert encode(BidProfile((1.0, 0.0)), 2) == (
-            bid(1, 2),
-            gap(1, 1),
-            gap(1, 0),
-            bid(2, 0),
+        g = build_graph(2, 2)
+        assert encode(BidProfile((1.0, 0.5)), g) == (bid(g, 1, 2), gap(g, 1, 1), bid(g, 2, 1))
+        assert encode(BidProfile((1.0, 1.0)), g) == (bid(g, 1, 2), bid(g, 2, 2))
+        assert encode(BidProfile((1.0, 0.0)), g) == (
+            bid(g, 1, 2),
+            gap(g, 1, 1),
+            gap(g, 1, 0),
+            bid(g, 2, 0),
         )
 
     def test_decode_examples(self):
-        assert decode((bid(1, 2), gap(1, 1), bid(2, 1)), 2).bids == (1.0, 0.5)
-        assert decode((bid(1, 0), bid(2, 0)), 2).bids == (0.0, 0.0)
+        g = build_graph(2, 2)
+        assert decode((bid(g, 1, 2), gap(g, 1, 1), bid(g, 2, 1)), g).bids == (1.0, 0.5)
+        assert decode((bid(g, 1, 0), bid(g, 2, 0)), g).bids == (0.0, 0.0)
 
     def test_roundtrip_exhaustive(self):
         for k in (1, 2, 3):
             for m in (1, 2, 3, 4):
                 g = build_graph(k, m)
                 for b in all_grid_profiles(k, m):
-                    assert decode(encode(b, m), m).bids == b.bids
+                    assert decode(encode(b, g), g).bids == b.bids
                 for path in enumerate_paths(g):
-                    assert encode(decode(path, m), m) == path
+                    assert encode(decode(path, g), g) == path
 
     def test_encode_rejects_off_grid(self):
         with pytest.raises(OffGrid):
-            encode(BidProfile((0.3, 0.1)), 4)
+            encode(BidProfile((0.3, 0.1)), build_graph(2, 4))
+
+    def test_encode_rejects_wrong_length(self):
+        with pytest.raises(WrongLength):
+            encode(BidProfile((0.5,)), build_graph(2, 4))
 
     def test_decode_rejects_malformed(self):
+        g = build_graph(2, 2)
         with pytest.raises(MalformedPath):
-            decode((), 2)
+            decode((), g)
         with pytest.raises(MalformedPath):
-            decode((bid(2, 1),), 2)  # must start at the first stage
+            decode((bid(g, 2, 1),), g)  # must start at the first stage
         with pytest.raises(MalformedPath):
-            decode((bid(1, 2), bid(2, 1)), 2)  # skips the gap between levels
+            decode((bid(g, 1, 2), bid(g, 2, 1)), g)  # skips the gap between levels
         with pytest.raises(MalformedPath):
-            decode((bid(1, 1), gap(1, 0)), 2)  # must end at a bid node
+            decode((bid(g, 1, 1), gap(g, 1, 0)), g)  # must end at a bid node
         with pytest.raises(MalformedPath):
-            decode((bid(1, 3),), 2)  # level above the grid
+            decode((bid(g, 1, 1),), g)  # must end on the last bid row
+        for outside in (-1, g.n_nodes):  # ids outside the graph
+            with pytest.raises(MalformedPath):
+                decode((outside,), g)
 
 
 class TestFiring:
     beta = BidProfile((0.8, 0.3))
+    g = build_graph(2, 4)
 
     def test_gap_fires_with_adversary_price(self):
-        assert node_fires(gap(1, 3), self.beta, 0.25) == (True, 0.8)
+        g = self.g
+        assert node_fires(gap(g, 1, 3), self.beta, g) == (True, 0.8)
 
     def test_top_bid_needs_adversary_above(self):
-        assert node_fires(bid(1, 4), self.beta, 0.25) == (False, None)
+        g = self.g
+        assert node_fires(bid(g, 1, 4), self.beta, g) == (False, None)
 
     def test_second_bid_blocked_by_adversary(self):
-        assert node_fires(bid(2, 2), self.beta, 0.25) == (False, None)
+        g = self.g
+        assert node_fires(bid(g, 2, 2), self.beta, g) == (False, None)
 
     def test_sub_utility_examples(self):
+        g = self.g
         v = Valuation((1.0, 0.5))
-        assert sub_utility(gap(1, 3), self.beta, v, 0.25) == 1.0 - 0.8
-        assert sub_utility(bid(1, 4), self.beta, v, 0.25) == 0.0
+        assert sub_utility(gap(g, 1, 3), self.beta, v, g) == 1.0 - 0.8
+        assert sub_utility(bid(g, 1, 4), self.beta, v, g) == 0.0
         beta2 = BidProfile((0.6, 0.1))
         v2 = Valuation((1.0, 1.0))
-        assert sub_utility(bid(2, 1), beta2, v2, 0.5) == 0.0
-        assert sub_utility(gap(1, 1), beta2, v2, 0.5) == 1.0 - 0.6
+        g2 = build_graph(2, 2)
+        assert sub_utility(bid(g2, 2, 1), beta2, v2, g2) == 0.0
+        assert sub_utility(gap(g2, 1, 1), beta2, v2, g2) == 1.0 - 0.6
 
     def test_firing_node_examples(self):
-        path = encode(BidProfile((1.0, 0.5)), 4)
-        assert firing_node(path, self.beta, 0.25) == gap(1, 3)
-        zero = encode(BidProfile((0.0, 0.0)), 4)
-        assert firing_node(zero, self.beta, 0.25) is None
+        g = self.g
+        path = encode(BidProfile((1.0, 0.5)), g)
+        assert firing_node(path, self.beta, g) == gap(g, 1, 3)
+        zero = encode(BidProfile((0.0, 0.0)), g)
+        assert firing_node(zero, self.beta, g) is None
 
     def test_outcome_constancy_over_containing_paths(self):
         # the indicator of a node is independent of the path containing it
@@ -188,22 +199,24 @@ class TestFiring:
             for _ in range(20):
                 beta = off_grid_profile(rng, k, m)
                 v = Valuation(tuple(rng.uniform(0, 1, k)))
-                for node in g.nodes():
+                for node in range(g.n_nodes):
                     containing = [p for p in paths if node in p]
                     if not containing:
                         continue
-                    fires, price = node_fires(node, beta, g.epsilon)
+                    fires, price = node_fires(node, beta, g)
+                    row, j = g.row[node], g.level[node]
+                    is_bid = row % 2 == 0
                     for p in containing:
-                        o = clear_auction(decode(p, m), beta, PricingRule.LAB, v)
+                        o = clear_auction(decode(p, g), beta, PricingRule.LAB, v)
                         realized = (
-                            o.allocation == node.k_floor
+                            o.allocation == row // 2 + 1
                             and (
-                                (node.is_bid and o.price == node.j * g.epsilon)
+                                (is_bid and o.price == j * g.epsilon)
                                 or (
-                                    not node.is_bid
-                                    and node.j * g.epsilon
+                                    not is_bid
+                                    and j * g.epsilon
                                     < o.price
-                                    < (node.j + 1) * g.epsilon
+                                    < (j + 1) * g.epsilon
                                 )
                             )
                         )
@@ -219,9 +232,9 @@ class TestFiring:
                 beta = off_grid_profile(rng, k, m)
                 v = Valuation(tuple(rng.uniform(0, 1, k)))
                 for path in enumerate_paths(g):
-                    o = clear_auction(decode(path, m), beta, PricingRule.LAB, v)
-                    assert path_utility(path, beta, v, g.epsilon) == o.utility
-                    fired = [n for n in path if node_fires(n, beta, g.epsilon)[0]]
+                    o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
+                    assert path_utility(path, beta, v, g) == o.utility
+                    fired = [n for n in path if node_fires(n, beta, g)[0]]
                     assert len(fired) <= 1
                     assert bool(fired) == (o.allocation > 0)
 
@@ -232,9 +245,9 @@ class TestFiring:
             for _ in range(50):
                 beta = off_grid_profile(rng, k, m)
                 expected = {
-                    (g.node_id(n), node_fires(n, beta, g.epsilon)[1])
-                    for n in g.nodes()
-                    if node_fires(n, beta, g.epsilon)[0]
+                    (n, node_fires(n, beta, g)[1])
+                    for n in range(g.n_nodes)
+                    if node_fires(n, beta, g)[0]
                 }
                 got = {(i, price) for i, _, price in firing_set(beta, g)}
                 assert got == expected
@@ -250,12 +263,12 @@ class TestFiring:
                 beta = off_grid_profile(rng, k, m)
                 zero = set(zero_event_set(beta, g).ids.tolist())
                 assert all(
-                    g.node_from_id(i).k2 == 2 and g.node_from_id(i).j / m < beta.bids[-1]
+                    g.row[i] == 0 and g.level[i] / m < beta.bids[-1]
                     for i in zero
                 )
                 for path in enumerate_paths(g):
-                    assert (g.node_id(path[0]) in zero) == (
-                        firing_node(path, beta, g.epsilon) is None
+                    assert (path[0] in zero) == (
+                        firing_node(path, beta, g) is None
                     )
 
 
@@ -265,26 +278,30 @@ class TestObservedSet:
             self.allocation = allocation
             self.price = price
 
+    g = build_graph(2, 4)
+
     def test_membership_rule(self):
+        g = self.g
         o = self.Outcome(1, 0.8)
         for j in range(4):
-            assert observed_set_membership(gap(1, j), o, 0.25)
+            assert observed_set_membership(gap(g, 1, j), o, g)
         for j in range(5):
-            assert observed_set_membership(bid(2, j), o, 0.25)
-        assert observed_set_membership(bid(1, 4), o, 0.25)  # 1.0 >= 0.8
-        assert not observed_set_membership(bid(1, 3), o, 0.25)  # 0.75 < 0.8
+            assert observed_set_membership(bid(g, 2, j), o, g)
+        assert observed_set_membership(bid(g, 1, 4), o, g)  # 1.0 >= 0.8
+        assert not observed_set_membership(bid(g, 1, 3), o, g)  # 0.75 < 0.8
         # a zero-allocation event sits below beta_K <= p: hidden unless x = 0
-        assert not observed_set_membership(bid(1, 0), o, 0.25)
+        assert not observed_set_membership(bid(g, 1, 0), o, g)
 
     def test_zero_allocation_reveals_everything(self):
         o = self.Outcome(0, 0.3)
         g = build_graph(2, 4)
-        assert all(observed_set_membership(n, o, g.epsilon) for n in g.nodes())
+        assert all(observed_set_membership(n, o, g) for n in range(g.n_nodes))
 
     def test_full_allocation(self):
+        g = self.g
         o = self.Outcome(2, 0.5)
-        assert observed_set_membership(bid(2, 2), o, 0.25)
-        assert observed_set_membership(bid(2, 3), o, 0.25)
-        assert not observed_set_membership(bid(2, 1), o, 0.25)
-        assert not observed_set_membership(bid(1, 4), o, 0.25)
-        assert not observed_set_membership(gap(1, 3), o, 0.25)
+        assert observed_set_membership(bid(g, 2, 2), o, g)
+        assert observed_set_membership(bid(g, 2, 3), o, g)
+        assert not observed_set_membership(bid(g, 2, 1), o, g)
+        assert not observed_set_membership(bid(g, 1, 4), o, g)
+        assert not observed_set_membership(gap(g, 1, 3), o, g)
