@@ -335,14 +335,17 @@ class Events:
 
 def event_utilities(events: Events, values: Valuation, offset: float = 0.0) -> np.ndarray:
     """``utility_sum`` of every event's allocation at its price plus
-    ``offset``, in K elementwise steps.
+    ``offset``, capped at 1, in K elementwise steps.
 
-    ``firing_set`` and ``zero_event_set`` list events by ascending
-    allocation, so step l adds v_l - price to the suffix of events that
-    credit more than l items.  Each event sums its terms from 0.0 in
-    ``utility_sum``'s order, so the values are bitwise the same.
+    The cap gives a level-M bid node its market price in perturb mode,
+    where ``apply_tie_offset`` caps the played bids at 1; node prices never
+    exceed 1, so at offset 0 it changes nothing.  ``firing_set`` and
+    ``zero_event_set`` list events by ascending allocation, so step l adds
+    v_l - price to the suffix of events that credit more than l items.
+    Each event sums its terms from 0.0 in ``utility_sum``'s order, so the
+    values are bitwise the same.
     """
-    price = events.price + offset
+    price = np.minimum(events.price + offset, 1.0)
     w = np.zeros(len(price))
     starts = events.alloc.searchsorted(np.arange(len(values.values)), side="right")
     for v, s in zip(values.values, starts.tolist()):

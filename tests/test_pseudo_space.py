@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniprice import (
     BidProfile,
     PricingRule,
     Valuation,
+    apply_tie_offset,
     build_graph,
     clear_auction,
     decode,
@@ -22,6 +25,7 @@ from uniprice import (
     zero_event_set,
 )
 from uniprice.errors import MalformedPath, OffGrid, TooLarge, WrongLength
+from uniprice.pseudo_space import event_utilities
 
 
 def bid(g, k, j):
@@ -305,3 +309,36 @@ class TestObservedSet:
         assert not observed_set_membership(bid(g, 2, 1), o, g)
         assert not observed_set_membership(bid(g, 1, 4), o, g)
         assert not observed_set_membership(gap(g, 1, 3), o, g)
+
+
+@st.composite
+def perturbed_rounds(draw):
+    """K in 1..3, M in 1..6, a tie offset in (0, eps/100) and adversary bids
+    in [0, 1), grid points included."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    g = build_graph(k, m)
+    offset = g.epsilon / 100 * draw(st.floats(1e-3, 1.0, exclude_max=True))
+    adversary_bid = st.one_of(
+        st.integers(0, m - 1).map(lambda j: float(g.levels[j])),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    beta = sorted(draw(st.lists(adversary_bid, min_size=k, max_size=k)), reverse=True)
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    return g, offset, BidProfile(tuple(beta)), Valuation(tuple(values))
+
+
+class TestPerturbAccounting:
+    @given(perturbed_rounds())
+    @settings(max_examples=200, deadline=None)
+    def test_market_credits_sum_to_the_market_utility(self, instance):
+        # the perturb-mode accounting of harness: events fire against the
+        # adversary shifted down by the offset, and are credited at their
+        # price plus the offset
+        g, offset, beta, v = instance
+        events = firing_set(BidProfile(tuple(b - offset for b in beta.bids)), g)
+        credit = dict(zip(events.ids.tolist(), event_utilities(events, v, offset).tolist()))
+        for path in enumerate_paths(g):
+            market = apply_tie_offset(decode(path, g), offset, g.epsilon)
+            u = clear_auction(market, beta, PricingRule.LAB, v).utility
+            assert sum(credit.get(i, 0.0) for i in path) == pytest.approx(u, abs=1e-12)
