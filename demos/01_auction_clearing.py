@@ -28,7 +28,7 @@ for rule in (PricingRule.LAB, PricingRule.FRB):
     o = clear_auction(learner, adversary, rule, values)
     print(
         f"{rule.name}: price={o.price:.2f} items won={o.allocation} "
-        f"utility={o.utility:+.2f} (price set by {o.price_setter.value})"
+        f"utility={o.utility:+.2f}"
     )
 
 # Bidding above value is dominated: clipping each bid at its marginal value

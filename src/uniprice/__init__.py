@@ -15,7 +15,6 @@ Submodules:
 from .auction_core import (
     AuctionOutcome,
     BidProfile,
-    PriceSetter,
     PricingRule,
     Valuation,
     apply_tie_offset,
@@ -49,16 +48,12 @@ from .learner import (
     FeedbackMode,
     WeightState,
     allwinner_signal,
-    backward_pass,
     bandit_signal,
     default_parameters,
-    expected_utility,
-    forward_pass,
     full_info_signal,
     init_state,
     marginals,
     node_marginal,
-    observation_probability,
     path_log_probability,
     sample_path,
     update_weights,
@@ -71,6 +66,7 @@ from .oracle import (
     exact_estimator_expectation,
     exact_path_distribution,
     exact_second_moment,
+    expected_utility,
     node_totals_from_history,
 )
 from .pseudo_space import (

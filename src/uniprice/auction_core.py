@@ -31,12 +31,6 @@ class PricingRule(enum.Enum):
     FRB = "frb"
 
 
-class PriceSetter(enum.Enum):
-    LEARNER_BID = "learner_bid"
-    ADVERSARY_BID = "adversary_bid"
-    ZERO_WIN = "zero_win"
-
-
 @dataclass(frozen=True)
 class BidProfile:
     """A non-increasing sequence of K bids in [0, 1]."""
@@ -66,7 +60,6 @@ class AuctionOutcome:
     price: float
     allocation: int
     utility: float
-    price_setter: PriceSetter
 
 
 def grid_level(x: float, epsilon: float) -> Optional[int]:
@@ -197,13 +190,7 @@ def clear_auction(
         allocation = b_above
 
     utility = utility_sum(values.values, allocation, price)
-    if allocation == 0:
-        setter = PriceSetter.ZERO_WIN
-    elif any(x == price for x in b):
-        setter = PriceSetter.LEARNER_BID
-    else:
-        setter = PriceSetter.ADVERSARY_BID
-    return AuctionOutcome(price, allocation, utility, setter)
+    return AuctionOutcome(price, allocation, utility)
 
 
 def clip_dominated(bids: BidProfile, values: Valuation) -> BidProfile:

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Flags mirror RunConfig; a line-oriented ``key=value`` config file can supply
-any of them, with explicit flags taking precedence.  Unknown keys are
-rejected.
+Flags mirror RunConfig, plus ``--pricing``, which must be ``lab``: learning
+runs clear with LAB, and FRB clearing is a library feature.  A line-oriented
+``key=value`` config file can supply any flag but ``--config``, with explicit
+flags taking precedence.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adversaries import AdversaryKind, AdversarySpec
-from .auction_core import PricingRule
 from .errors import AuctionError, ConfigError
 from .harness import (
     PlotScale,
@@ -32,7 +32,6 @@ _FEEDBACK = {
     "bandit": FeedbackMode.BANDIT,
     "allwinner": FeedbackMode.ALL_WINNER,
 }
-_PRICING = {"lab": PricingRule.LAB, "frb": PricingRule.FRB}
 _TIE = {"validate": TieMode.VALIDATE, "perturb": TieMode.PERTURB}
 _SCALE = {"linear": PlotScale.LINEAR, "loglog": PlotScale.LOGLOG}
 
@@ -52,7 +51,6 @@ _KEYS = {
     "plot",
     "scale",
     "workers",
-    "param-form",
 }
 
 
@@ -116,7 +114,7 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
                     line = line.strip()
                     if line and not line.startswith("#"):
                         rows.append(_parse_values(line))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read schedule file {params!r}") from exc
         return AdversarySpec(AdversaryKind.SCHEDULE, k, schedule=tuple(rows))
     if name == "firstprice":
@@ -135,19 +133,23 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
 
 def read_config_file(path: str) -> dict[str, str]:
     """Line-oriented key=value file; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}") from exc
     out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().lower().replace("_", "-")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().lower().replace("_", "-")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -160,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--units", type=int, help="number of items K")
     p.add_argument("--horizon", type=int, help="number of rounds T")
     p.add_argument("--feedback", choices=sorted(_FEEDBACK), help="feedback model")
-    p.add_argument("--pricing", choices=sorted(_PRICING), default=None)
+    p.add_argument("--pricing", choices=["frb", "lab"], default=None)
     p.add_argument("--values", help="comma-separated marginal values v1,...,vK")
     p.add_argument("--adversary", help="adversary spec, e.g. fixed:0.83,0.31")
     p.add_argument("--epsilon", type=float, default=None, help="grid step override")
@@ -168,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
     p.add_argument("--reps", type=int, default=None, help="number of replications")
     p.add_argument("--tie-mode", choices=sorted(_TIE), default=None)
-    p.add_argument("--param-form", choices=["default", "grid"], default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--plot", help="SVG output path")
@@ -208,16 +209,17 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if adversary is None:
         raise ConfigError("missing --adversary")
 
-    pricing = pick(args.pricing, "pricing", "lab")
-    if pricing not in _PRICING:
-        raise ConfigError(f"unknown pricing {pricing!r}")
+    if pick(args.pricing, "pricing", "lab") != "lab":
+        raise ConfigError(
+            "learning runs require LAB pricing; FRB is supported for "
+            "single clearings only"
+        )
     tie_mode = pick(args.tie_mode, "tie-mode", "validate")
     if tie_mode not in _TIE:
         raise ConfigError(f"unknown tie mode {tie_mode!r}")
     scale = pick(args.scale, "scale", "linear")
     if scale not in _SCALE:
         raise ConfigError(f"unknown scale {scale!r}")
-    param_form = pick(args.param_form, "param-form", "default")
 
     epsilon = pick(args.epsilon, "epsilon")
     eta = pick(args.eta, "eta")
@@ -228,12 +230,10 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         values=_parse_values(values),
         adversary=parse_adversary(adversary, units),
         seed=_number(int, pick(args.seed, "seed", 0), "seed"),
-        pricing=_PRICING[pricing],
         replications=_number(int, pick(args.reps, "reps", 1), "reps"),
         epsilon=None if epsilon is None else _number(float, epsilon, "epsilon"),
         eta=None if eta is None else _number(float, eta, "eta"),
         tie_mode=_TIE[tie_mode],
-        param_form=param_form,
         workers=_number(int, pick(args.workers, "workers", 1), "workers"),
         out=pick(args.out, "out"),
         plot=pick(args.plot, "plot"),

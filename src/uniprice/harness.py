@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversaries import AdversarySpec, next_bids
+from .adversaries import AdversaryKind, AdversarySpec, next_bids
 from .auction_core import (
     BidProfile,
     PricingRule,
@@ -64,12 +64,10 @@ class RunConfig:
     values: tuple[float, ...]
     adversary: AdversarySpec
     seed: int
-    pricing: PricingRule = PricingRule.LAB
     replications: int = 1
     epsilon: Optional[float] = None
     eta: Optional[float] = None
     tie_mode: TieMode = TieMode.VALIDATE
-    param_form: str = "default"
     workers: int = 1
     out: Optional[str] = None
     plot: Optional[str] = None
@@ -94,6 +92,8 @@ class RegretTrace:
 
 
 def validate_config(config: RunConfig) -> None:
+    if config.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if config.k < 1:
         raise ConfigError("need at least one item")
     if config.horizon < 1:
@@ -106,19 +106,29 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(f"expected {config.k} values, got {len(config.values)}")
     if any(not (0.0 <= v <= 1.0) for v in config.values):
         raise ConfigError("values must lie in [0, 1]")
-    if config.pricing is not PricingRule.LAB:
-        raise ConfigError(
-            "learning runs require LAB pricing; FRB is supported for "
-            "single clearings only"
-        )
     if config.epsilon is not None:
-        m = round(1.0 / config.epsilon)
-        if m < 1 or abs(m * config.epsilon - 1.0) > 1e-9:
+        # nan, 0 and subnormal steps (1/eps overflows) all fail the isfinite test
+        inv = 1.0 / config.epsilon if 0.0 < config.epsilon <= 1.0 else math.inf
+        if not math.isfinite(inv) or abs(round(inv) * config.epsilon - 1.0) > 1e-9:
             raise ConfigError("epsilon must be the inverse of a positive integer")
-    if config.eta is not None and config.eta <= 0:
-        raise ConfigError("eta must be positive")
-    if config.adversary.k != config.k:
+    if config.eta is not None and not (0.0 < config.eta < math.inf):
+        raise ConfigError("eta must be positive and finite")
+    adversary = config.adversary
+    if adversary.k != config.k:
         raise ConfigError("adversary spec is for a different number of items")
+    for lo, hi in (adversary.bounds, adversary.h_bounds):
+        if not (0.0 <= lo <= hi <= 1.0):
+            raise ConfigError(
+                f"adversary bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1"
+            )
+    if (
+        adversary.kind is AdversaryKind.SCHEDULE
+        and len(adversary.schedule) < config.horizon
+    ):
+        raise ConfigError(
+            f"schedule holds {len(adversary.schedule)} rounds, fewer than the "
+            f"horizon {config.horizon}"
+        )
 
 
 def resolve_parameters(config: RunConfig) -> tuple[float, float]:
@@ -126,9 +136,7 @@ def resolve_parameters(config: RunConfig) -> tuple[float, float]:
     explicit overrides."""
     epsilon, eta = config.epsilon, config.eta
     if epsilon is None or eta is None:
-        eps_def, eta_def = default_parameters(
-            config.k, config.horizon, config.feedback, config.param_form
-        )
+        eps_def, eta_def = default_parameters(config.k, config.horizon, config.feedback)
         epsilon = eps_def if epsilon is None else epsilon
         eta = eta_def if eta is None else eta
     return epsilon, eta
@@ -175,12 +183,12 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         if perturb:
             market_bids = apply_tie_offset(grid_bids, offset, epsilon)
             outcome_market = clear_auction(
-                market_bids, beta_market, config.pricing, values
+                market_bids, beta_market, PricingRule.LAB, values
             )
-            outcome_node = clear_auction(grid_bids, beta_node, config.pricing, values)
+            outcome_node = clear_auction(grid_bids, beta_node, PricingRule.LAB, values)
         else:
             outcome_market = clear_auction(
-                grid_bids, beta_market, config.pricing, values
+                grid_bids, beta_market, PricingRule.LAB, values
             )
             outcome_node = outcome_market
 
@@ -230,12 +238,14 @@ def run_experiment(config: RunConfig) -> list[RegretTrace]:
     """Run every replication and return traces ordered by replication index.
 
     Replications are independent given (seed, index), so worker count and
-    scheduling cannot change any output byte.
+    scheduling cannot change any output byte.  The pool holds at most one
+    process per replication: it starts all its workers up front.
     """
     validate_config(config)
     reps = range(config.replications)
     if config.workers > 1 and config.replications > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        workers = min(config.workers, config.replications)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_run_replication, [config] * config.replications, reps))
     else:
         traces = [_run_replication(config, rep) for rep in reps]

@@ -346,39 +346,7 @@ def allwinner_signal(
     return dict(zip(ids.tolist(), estimates.tolist()))
 
 
-def observation_probability(
-    node: int, state: WeightState, adversary: BidProfile
-) -> float:
-    """P over the sampled action that the realized event at node id
-    ``node`` lands in the observed set.
-
-    Partitions on the outcome class: every realized event, a firing node
-    or a zero-allocation event (see ``zero_event_set``), is an outcome
-    with probability equal to its node's inclusion marginal, and every
-    action holds exactly one of them, so the class masses sum to one.
-    Membership is ``_observed`` per class; meant for oracles and tests,
-    since it reads the raw adversary profile.
-    """
-    g = state.graph
-    events = firing_set(adversary, g) + zero_event_set(adversary, g)
-    hit = np.flatnonzero(events.ids == node)
-    if hit.size != 1:
-        raise ValueError(f"node {node} holds no realized event")
-    h = hit[0]
-    seen = _observed(events.alloc, events.price, events.alloc[h], events.price[h])
-    return min(float(marginals(state)[events.ids[seen]].sum()), 1.0)
-
-
-# --- expected utility and parameters -------------------------------------
-
-
-def expected_utility(
-    state: WeightState, adversary: BidProfile, values: Valuation
-) -> float:
-    """Exact one-round expected utility of the current distribution:
-    sum over firing nodes of marginal * sub-utility."""
-    events = firing_set(adversary, state.graph)
-    return expectation(marginals(state)[events.ids], event_utilities(events, values))
+# --- expectation and parameters ------------------------------------------
 
 
 def expectation(marg: np.ndarray, utilities: np.ndarray) -> float:
@@ -389,9 +357,7 @@ def expectation(marg: np.ndarray, utilities: np.ndarray) -> float:
     return 0.0 + float((marg * utilities).cumsum()[-1])
 
 
-def default_parameters(
-    k: int, t: int, mode: FeedbackMode, form: str = "default"
-) -> tuple[float, float]:
+def default_parameters(k: int, t: int, mode: FeedbackMode) -> tuple[float, float]:
     """Grid step and learning rate prescribed for each feedback model.
 
     Bandit: eps = (K/T)^(1/3), eta = K^(-1/3) T^(-2/3) sqrt(log(T/K)/3).
@@ -399,9 +365,7 @@ def default_parameters(
     All-winner: eps = sqrt(K^3/T), eta = 1/(K sqrt(T)).
 
     1/eps is rounded up to the nearest integer (with a snap tolerance so
-    exact analytic values survive float noise).  ``form="grid"`` recomputes
-    eta from the realized grid step instead of the closed forms in K and T
-    alone.
+    exact analytic values survive float noise).
     """
     if t <= k:
         raise HorizonTooShort(f"horizon {t} must exceed the number of items {k}")
@@ -414,20 +378,10 @@ def default_parameters(
     m = max(1, math.ceil(m_raw - 1e-9))
     epsilon = 1.0 / m
 
-    if form == "default":
-        if mode is FeedbackMode.BANDIT:
-            eta = k ** (-1.0 / 3.0) * t ** (-2.0 / 3.0) * math.sqrt(math.log(t / k) / 3.0)
-        elif mode is FeedbackMode.FULL_INFORMATION:
-            eta = math.sqrt(math.log(t / k) / (2.0 * k * t))
-        else:
-            eta = 1.0 / (k * math.sqrt(t))
-    elif form == "grid":
-        if mode is FeedbackMode.BANDIT:
-            eta = math.sqrt(epsilon * math.log(m) / (k * t)) if m > 1 else 1.0 / math.sqrt(k * t)
-        elif mode is FeedbackMode.FULL_INFORMATION:
-            eta = math.sqrt(math.log(m) / (k * t)) if m > 1 else math.sqrt(1.0 / (k * t))
-        else:
-            eta = 1.0 / (k * math.sqrt(t))
+    if mode is FeedbackMode.BANDIT:
+        eta = k ** (-1.0 / 3.0) * t ** (-2.0 / 3.0) * math.sqrt(math.log(t / k) / 3.0)
+    elif mode is FeedbackMode.FULL_INFORMATION:
+        eta = math.sqrt(math.log(t / k) / (2.0 * k * t))
     else:
-        raise ValueError(f"unknown parameter form {form!r}")
+        eta = 1.0 / (k * math.sqrt(t))
     return epsilon, eta

@@ -7,6 +7,10 @@ averaging the actual signal code over every possible sampled action.  These
 are the oracles the fast paths are tested against; none of them reuse the
 weight-pushing recursions.  Actions are paths of node ids
 (``pseudo_space.PseudoPath``), listed by ``enumerate_paths``.
+
+``expected_utility`` and ``observation_probability`` are exact references
+computed from the marginals rather than by enumeration.  They live here
+because they read the raw adversary profile, which the learner never sees.
 """
 
 from __future__ import annotations
@@ -25,17 +29,20 @@ from .learner import (
     _chain_scan,
     allwinner_signal,
     bandit_signal,
+    expectation,
     full_info_signal,
     marginals,
 )
 from .pseudo_space import (
     PseudoGraph,
     PseudoPath,
+    _observed,
     decode,
     enumerate_paths,
     event_utilities,
     firing_set,
     observed_set_membership,
+    zero_event_set,
 )
 
 DEFAULT_PATH_CAP = 10**6
@@ -162,6 +169,15 @@ def exact_path_distribution(
     return {path: float(p) for path, p in zip(paths, weights)}
 
 
+def expected_utility(
+    state: WeightState, adversary: BidProfile, values: Valuation
+) -> float:
+    """Exact one-round expected utility of the current distribution:
+    sum over firing nodes of marginal * sub-utility."""
+    events = firing_set(adversary, state.graph)
+    return expectation(marginals(state)[events.ids], event_utilities(events, values))
+
+
 def _estimates(
     state: WeightState,
     adversary: BidProfile,
@@ -231,6 +247,29 @@ def exact_second_moment(
         for p_path, est in zip(dist.values(), estimates):
             total += p_sampled * p_path * est * est
     return total
+
+
+def observation_probability(
+    node: int, state: WeightState, adversary: BidProfile
+) -> float:
+    """P over the sampled action that the realized event at node id
+    ``node`` lands in the observed set.
+
+    Partitions on the outcome class: every realized event, a firing node
+    or a zero-allocation event (see ``zero_event_set``), is an outcome
+    with probability equal to its node's inclusion marginal, and every
+    action holds exactly one of them, so the class masses sum to one.
+    Membership is ``_observed`` per class; meant for oracles and tests,
+    since it reads the raw adversary profile.
+    """
+    g = state.graph
+    events = firing_set(adversary, g) + zero_event_set(adversary, g)
+    hit = np.flatnonzero(events.ids == node)
+    if hit.size != 1:
+        raise ValueError(f"node {node} holds no realized event")
+    h = hit[0]
+    seen = _observed(events.alloc, events.price, events.alloc[h], events.price[h])
+    return min(float(marginals(state)[events.ids[seen]].sum()), 1.0)
 
 
 def brute_observation_probability(

@@ -1,6 +1,6 @@
 import pytest
 
-from uniprice import FeedbackMode, PricingRule, TieMode
+from uniprice import FeedbackMode, TieMode
 from uniprice.adversaries import AdversaryKind
 from uniprice.cli import main, parse_adversary, parse_config
 from uniprice.errors import ConfigError
@@ -23,7 +23,6 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL)
         assert cfg.k == 2 and cfg.horizon == 1000 and cfg.seed == 7
         assert cfg.feedback is FeedbackMode.BANDIT
-        assert cfg.pricing is PricingRule.LAB
         assert cfg.tie_mode is TieMode.VALIDATE
         assert cfg.adversary.kind is AdversaryKind.FIXED
         assert cfg.adversary.fixed_profile == (0.83, 0.31)
@@ -73,6 +72,19 @@ class TestParseConfig:
         path.write_text("units=2\nbogus=1\n")
         with pytest.raises(ConfigError):
             parse_config(["--config", str(path)])
+
+    def test_config_keys_are_the_flags(self):
+        # a flag missing from _KEYS cannot be set from a file, and a key
+        # without a flag would be accepted and then ignored
+        from uniprice import cli
+
+        flags = {
+            opt[2:]
+            for action in cli._build_parser()._actions
+            for opt in action.option_strings
+            if opt.startswith("--")
+        }
+        assert cli._KEYS == flags - {"config", "help"}
 
 
 class TestParseAdversary:
@@ -151,6 +163,29 @@ class TestMain:
     def test_malformed_adversary_bounds_exit_2(self, capsys):
         i = MINIMAL.index("--adversary")
         argv = MINIMAL[: i + 1] + ["iid:0.5"] + MINIMAL[i + 2 :]
+        self.assert_one_line_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--epsilon", "0"],
+            ["--epsilon", "nan"],
+            ["--epsilon", "1e-320"],
+            ["--eta", "nan"],
+            ["--eta", "inf"],
+            ["--seed", "-1"],
+            ["--pricing", "frb"],
+            ["--config", "{tmp}/missing.cfg"],
+            ["--config", "{tmp}"],
+            ["--config", "{tmp}/latin1.cfg"],
+            ["--adversary", "schedule:{tmp}/latin1.txt"],
+        ],
+        ids=lambda extra: " ".join(extra),
+    )
+    def test_bad_input_exits_2(self, extra, tmp_path, capsys):
+        (tmp_path / "latin1.cfg").write_bytes(b"units=2\n# caf\xe9\n")
+        (tmp_path / "latin1.txt").write_bytes(b"0.83,0.31\n# caf\xe9\n")
+        argv = MINIMAL + [arg.format(tmp=tmp_path) for arg in extra]
         self.assert_one_line_error(argv, capsys)
 
     def test_auction_error_exits_2(self, capsys):

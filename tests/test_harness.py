@@ -91,11 +91,43 @@ class TestFeedbackViews:
 class TestConfigValidation:
     def test_frb_learning_rejected(self):
         with pytest.raises(ConfigError):
-            run_experiment(small_config(pricing=PricingRule.FRB))
+            parse_config(
+                ["--units", "2", "--horizon", "40", "--feedback", "bandit",
+                 "--values", "1,0.5", "--adversary", "iid", "--pricing", "frb"]
+            )
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(small_config(epsilon=0.3))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(0.0, 2.0)),
+            AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(0.6, 0.4)),
+            AdversarySpec(
+                AdversaryKind.FIRST_PRICE_REDUCTION, 2, h_bounds=(-0.5, 0.5)
+            ),
+        ],
+        ids=["iid-above-1", "iid-reversed", "firstprice-below-0"],
+    )
+    @pytest.mark.parametrize("tie_mode", list(TieMode))
+    def test_adversary_bounds_outside_unit_interval_rejected(self, spec, tie_mode):
+        with pytest.raises(ConfigError):
+            run_experiment(small_config(adversary=spec, tie_mode=tie_mode))
+
+    def test_schedule_shorter_than_horizon_rejected(self, monkeypatch):
+        from uniprice import harness
+
+        def no_rounds(config, rep):
+            raise AssertionError("a round ran before the check")
+
+        monkeypatch.setattr(harness, "_run_replication", no_rounds)
+        spec = AdversarySpec(
+            AdversaryKind.SCHEDULE, 2, schedule=((0.83, 0.31),) * 39
+        )
+        with pytest.raises(ConfigError):
+            run_experiment(small_config(adversary=spec))
 
     def test_values_must_match_k(self):
         with pytest.raises(ConfigError):
@@ -143,6 +175,30 @@ class TestRunExperiment:
         a = csv_bytes(run_experiment(cfg))
         b = csv_bytes(run_experiment(cfg))
         assert a == b
+
+    def test_pool_holds_at_most_one_process_per_replication(self, monkeypatch):
+        # an in-process stand-in: a real pool would start every worker
+        from uniprice import harness
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        traces = run_experiment(small_config(workers=1000))
+        assert sizes == [2]
+        assert [tr.run for tr in traces] == [0, 1]
 
     def test_worker_count_invariance(self):
         cfg1 = small_config(replications=4, workers=1)

@@ -25,7 +25,6 @@ from uniprice import (
     marginals,
     node_fires,
     node_marginal,
-    observation_probability,
     observed_set_membership,
     path_log_probability,
     path_utility,
@@ -44,6 +43,7 @@ from uniprice.oracle import (
     best_fixed_total,
     brute_observation_probability,
     exact_path_distribution,
+    observation_probability,
 )
 
 
@@ -553,13 +553,6 @@ class TestDefaultParameters:
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort):
             default_parameters(5, 5, FeedbackMode.BANDIT)
-
-    def test_grid_form(self):
-        eps, eta = default_parameters(2, 2000, FeedbackMode.BANDIT, form="grid")
-        m = round(1 / eps)
-        assert eta == pytest.approx(
-            math.sqrt(eps * math.log(m) / (2 * 2000)), rel=1e-12
-        )
 
 
 class TestEdgeCases:
