@@ -94,15 +94,13 @@ def validate_bid_profile(
     k: int,
     *,
     epsilon: Optional[float] = None,
-    require_grid: bool = False,
     require_off_grid: bool = False,
 ) -> BidProfile:
     """Check a raw bid sequence and return an immutable profile.
 
-    ``require_grid`` enforces that every bid is an exact multiple of
-    ``epsilon`` (learner contract).  ``require_off_grid`` enforces the
-    adversary contract: bids strictly inside (0, 1) and off the grid, which
-    is what guarantees tie-free clearings against a grid-playing learner.
+    ``require_off_grid`` enforces the adversary contract: bids strictly
+    inside (0, 1) and off the ``epsilon`` grid, which is what guarantees
+    tie-free clearings against a grid-playing learner.
     """
     bids = tuple(float(b) for b in bids)
     if len(bids) != k:
@@ -114,13 +112,9 @@ def validate_bid_profile(
         if a < b:
             raise NotMonotone(f"bids must be non-increasing, got {bids}")
 
-    if (require_grid or require_off_grid) and epsilon is None:
-        raise ValueError("epsilon is required for grid checks")
-    if require_grid:
-        for b in bids:
-            if grid_level(b, epsilon) is None:
-                raise OffGrid(f"bid {b} is not a multiple of {epsilon}")
     if require_off_grid:
+        if epsilon is None:
+            raise ValueError("epsilon is required for the off-grid check")
         for b in bids:
             if not (0.0 < b < 1.0) or grid_level(b, epsilon) is not None:
                 raise TieDetected(

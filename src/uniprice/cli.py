@@ -153,8 +153,13 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one ``error:`` line from main, as for config files
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="uniprice",
         description="Simulate online bidding in repeated K-unit uniform-price auctions.",
     )
@@ -250,6 +255,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         traces = run_experiment(config)
     except AuctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: grid or horizon too large", file=sys.stderr)
         return 2
     finals = np.array([tr.final_regret for tr in traces])
     print(

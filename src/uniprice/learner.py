@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -264,21 +264,6 @@ def full_info_signal(events: Events, utilities: np.ndarray) -> EstimateVector:
     return dict(zip(events.ids.tolist(), utilities.tolist()))
 
 
-def fired_node_from_feedback(
-    levels: Sequence[int], allocation: int, price: float, graph: PseudoGraph
-) -> Optional[int]:
-    """Identify the id of the played action's firing node from its bid
-    ``levels`` and (allocation, price) alone: a price equal to the learner's
-    own allocation-th bid is a bid node, any other price lands in the gap
-    band below the next grid point."""
-    if allocation == 0:
-        return None
-    j = levels[allocation - 1]
-    if price == graph.levels[j]:
-        return int(graph.bid_ids(allocation)[j])
-    return int(graph.gap_ids(allocation)[math.floor(price * graph.inv_epsilon)])
-
-
 def bandit_signal(
     levels: Sequence[int], feedback, state: WeightState, values: Valuation
 ) -> EstimateVector:
@@ -288,20 +273,27 @@ def bandit_signal(
     ``levels`` are the played action's K bid levels (``sample_path``'s
     output); ``feedback`` needs only ``allocation`` and ``price``.  A won
     allocation x >= 1 realizes the fired node, with w the utility of x
-    items at the price.  A zero allocation realizes the zero-allocation
-    event of the played top-bid node (1, j), with w = 0, so the entry is
-    -K / P((1, j)).  Every action holds exactly one realized event, so the
-    expected estimate of every action is its utility minus K.  The constant -K shift keeps
-    every entry non-positive, which controls the estimator's range; the
-    bias is the same for all actions and cancels in the regret.
+    items at the price: the bid node at the learner's x-th bid if the price
+    equals it, else the row x+1/2 gap node in the band below the first
+    level at or above the price (``firing_set``'s rule).  A zero allocation
+    realizes the zero-allocation event of the played top-bid node (1, j),
+    with w = 0, so the entry is -K / P((1, j)).  Every action holds exactly
+    one realized event, so the expected estimate of every action is its
+    utility minus K.  The constant -K shift keeps every entry non-positive,
+    which controls the estimator's range; the bias is the same for all
+    actions and cancels in the regret.
     """
-    x = feedback.allocation
+    x, p = feedback.allocation, feedback.price
     g = state.graph
     if x == 0:
         i, w = int(g.bid_ids(1)[levels[0]]), 0.0
     else:
-        i = fired_node_from_feedback(levels, x, feedback.price, g)
-        w = utility_sum(values.values, x, feedback.price)
+        j = levels[x - 1]
+        if p == g.levels[j]:
+            i = int(g.bid_ids(x)[j])
+        else:
+            i = int(g.gap_ids(x)[g.levels.searchsorted(p) - 1])
+        w = utility_sum(values.values, x, p)
     p_node = node_marginal(state, i)
     if p_node <= 0.0:
         raise ZeroMarginal(f"played node {g.label(i)} has zero inclusion probability")
@@ -322,8 +314,10 @@ def allwinner_signal(
     with it the zero-allocation events, with w = 0; each gets the
     denominator P(x = 0), so every action's expected estimate is its
     utility minus K.  The observation probability is one minus the mass of
-    the realized events ranked strictly above the event: the outcomes that
-    hide it, all of which the feedback also reveals.  ``marg`` is
+    the realized events above the event in (allocation, price) order: the
+    outcomes that hide it, all of which the feedback also reveals.  The
+    events already ascend in that order (see ``firing_set``), so those
+    above an event are the ones after its run of equal pairs.  ``marg`` is
     ``marginals(state)``, which the caller already holds for the round.
     """
     g = state.graph
@@ -332,11 +326,12 @@ def allwinner_signal(
     events = zero_event_set(revealed, g) + firing_set(revealed, g)
     seen = _observed(x, p, events.alloc, events.price)
     ids, alloc, price = events.ids[seen], events.alloc[seen], events.price[seen]
-    rank = 2.0 * alloc + price  # the order ``_observed`` compares in
-    order = np.argsort(rank, kind="stable")
-    mass = marg[ids][order]
+    mass = marg[ids]
     above = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
-    q = 1.0 - above[np.searchsorted(rank[order], rank, side="right")]
+    n = len(ids)
+    # the index where each run of equal pairs after the first starts
+    runs = np.flatnonzero((alloc[1:] != alloc[:-1]) | (price[1:] != price[:-1])) + 1
+    q = 1.0 - above[np.append(runs, n)[runs.searchsorted(np.arange(n), side="right")]]
     if np.any(q <= 0.0):
         i = int(ids[np.argmax(q <= 0.0)])
         raise ZeroObservationProbability(

@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .auction_core import BidProfile, Valuation, grid_level, utility_sum
+from .auction_core import BidProfile, Valuation, utility_sum
 from .errors import MalformedPath, OffGrid, TooLarge, WrongLength
 
 _BETA_HIGH = 2.0  # sentinel above any bid, stands in for beta_0
@@ -138,12 +138,10 @@ def encode(bids: BidProfile, graph: PseudoGraph) -> PseudoPath:
     """
     if len(bids.bids) != graph.k:
         raise WrongLength(f"expected {graph.k} bids, got {len(bids.bids)}")
-    levels = []
-    for b in bids.bids:
-        j = grid_level(b, graph.epsilon)
-        if j is None or not (0 <= j <= graph.inv_epsilon):
+    levels = graph.levels.searchsorted(bids.bids).tolist()
+    for b, j in zip(bids.bids, levels):
+        if j > graph.inv_epsilon or graph.levels[j] != b:
             raise OffGrid(f"bid {b} is not on the 1/{graph.inv_epsilon} grid")
-        levels.append(j)
     path: list[int] = []
     for kk in range(1, graph.k + 1):
         j = levels[kk - 1]
@@ -361,7 +359,8 @@ def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
     event has allocation 0 at price beta_K, so its sub-utility is 0; it
     gives such actions the node on which the partial-feedback estimators
     apply their -K shift.  With it, every action holds exactly one realized
-    event: its firing node or this one.
+    event: its firing node or this one.  All its events share the pair
+    (0, beta_K), so ``zero_event_set + firing_set`` ascends by that pair.
     """
     beta_k = adversary.bids[-1]
     n = int(np.searchsorted(graph.levels, beta_k, side="left"))
@@ -372,10 +371,12 @@ def firing_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
     """All nodes that fire against ``adversary``, in id order, with the
     allocation floor(k) and the price of each (see ``node_fires``).
 
-    Per allocation k, the bid row fires on the levels strictly between
-    beta_{K-k+1} and beta_{K-k}, one contiguous range, and the gap row
-    k+1/2 fires at most at j = floor(beta_{K-k} * M), at the adversary's
-    price.  So there are at most 2(K^2 + M) of them.
+    Per allocation k, with hi the first level at or above beta_{K-k}
+    (``searchsorted`` over ``graph.levels``), the bid row fires on the
+    levels above beta_{K-k+1} and below hi, and the gap row k+1/2 in band
+    hi - 1 iff 0 < hi <= M and beta_{K-k} < ``levels[hi]``, at the
+    adversary's price.  So at most 2(K^2 + M) nodes fire, in strictly
+    ascending (allocation, price) order.
     """
     k, m, levels = graph.k, graph.inv_epsilon, graph.levels
     offset = graph.row_offset.tolist()
@@ -392,11 +393,8 @@ def firing_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
             ids.extend(range(offset[2 * kk - 2] + a, offset[2 * kk - 2] + b))
             alloc.extend([kk] * (b - a))
             price.extend(levels[a:b].tolist())
-        if kk < k:
-            p = beta[k - kk]
-            j = math.floor(p * m)
-            if 0 <= j < m and j / m < p < (j + 1) / m:
-                ids.append(offset[2 * kk - 1] + j)
-                alloc.append(kk)
-                price.append(p)
+        if kk < k and 0 < b <= m and beta[k - kk] < levels[b]:
+            ids.append(offset[2 * kk - 1] + b - 1)
+            alloc.append(kk)
+            price.append(beta[k - kk])
     return Events(np.array(ids, dtype=int), np.array(alloc, dtype=int), np.array(price))

@@ -34,16 +34,12 @@ def off_grid_profile(rng, k, m):
 
 class TestValidate:
     def test_valid_grid_profile(self):
-        p = validate_bid_profile([1.0, 0.5], 2, epsilon=0.25, require_grid=True)
+        p = validate_bid_profile([1.0, 0.5], 2)
         assert p.bids == (1.0, 0.5)
 
     def test_not_monotone(self):
         with pytest.raises(NotMonotone):
             validate_bid_profile([0.5, 1.0], 2)
-
-    def test_off_grid_rejected_when_grid_required(self):
-        with pytest.raises(OffGrid):
-            validate_bid_profile([1.0, 0.3], 2, epsilon=0.25, require_grid=True)
 
     def test_wrong_length(self):
         with pytest.raises(WrongLength):

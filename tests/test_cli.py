@@ -179,6 +179,9 @@ class TestMain:
             ["--config", "{tmp}"],
             ["--config", "{tmp}/latin1.cfg"],
             ["--adversary", "schedule:{tmp}/latin1.txt"],
+            ["--units", "abc"],
+            ["--feedback", "nope"],
+            ["--bogus"],
         ],
         ids=lambda extra: " ".join(extra),
     )
@@ -187,6 +190,15 @@ class TestMain:
         (tmp_path / "latin1.txt").write_bytes(b"0.83,0.31\n# caf\xe9\n")
         argv = MINIMAL + [arg.format(tmp=tmp_path) for arg in extra]
         self.assert_one_line_error(argv, capsys)
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        from uniprice import cli
+
+        def exhaust(config):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_experiment", exhaust)
+        self.assert_one_line_error(MINIMAL, capsys)
 
     def test_auction_error_exits_2(self, capsys):
         # defaults need T > K: HorizonTooShort is an AuctionError, not a ConfigError

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -19,6 +20,9 @@ from uniprice import (
     Valuation,
     best_fixed_action_exhaustive,
     build_graph,
+    clear_auction,
+    decode,
+    enumerate_paths,
     fit_loglog_slope,
     node_fires,
     observed_set_membership,
@@ -168,6 +172,26 @@ class TestRunExperiment:
         # regret of one round: comparator utility minus the uniform prior's
         assert tr.final_regret == pytest.approx(
             tr.cum_expected_regret[0], abs=1e-12
+        )
+
+    @pytest.mark.parametrize("mode", list(FeedbackMode))
+    def test_first_round_expected_utility_at_a_band_edge(self, mode):
+        # beta_1 one ulp below the level 5/6 fires the gap node h(1.5,4);
+        # at t = 1 the weights are uniform over the actions
+        beta = BidProfile((math.nextafter(5 / 6, 0.0), 0.3))
+        spec = AdversarySpec(AdversaryKind.FIXED, 2, fixed_profile=beta.bids)
+        cfg = small_config(
+            adversary=spec, feedback=mode, epsilon=1 / 6, eta=0.05,
+            horizon=1, replications=1,
+        )
+        tr = run_experiment(cfg)[0]
+        g, v = build_graph(2, 6), Valuation(cfg.values)
+        utilities = [
+            clear_auction(decode(path, g), beta, PricingRule.LAB, v).utility
+            for path in enumerate_paths(g)
+        ]
+        assert tr.expected_utility[0] == pytest.approx(
+            sum(utilities) / len(utilities), abs=1e-12
         )
 
     def test_determinism(self):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uniprice import (
@@ -405,21 +405,37 @@ class TestSignals:
 
 @st.composite
 def instances(draw):
-    """K in 1..4, M in 0..8, an off-grid adversary and a grid learner profile."""
+    """K in 1..4, M in 0..8, an off-grid adversary and a grid learner profile.
+
+    Adversary bids are drawn anywhere in (0, 1) or one ulp either side of
+    a grid level, where a float rule for the band would be off by one.
+    """
     k = draw(st.integers(1, 4))
     m = draw(st.integers(0, 8))
     g = build_graph(k, m)
-    off_grid = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
-        lambda b: grid_level(b, g.epsilon) is None
+    near_level = st.builds(
+        math.nextafter, st.sampled_from(g.levels.tolist()), st.sampled_from([-1.0, 2.0])
     )
+    off_grid = (
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | near_level
+    ).filter(lambda b: 0.0 < b < 1.0 and grid_level(b, g.epsilon) is None)
     beta = sorted(draw(st.lists(off_grid, min_size=k, max_size=k)), reverse=True)
     levels = sorted(draw(st.lists(st.integers(0, m), min_size=k, max_size=k)), reverse=True)
     bids = BidProfile(tuple(float(g.levels[j]) for j in levels))
     return g, BidProfile(tuple(beta)), bids
 
 
+def _band_edge():
+    """K = 2, M = 6, beta_1 one ulp below the level 5/6 (6 * beta_1 rounds
+    to 5), and the learner bidding (5/6, 2/6)."""
+    g = build_graph(2, 6)
+    beta = BidProfile((math.nextafter(5 / 6, 0.0), 0.3))
+    return g, beta, BidProfile((float(g.levels[5]), float(g.levels[2])))
+
+
 class TestEventProperties:
     @given(instances())
+    @example(_band_edge())
     @settings(max_examples=300, deadline=None)
     def test_firing_set_is_the_scalar_scan(self, instance):
         g, beta, _ = instance
@@ -432,6 +448,7 @@ class TestEventProperties:
         assert [(i, price) for i, _, price in firing_set(beta, g)] == scan
 
     @given(instances())
+    @example(_band_edge())
     @settings(max_examples=300, deadline=None)
     def test_allwinner_signal_covers_the_observed_set(self, instance):
         g, beta, bids = instance
@@ -451,6 +468,54 @@ class TestEventProperties:
             if realized(h) and observed_set_membership(h, outcome, g)
         ]
         assert list(sig) == observed
+        for h, val in sig.items():
+            w = sub_utility(h, beta, v, g)  # 0 for a zero-allocation event
+            q = observation_probability(h, s, beta)
+            assert val == pytest.approx((w - g.k) / q, rel=1e-9)
+
+    @given(instances())
+    @settings(max_examples=300, deadline=None)
+    def test_events_ascend_by_allocation_then_price(self, instance):
+        # the order allwinner_signal reads its observation probabilities in
+        g, beta, _ = instance
+        events = zero_event_set(beta, g) + firing_set(beta, g)
+        pairs = list(zip(events.alloc.tolist(), events.price.tolist()))
+        assert pairs == sorted(pairs)
+
+
+class TestBandEdges:
+    """Adversary bids one ulp off a grid level, K = 2, M = 6: the fast rules
+    agree with the references ``node_fires`` and
+    ``brute_observation_probability``."""
+
+    def test_gap_node_just_below_a_level_fires(self):
+        g, beta, _ = _band_edge()
+        assert node_fires(gap(g, 1, 4), beta, g) == (True, beta.bids[0])
+        assert gap(g, 1, 4) in firing_set(beta, g).ids.tolist()
+
+    def test_bandit_credits_the_played_gap_node(self):
+        g, beta, bids = _band_edge()
+        v = Valuation((1.0, 0.5))
+        o = clear_auction(bids, beta, PricingRule.LAB, v)
+        assert (o.allocation, o.price) == (1, beta.bids[0])
+        fb = make_feedback(FeedbackMode.BANDIT, o, beta)
+        sig = bandit_signal((5, 2), fb, init_state(g), v)
+        assert set(sig) == {gap(g, 1, 4)}
+        assert gap(g, 1, 4) in encode(bids, g)  # on the played path
+
+    def test_allwinner_orders_a_level_below_the_gap_one_ulp_above_it(self):
+        # h(1,3) is at 0.5 and h(1.5,3) at beta_1, one ulp above; 2x + p
+        # rounds both to 2.5
+        g = build_graph(2, 6)
+        s = init_state(g)
+        beta = BidProfile((math.nextafter(0.5, 1.0), 0.1))
+        v = Valuation((0.5, 0.5))
+        o = clear_auction(BidProfile((0.0, 0.0)), beta, PricingRule.LAB, v)
+        assert o.allocation == 0
+        fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
+        sig = allwinner_signal(fb, s, v, marginals(s))
+        q = brute_observation_probability(bid(g, 1, 3), s, beta)
+        assert sig[bid(g, 1, 3)] == pytest.approx(-2 / q, rel=1e-12)
 
 
 @st.composite

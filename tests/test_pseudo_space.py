@@ -136,8 +136,9 @@ class TestBijection:
                     assert encode(decode(path, g), g) == path
 
     def test_encode_rejects_off_grid(self):
-        with pytest.raises(OffGrid):
-            encode(BidProfile((0.3, 0.1)), build_graph(2, 4))
+        for bids in [(0.3, 0.1), (math.nan, 0.5), (1.25, 0.5), (0.5, -0.25)]:
+            with pytest.raises(OffGrid):
+                encode(BidProfile(bids), build_graph(2, 4))
 
     def test_encode_rejects_wrong_length(self):
         with pytest.raises(WrongLength):
