@@ -40,10 +40,11 @@ class AdversarySpec:
     """Declarative description of an adversary.
 
     ``fixed_profile``: the profile replayed every round (FIXED).
-    ``bounds``: (lo, hi) support of each coordinate before sorting (IID).
+    ``bounds``: (lo, hi) support of each coordinate before sorting (IID),
+    or of the first-price reduction's uniform scalar opposing bid.
     ``schedule``: explicit per-round profiles (SCHEDULE).
-    ``h_value`` / ``h_bounds``: the scalar opposing-bid source for the
-    first-price reduction; a fixed value or uniform bounds.
+    ``h_value``: the reduction's fixed scalar opposing bid; when None the
+    scalar is drawn uniformly from ``bounds``.
     """
 
     kind: AdversaryKind
@@ -52,7 +53,6 @@ class AdversarySpec:
     bounds: tuple[float, float] = (0.0, 1.0)
     schedule: Optional[tuple[tuple[float, ...], ...]] = None
     h_value: Optional[float] = None
-    h_bounds: tuple[float, float] = (0.0, 1.0)
 
 
 def reduction_top_nudge(epsilon: float) -> float:
@@ -127,7 +127,7 @@ def next_bids(
                 f"reduction scalar {h} must be off-grid inside (0, {top})"
             )
     else:
-        lo, hi = spec.h_bounds
+        lo, hi = spec.bounds
         h = _draw_off_grid(rng, lo, min(hi, top), epsilon)
     return BidProfile((top,) * (spec.k - 1) + (h,))
 

@@ -2,8 +2,11 @@
 
 Flags mirror RunConfig, plus ``--pricing``, which must be ``lab``: learning
 runs clear with LAB, and FRB clearing is a library feature.  A line-oriented
-``key=value`` config file can supply any flag but ``--config``, with explicit
-flags taking precedence.  Unknown keys are rejected.
+``key=value`` config file (``--config``) can set any other flag; unknown keys
+are rejected.  There is one parse path: the file's values become the
+parser's defaults and the argv is parsed again, so explicit flags win and a
+file value is converted by its flag's own ``type``.  A bad value gives the
+same one-line error, naming the flag, from either source.
 """
 
 from __future__ import annotations
@@ -11,47 +14,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
 from .adversaries import AdversaryKind, AdversarySpec
+from .auction_core import PricingRule
 from .errors import AuctionError, ConfigError
-from .harness import (
-    PlotScale,
-    RunConfig,
-    TieMode,
-    run_experiment,
-    write_csv,
-    write_svg,
-)
+from .harness import PlotScale, RunConfig, TieMode, run_experiment, write_csv, write_svg
 from .learner import FeedbackMode
 
-_FEEDBACK = {
-    "full": FeedbackMode.FULL_INFORMATION,
-    "bandit": FeedbackMode.BANDIT,
-    "allwinner": FeedbackMode.ALL_WINNER,
-}
-_TIE = {"validate": TieMode.VALIDATE, "perturb": TieMode.PERTURB}
-_SCALE = {"linear": PlotScale.LINEAR, "loglog": PlotScale.LOGLOG}
-
-_KEYS = {
-    "units",
-    "horizon",
-    "feedback",
-    "pricing",
-    "values",
-    "adversary",
-    "epsilon",
-    "eta",
-    "seed",
-    "reps",
-    "tie-mode",
-    "out",
-    "plot",
-    "scale",
-    "workers",
-}
+_REQUIRED = ("units", "horizon", "feedback", "values", "adversary")
 
 
 def _parse_values(text: str, n: Optional[int] = None) -> tuple[float, ...]:
@@ -63,16 +36,6 @@ def _parse_values(text: str, n: Optional[int] = None) -> tuple[float, ...]:
     if n is not None and len(values) != n:
         raise ConfigError(f"expected {n} comma-separated value(s), got {text!r}")
     return values
-
-
-def _number(cast, value, key: str):
-    """``cast(value)`` for ``cast`` int or float, or a ConfigError that
-    names the key (config-file values arrive as text)."""
-    try:
-        return cast(value)
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{key} must be {kind}, got {value!r}") from None
 
 
 def _check_writable(path: str, key: str) -> None:
@@ -123,16 +86,15 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
         head, _, rest = params.partition(":")
         if head == "uniform":
             bounds = _parse_values(rest, 2) if rest else (0.0, 1.0)
-            return AdversarySpec(
-                AdversaryKind.FIRST_PRICE_REDUCTION, k, h_bounds=bounds
-            )
+            return AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, k, bounds=bounds)
         (h_value,) = _parse_values(head, 1)
         return AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, k, h_value=h_value)
     raise ConfigError(f"unknown adversary kind {name!r}")
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """Line-oriented key=value file; '#' starts a comment."""
+def read_config_file(path: str, keys: Collection[str]) -> dict[str, str]:
+    """Line-oriented key=value file; '#' starts a comment.  A key may use
+    ``_`` for ``-`` and any case, and must be one of ``keys``."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
@@ -147,14 +109,14 @@ def read_config_file(path: str) -> dict[str, str]:
         key = key.strip().lower().replace("_", "-")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        if key not in _KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # one ``error:`` line from main, as for config files
+    def error(self, message: str):  # one ``error:`` line from main
         raise ConfigError(message)
 
 
@@ -163,86 +125,70 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="uniprice",
         description="Simulate online bidding in repeated K-unit uniform-price auctions.",
     )
+
+    def enum_flag(flag: str, cls, **kwargs) -> None:
+        """A flag whose text maps to the member of ``cls`` with that value;
+        ``--help`` and a bad value's error list the allowed values."""
+        allowed = [m.value for m in cls]
+
+        def convert(text: str):
+            try:
+                return cls(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {text!r} (choose from {', '.join(allowed)})"
+                ) from None
+
+        p.add_argument(flag, type=convert, metavar="{" + ",".join(allowed) + "}", **kwargs)
+
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--units", type=int, help="number of items K")
     p.add_argument("--horizon", type=int, help="number of rounds T")
-    p.add_argument("--feedback", choices=sorted(_FEEDBACK), help="feedback model")
-    p.add_argument("--pricing", choices=["frb", "lab"], default=None)
+    enum_flag("--feedback", FeedbackMode, help="feedback model")
+    enum_flag("--pricing", PricingRule, default="lab")
     p.add_argument("--values", help="comma-separated marginal values v1,...,vK")
     p.add_argument("--adversary", help="adversary spec, e.g. fixed:0.83,0.31")
-    p.add_argument("--epsilon", type=float, default=None, help="grid step override")
-    p.add_argument("--eta", type=float, default=None, help="learning rate override")
-    p.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
-    p.add_argument("--reps", type=int, default=None, help="number of replications")
-    p.add_argument("--tie-mode", choices=sorted(_TIE), default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--epsilon", type=float, help="grid step override")
+    p.add_argument("--eta", type=float, help="learning rate override")
+    p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+    p.add_argument("--reps", type=int, default=1, help="number of replications")
+    enum_flag("--tie-mode", TieMode, default="validate")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--plot", help="SVG output path")
-    p.add_argument("--scale", choices=sorted(_SCALE), default=None)
+    enum_flag("--scale", PlotScale, default="linear")
     return p
 
 
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    """Resolve flags (and an optional config file) into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    file_vals = read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key: str, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_vals:
-            return file_vals[key]
-        return default
-
-    units = pick(args.units, "units")
-    if units is None:
-        raise ConfigError("missing --units")
-    units = _number(int, units, "units")
-    horizon = pick(args.horizon, "horizon")
-    if horizon is None:
-        raise ConfigError("missing --horizon")
-    horizon = _number(int, horizon, "horizon")
-    feedback = pick(args.feedback, "feedback")
-    if feedback is None:
-        raise ConfigError("missing --feedback")
-    if feedback not in _FEEDBACK:
-        raise ConfigError(f"unknown feedback {feedback!r}")
-    values = pick(args.values, "values")
-    if values is None:
-        raise ConfigError("missing --values")
-    adversary = pick(args.adversary, "adversary")
-    if adversary is None:
-        raise ConfigError("missing --adversary")
-
-    if pick(args.pricing, "pricing", "lab") != "lab":
+    """Resolve flags into a RunConfig; a ``--config`` file's values become
+    the parser's defaults, so flags win and both share one conversion."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        dests = {  # file key -> argparse dest, for every long flag a file may set
+            opt[2:]: action.dest
+            for opt, action in parser._option_string_actions.items()
+            if opt.startswith("--") and opt not in ("--config", "--help")
+        }
+        file_vals = read_config_file(args.config, dests)
+        parser.set_defaults(**{dests[key]: value for key, value in file_vals.items()})
+        args = parser.parse_args(argv)
+    for key in _REQUIRED:
+        if getattr(args, key) is None:
+            raise ConfigError(f"missing --{key}")
+    if args.pricing is not PricingRule.LAB:
         raise ConfigError(
             "learning runs require LAB pricing; FRB is supported for "
             "single clearings only"
         )
-    tie_mode = pick(args.tie_mode, "tie-mode", "validate")
-    if tie_mode not in _TIE:
-        raise ConfigError(f"unknown tie mode {tie_mode!r}")
-    scale = pick(args.scale, "scale", "linear")
-    if scale not in _SCALE:
-        raise ConfigError(f"unknown scale {scale!r}")
-
-    epsilon = pick(args.epsilon, "epsilon")
-    eta = pick(args.eta, "eta")
     return RunConfig(
-        k=units,
-        horizon=horizon,
-        feedback=_FEEDBACK[feedback],
-        values=_parse_values(values),
-        adversary=parse_adversary(adversary, units),
-        seed=_number(int, pick(args.seed, "seed", 0), "seed"),
-        replications=_number(int, pick(args.reps, "reps", 1), "reps"),
-        epsilon=None if epsilon is None else _number(float, epsilon, "epsilon"),
-        eta=None if eta is None else _number(float, eta, "eta"),
-        tie_mode=_TIE[tie_mode],
-        workers=_number(int, pick(args.workers, "workers", 1), "workers"),
-        out=pick(args.out, "out"),
-        plot=pick(args.plot, "plot"),
-        scale=_SCALE[scale],
+        k=args.units, horizon=args.horizon, feedback=args.feedback,
+        values=_parse_values(args.values),
+        adversary=parse_adversary(args.adversary, args.units),
+        seed=args.seed, replications=args.reps, epsilon=args.epsilon, eta=args.eta,
+        tie_mode=args.tie_mode, workers=args.workers,
+        out=args.out, plot=args.plot, scale=args.scale,
     )
 
 
@@ -278,6 +224,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"wrote {config.plot}")
     except OSError as exc:
         print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a log-log plot of a regret that is never positive
+        print(f"error: cannot plot --scale {config.scale.value}: {exc}", file=sys.stderr)
         return 2
     return 0
 

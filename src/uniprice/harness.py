@@ -116,11 +116,9 @@ def validate_config(config: RunConfig) -> None:
     adversary = config.adversary
     if adversary.k != config.k:
         raise ConfigError("adversary spec is for a different number of items")
-    for lo, hi in (adversary.bounds, adversary.h_bounds):
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(
-                f"adversary bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1"
-            )
+    lo, hi = adversary.bounds
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise ConfigError(f"adversary bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1")
     if (
         adversary.kind is AdversaryKind.SCHEDULE
         and len(adversary.schedule) < config.horizon
@@ -128,6 +126,15 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(
             f"schedule holds {len(adversary.schedule)} rounds, fewer than the "
             f"horizon {config.horizon}"
+        )
+    rows = (adversary.fixed_profile or (),) + (adversary.schedule or ())[: config.horizon]
+    if config.tie_mode is TieMode.PERTURB and (
+        (adversary.kind is AdversaryKind.IID_UNIFORM and lo == 1.0)
+        or any(1.0 in row for row in rows)
+    ):
+        raise ConfigError(
+            "perturb mode caps the learner's top bid at 1, so an adversary bid "
+            "of 1 would tie it; use bids below 1"
         )
 
 

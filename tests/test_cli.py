@@ -1,8 +1,8 @@
 import pytest
 
-from uniprice import FeedbackMode, TieMode
+from uniprice import FeedbackMode, RunConfig, TieMode
 from uniprice.adversaries import AdversaryKind
-from uniprice.cli import main, parse_adversary, parse_config
+from uniprice.cli import _build_parser, main, parse_adversary, parse_config
 from uniprice.errors import ConfigError
 from uniprice.learner import default_parameters
 from uniprice.harness import resolve_parameters
@@ -16,6 +16,22 @@ MINIMAL = [
     "--values", "1,0.5",
     "--seed", "7",
 ]
+
+# every long flag but --config and --help: the keys a config file may set
+FILE_KEYS = sorted(
+    opt[2:]
+    for action in _build_parser()._actions
+    for opt in action.option_strings
+    if opt.startswith("--") and opt not in ("--config", "--help")
+)
+# a value for each, unlike its default and MINIMAL's
+FLAG_SAMPLES = {
+    "units": "3", "horizon": "500", "feedback": "allwinner",
+    "pricing": "frb", "values": "1,0.25", "adversary": "iid:0.2,0.9",
+    "epsilon": "0.1", "eta": "0.05", "seed": "11", "reps": "3",
+    "tie-mode": "perturb", "workers": "2", "out": "x.csv", "plot": "x.svg",
+    "scale": "loglog",
+}
 
 
 class TestParseConfig:
@@ -51,21 +67,48 @@ class TestParseConfig:
         assert cfg.feedback is FeedbackMode.FULL_INFORMATION
         assert cfg.replications == 2
 
+    @staticmethod
+    def file_and_flag_errors(key, value, tmp_path, capsys):
+        """stderr of main with ``key=value`` in a config file, then with
+        ``--key value`` as a flag; the other settings come from the file."""
+        settings = {
+            "units": "2", "horizon": "60", "feedback": "full", "adversary": "iid",
+            "values": "1,0.5",
+        }
+        path = tmp_path / "run.cfg"
+        errors = []
+        for in_file in (True, False):
+            lines = {**settings, key: value} if in_file else settings
+            path.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
+            flag = [] if in_file else [f"--{key}", value]
+            assert main(["--config", str(path)] + flag) == 2
+            errors.append(capsys.readouterr().err)
+        return errors
+
     @pytest.mark.parametrize(
         "key, value",
         [("units", "abc"), ("horizon", "1.5"), ("seed", "x"), ("reps", "two"),
          ("workers", ""), ("epsilon", "tenth"), ("eta", "fast")],
     )
     def test_bad_number_in_config_file_exits_2(self, key, value, tmp_path, capsys):
-        settings = {
-            "units": "2", "horizon": "60", "feedback": "full", "adversary": "iid",
-            "values": "1,0.5", key: value,
-        }
-        path = tmp_path / "run.cfg"
-        path.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
-        assert main(["--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        from_file, from_flag = self.file_and_flag_errors(key, value, tmp_path, capsys)
+        assert from_file == from_flag
+        assert from_file.startswith("error: ") and from_file.count("\n") == 1
+        assert f"--{key}" in from_file
+
+    @pytest.mark.parametrize(
+        "key, allowed",
+        [("feedback", ["full", "bandit", "allwinner"]),
+         ("pricing", ["lab", "frb"]),
+         ("tie-mode", ["validate", "perturb"]),
+         ("scale", ["linear", "loglog"])],
+    )
+    def test_bad_choice_lists_the_allowed_values(self, key, allowed, tmp_path, capsys):
+        from_file, from_flag = self.file_and_flag_errors(key, "nope", tmp_path, capsys)
+        assert from_file == from_flag
+        assert from_file.startswith(f"error: argument --{key}: ")
+        assert from_file.count("\n") == 1
+        assert all(name in from_file for name in allowed)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -73,18 +116,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(["--config", str(path)])
 
-    def test_config_keys_are_the_flags(self):
-        # a flag missing from _KEYS cannot be set from a file, and a key
-        # without a flag would be accepted and then ignored
-        from uniprice import cli
+    @staticmethod
+    def outcome(argv):
+        try:
+            return parse_config(argv)
+        except ConfigError as exc:
+            return str(exc)
 
-        flags = {
-            opt[2:]
-            for action in cli._build_parser()._actions
-            for opt in action.option_strings
-            if opt.startswith("--")
-        }
-        assert cli._KEYS == flags - {"config", "help"}
+    @pytest.mark.parametrize("key", FILE_KEYS)
+    def test_a_file_value_acts_as_the_flag(self, key, tmp_path):
+        # a flag that a file cannot set, or a key that is read and then
+        # ignored, gives a different RunConfig (or error) for the two sources;
+        # a flag with no FLAG_SAMPLES entry fails here with a KeyError
+        flags = dict(zip(MINIMAL[::2], MINIMAL[1::2]))
+        argv = [a for f, v in flags.items() if f != f"--{key}" for a in (f, v)]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={FLAG_SAMPLES[key]}\n")
+        from_flag = self.outcome(argv + [f"--{key}", FLAG_SAMPLES[key]])
+        from_file = self.outcome(argv + ["--config", str(path)])
+        # only --pricing frb is an error, the one non-default pricing
+        assert isinstance(from_flag, RunConfig) or from_flag.startswith("learning runs")
+        assert from_file == from_flag
+        assert from_file != self.outcome(MINIMAL)
 
 
 class TestParseAdversary:
@@ -102,7 +155,7 @@ class TestParseAdversary:
 
     def test_firstprice_uniform(self):
         spec = parse_adversary("firstprice:uniform:0.1,0.9", 2)
-        assert spec.h_value is None and spec.h_bounds == (0.1, 0.9)
+        assert spec.h_value is None and spec.bounds == (0.1, 0.9)
 
     def test_schedule_file(self, tmp_path):
         path = tmp_path / "sched.txt"
@@ -190,6 +243,20 @@ class TestMain:
         (tmp_path / "latin1.txt").write_bytes(b"0.83,0.31\n# caf\xe9\n")
         argv = MINIMAL + [arg.format(tmp=tmp_path) for arg in extra]
         self.assert_one_line_error(argv, capsys)
+
+    def test_loglog_plot_of_zero_regret_exits_2_and_keeps_the_csv(
+        self, tmp_path, capsys
+    ):
+        # M=1 against a bid of 0.5: bid 1 wins at price 1 and bid 0 wins
+        # nothing, so regret is 0 every round and the slope fit has no points
+        out, plot = tmp_path / "run.csv", tmp_path / "run.svg"
+        argv = [
+            "--units", "1", "--horizon", "5", "--feedback", "full",
+            "--values", "1", "--adversary", "fixed:0.5", "--epsilon", "1",
+            "--out", str(out), "--plot", str(plot), "--scale", "loglog",
+        ]
+        self.assert_one_line_error(argv, capsys)
+        assert out.read_text().count("\n") == 6 and not plot.exists()
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         from uniprice import cli

@@ -110,7 +110,7 @@ class TestConfigValidation:
             AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(0.0, 2.0)),
             AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(0.6, 0.4)),
             AdversarySpec(
-                AdversaryKind.FIRST_PRICE_REDUCTION, 2, h_bounds=(-0.5, 0.5)
+                AdversaryKind.FIRST_PRICE_REDUCTION, 2, bounds=(-0.5, 0.5)
             ),
         ],
         ids=["iid-above-1", "iid-reversed", "firstprice-below-0"],
@@ -132,6 +132,29 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError):
             run_experiment(small_config(adversary=spec))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AdversarySpec(AdversaryKind.FIXED, 2, fixed_profile=(1.0, 0.3)),
+            AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(1.0, 1.0)),
+            AdversarySpec(
+                AdversaryKind.SCHEDULE, 2,
+                schedule=((0.7, 0.3),) * 20 + ((1.0, 0.3),) + ((0.7, 0.3),) * 19,
+            ),
+        ],
+        ids=["fixed", "iid", "schedule"],
+    )
+    def test_perturb_rejects_an_adversary_bid_of_one(self, spec):
+        # the learner's top bid is capped at 1 in perturb mode, so a bid of 1
+        # would tie it whenever level M is played
+        with pytest.raises(ConfigError, match="bid of 1"):
+            run_experiment(small_config(adversary=spec, tie_mode=TieMode.PERTURB))
+
+    def test_perturb_accepts_grid_aligned_bids_below_one(self):
+        spec = AdversarySpec(AdversaryKind.FIXED, 2, fixed_profile=(0.75, 0.25))
+        traces = run_experiment(small_config(adversary=spec, tie_mode=TieMode.PERTURB))
+        assert len(traces) == 2
 
     def test_values_must_match_k(self):
         with pytest.raises(ConfigError):
