@@ -55,8 +55,9 @@ def run(horizon, seed, zero_event):
     zero_path = encode(BidProfile((0.0,) * k), graph)
     probe = BidProfile((0.55, 0.45))
     checkpoints = {}
+    adversary_bids = next_bids(spec, horizon, rng_adv, eps)
     for t in range(1, horizon + 1):
-        beta = next_bids(spec, t, rng_adv, eps)
+        beta = BidProfile(tuple(adversary_bids[t - 1].tolist()))
         levels = sample_path(state, rng)
         bids = BidProfile(tuple(float(graph.levels[j]) for j in levels))
         outcome = clear_auction(bids, beta, PricingRule.LAB, values)

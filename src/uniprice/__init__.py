@@ -20,7 +20,6 @@ from .auction_core import (
     apply_tie_offset,
     clear_auction,
     clip_dominated,
-    validate_bid_profile,
 )
 from .adversaries import (
     AdversaryKind,

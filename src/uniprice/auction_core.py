@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
-    NotMonotone,
     NotMonotoneResult,
     OffGrid,
     OffsetTooLarge,
-    OutOfRange,
     TieDetected,
     WrongLength,
 )
@@ -62,19 +62,17 @@ class AuctionOutcome:
     utility: float
 
 
-def grid_level(x: float, epsilon: float) -> Optional[int]:
-    """Return j such that x is the j-th grid point exactly, else None.
+def on_grid(x, epsilon: float):
+    """Elementwise: is x exactly a grid point j / (1/epsilon)?
 
     1/epsilon is an integer everywhere in this package, and grid points are
     canonically the float quotients j / (1/epsilon) - correctly rounded, and
     exactly 0 and 1 at the ends for every grid size - so the check is exact
-    float equality against the canonical value.
+    float equality against the canonical value.  ``x`` may be a float or an
+    array.
     """
     m = round(1.0 / epsilon)
-    j = round(x * m)
-    if j / m == x:
-        return j
-    return None
+    return np.rint(x * m) / m == x
 
 
 def utility_sum(values: Sequence[float], allocation: int, price: float) -> float:
@@ -87,41 +85,6 @@ def utility_sum(values: Sequence[float], allocation: int, price: float) -> float
     for l in range(allocation):
         total += values[l] - price
     return total
-
-
-def validate_bid_profile(
-    bids: Sequence[float],
-    k: int,
-    *,
-    epsilon: Optional[float] = None,
-    require_off_grid: bool = False,
-) -> BidProfile:
-    """Check a raw bid sequence and return an immutable profile.
-
-    ``require_off_grid`` enforces the adversary contract: bids strictly
-    inside (0, 1) and off the ``epsilon`` grid, which is what guarantees
-    tie-free clearings against a grid-playing learner.
-    """
-    bids = tuple(float(b) for b in bids)
-    if len(bids) != k:
-        raise WrongLength(f"expected {k} bids, got {len(bids)}")
-    for b in bids:
-        if not (0.0 <= b <= 1.0):
-            raise OutOfRange(f"bid {b} outside [0, 1]")
-    for a, b in zip(bids, bids[1:]):
-        if a < b:
-            raise NotMonotone(f"bids must be non-increasing, got {bids}")
-
-    if require_off_grid:
-        if epsilon is None:
-            raise ValueError("epsilon is required for the off-grid check")
-        for b in bids:
-            if not (0.0 < b < 1.0) or grid_level(b, epsilon) is not None:
-                raise TieDetected(
-                    f"adversary bid {b} violates the off-grid contract "
-                    f"(must lie in (0,1) off the {epsilon}-grid)"
-                )
-    return BidProfile(bids)
 
 
 def clear_auction(
@@ -217,7 +180,7 @@ def apply_tie_offset(bids: BidProfile, offset: float, epsilon: float) -> BidProf
     if not (0.0 <= offset < epsilon):
         raise OffsetTooLarge(f"offset {offset} must lie in [0, {epsilon})")
     for b in bids.bids:
-        if grid_level(b, epsilon) is None:
+        if not on_grid(b, epsilon):
             raise OffGrid(f"bid {b} is not aligned to the {epsilon}-grid")
     if offset == 0.0:
         return bids

@@ -198,6 +198,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for key, path in (("out", config.out), ("plot", config.plot)):
             if path:
                 _check_writable(path, key)
+        if config.out and config.plot and (
+            os.path.realpath(config.out) == os.path.realpath(config.plot)
+        ):
+            raise ConfigError(f"--out and --plot name the same file {config.out!r}")
         traces = run_experiment(config)
     except AuctionError as exc:
         print(f"error: {exc}", file=sys.stderr)

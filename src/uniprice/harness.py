@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adversaries import AdversaryKind, AdversarySpec, next_bids
+from .adversaries import AdversarySpec, check_adversary, next_bids
 from .auction_core import (
     BidProfile,
     PricingRule,
@@ -113,29 +113,10 @@ def validate_config(config: RunConfig) -> None:
             raise ConfigError("epsilon must be the inverse of a positive integer")
     if config.eta is not None and not (0.0 < config.eta < math.inf):
         raise ConfigError("eta must be positive and finite")
-    adversary = config.adversary
-    if adversary.k != config.k:
-        raise ConfigError("adversary spec is for a different number of items")
-    lo, hi = adversary.bounds
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ConfigError(f"adversary bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1")
-    if (
-        adversary.kind is AdversaryKind.SCHEDULE
-        and len(adversary.schedule) < config.horizon
-    ):
-        raise ConfigError(
-            f"schedule holds {len(adversary.schedule)} rounds, fewer than the "
-            f"horizon {config.horizon}"
-        )
-    rows = (adversary.fixed_profile or (),) + (adversary.schedule or ())[: config.horizon]
-    if config.tie_mode is TieMode.PERTURB and (
-        (adversary.kind is AdversaryKind.IID_UNIFORM and lo == 1.0)
-        or any(1.0 in row for row in rows)
-    ):
-        raise ConfigError(
-            "perturb mode caps the learner's top bid at 1, so an adversary bid "
-            "of 1 would tie it; use bids below 1"
-        )
+    check_adversary(
+        config.adversary, config.k, config.horizon, resolve_parameters(config)[0],
+        require_off_grid=config.tie_mode is TieMode.VALIDATE,
+    )
 
 
 def resolve_parameters(config: RunConfig) -> tuple[float, float]:
@@ -176,10 +157,11 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     allocations = np.empty(horizon, dtype=int)
     cum_expected = 0.0
 
+    adversary_bids = next_bids(
+        config.adversary, horizon, rng_adv, epsilon, require_off_grid=not perturb
+    )
     for t in range(1, horizon + 1):
-        beta_market = next_bids(
-            config.adversary, t, rng_adv, epsilon, require_off_grid=not perturb
-        )
+        beta_market = BidProfile(tuple(adversary_bids[t - 1].tolist()))
         if perturb:
             beta_node = BidProfile(tuple(b - offset for b in beta_market.bids))
         else:

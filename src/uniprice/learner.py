@@ -114,26 +114,33 @@ def _chain_scan(
         out[i] = op(mult[i - 1] + out[i - 1], add[i])
 
 
+def _suffix_scan(op: np.ufunc, w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, shaped like the bid rows ``w_bid``, with the suffix
+    recursion on a node array's row views: 0 on the last bid row, and bid
+    row r the ``op``-scan along gap row r of ``w_bid[r+1] + out[r+1]``.
+    ``np.logaddexp`` gives the backward pass, ``np.maximum`` the best path
+    suffix.  Bid and gap nodes at the same (k, j) share successors, so gap
+    row r's value is bid row r's first M entries.  One cumsum gives every
+    gap row's prefix sums.
+    """
+    prefix = np.zeros((w_gap.shape[0], w_gap.shape[1] + 1))
+    w_gap.cumsum(axis=1, out=prefix[:, 1:])
+    out[-1] = 0.0
+    for r in range(len(out) - 2, -1, -1):
+        row = out[r]
+        np.add(w_bid[r + 1], out[r + 1], out=row)
+        _chain_scan(op, w_gap[r], prefix[r], row, row)
+
+
 def backward_pass(state: WeightState) -> WeightState:
     """Fill Gamma: suffix weight products.  Gamma = 1 on the last bid row;
-    elsewhere Gamma(h) = sum over successors h' of W(h') Gamma(h').
-
-    Bid and gap nodes at the same (k, j) share successors, so one scan per
-    k-level fills both rows: bid row k is the scan of its successors' terms
-    along gap row k, and gap row k is its first M entries.  One cumsum
-    gives every gap row's prefix sums.
+    elsewhere Gamma(h) = sum over successors h' of W(h') Gamma(h'), which
+    ``_suffix_scan`` computes in the log domain.
     """
-    g = state.graph
-    m = g.inv_epsilon
+    m = state.graph.inv_epsilon
     w_bid, w_gap = state.w_rows
     b_bid, b_gap = state.b_rows
-    prefix = np.zeros((g.k - 1, m + 1))
-    w_gap.cumsum(axis=1, out=prefix[:, 1:])
-    b_bid[-1] = 0.0
-    for r in range(g.k - 2, -1, -1):
-        out = b_bid[r]
-        np.add(w_bid[r + 1], b_bid[r + 1], out=out)
-        _chain_scan(np.logaddexp, w_gap[r], prefix[r], out, out)
+    _suffix_scan(np.logaddexp, w_bid, w_gap, b_bid)
     b_gap[...] = b_bid[:-1, :m]
     state.log_gamma0 = _logsumexp(w_bid[0] + b_bid[0])
     return state

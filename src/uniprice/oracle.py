@@ -11,6 +11,8 @@ weight-pushing recursions.  Actions are paths of node ids
 ``expected_utility`` and ``observation_probability`` are exact references
 computed from the marginals rather than by enumeration.  They live here
 because they read the raw adversary profile, which the learner never sees.
+``best_fixed_total``, the harness's per-round comparator, is not an oracle:
+it runs the backward pass's stage loop, and ``best_fixed_action_dp`` checks it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .feedback import make_feedback
 from .learner import (
     FeedbackMode,
     WeightState,
-    _chain_scan,
+    _suffix_scan,
     allwinner_signal,
     bandit_signal,
     expectation,
@@ -84,22 +86,13 @@ def node_totals_from_history(
 
 
 def best_fixed_total(node_totals: np.ndarray, graph: PseudoGraph) -> float:
-    """Value of the max-weight source-to-sink path, without backtracking.
-
-    Stage scan on the row views of ``node_totals`` (``PseudoGraph.rows``),
-    one row at a time from the last bid row up, with one cumsum for every
-    gap row's prefix sums; used in the per-round regret accounting where
-    only the comparator's total matters.
-    """
-    g = graph
-    t_bid, t_gap = g.rows(node_totals)
-    prefix = np.zeros((g.k - 1, g.inv_epsilon + 1))
-    t_gap.cumsum(axis=1, out=prefix[:, 1:])
-    value = t_bid[-1].copy()
-    for r in range(g.k - 2, -1, -1):
-        _chain_scan(np.maximum, t_gap[r], prefix[r], value, value)
-        np.add(t_bid[r], value, out=value)
-    return float(np.maximum.reduce(value))
+    """Value of the max-weight source-to-sink path, without backtracking:
+    the backward pass's suffix recursion (``learner._suffix_scan``) in
+    (max, +) on the row views of ``node_totals``, then the best start."""
+    t_bid, t_gap = graph.rows(node_totals)
+    best_after = np.empty(t_bid.shape)
+    _suffix_scan(np.maximum, t_bid, t_gap, best_after)
+    return float(np.maximum.reduce(t_bid[0] + best_after[0]))
 
 
 def best_fixed_action_dp(

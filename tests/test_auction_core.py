@@ -10,8 +10,9 @@ from uniprice import (
     apply_tie_offset,
     clear_auction,
     clip_dominated,
-    validate_bid_profile,
 )
+from uniprice.adversaries import AdversaryKind, AdversarySpec, check_adversary
+from uniprice.auction_core import on_grid
 from uniprice.errors import (
     NotMonotone,
     NotMonotoneResult,
@@ -32,29 +33,46 @@ def off_grid_profile(rng, k, m):
             return BidProfile(tuple(draws))
 
 
+def check_profile(bids, k, *, epsilon=0.25, require_off_grid=False):
+    """The adversary contract on one fixed profile."""
+    spec = AdversarySpec(AdversaryKind.FIXED, k, fixed_profile=tuple(bids))
+    check_adversary(spec, k, 1, epsilon, require_off_grid=require_off_grid)
+
+
 class TestValidate:
     def test_valid_grid_profile(self):
-        p = validate_bid_profile([1.0, 0.5], 2)
-        assert p.bids == (1.0, 0.5)
+        # a bid of 1 is illegal in both tie modes, so the grid profile is below it
+        check_profile([0.75, 0.5], 2)
 
     def test_not_monotone(self):
         with pytest.raises(NotMonotone):
-            validate_bid_profile([0.5, 1.0], 2)
+            check_profile([0.5, 1.0], 2)
 
     def test_wrong_length(self):
         with pytest.raises(WrongLength):
-            validate_bid_profile([0.5], 2)
+            check_profile([0.5], 2)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            validate_bid_profile([1.2, 0.5], 2)
+            check_profile([1.2, 0.5], 2)
 
     def test_off_grid_contract(self):
-        validate_bid_profile([0.83, 0.31], 2, epsilon=0.25, require_off_grid=True)
+        check_profile([0.83, 0.31], 2, epsilon=0.25, require_off_grid=True)
         with pytest.raises(TieDetected):
-            validate_bid_profile([0.75, 0.31], 2, epsilon=0.25, require_off_grid=True)
+            check_profile([0.75, 0.31], 2, epsilon=0.25, require_off_grid=True)
         with pytest.raises(TieDetected):
-            validate_bid_profile([1.0, 0.31], 2, epsilon=0.25, require_off_grid=True)
+            check_profile([1.0, 0.31], 2, epsilon=0.25, require_off_grid=True)
+
+
+class TestOnGrid:
+    def test_levels_and_their_neighbours(self):
+        for m in range(1, 60):
+            levels = np.arange(m + 1) / m
+            assert on_grid(levels, 1.0 / m).all()
+            assert all(on_grid(x, 1.0 / m) for x in levels.tolist())
+            inner = levels[1:-1]
+            for neighbour in (np.nextafter(inner, 2.0), np.nextafter(inner, -1.0)):
+                assert not on_grid(neighbour, 1.0 / m).any()
 
 
 class TestClearing:

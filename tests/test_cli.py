@@ -213,6 +213,55 @@ class TestMain:
             self.assert_one_line_error(MINIMAL + [flag, str(target)], capsys)
         assert runs == []
 
+    @pytest.mark.parametrize("plot", ["same.x", "./same.x", "{tmp}/same.x"])
+    def test_out_and_plot_on_one_file_exit_2_before_simulating(
+        self, plot, tmp_path, capsys, monkeypatch
+    ):
+        from uniprice import cli
+
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: runs.append(config))
+        monkeypatch.chdir(tmp_path)
+        argv = MINIMAL + ["--out", "same.x", "--plot", plot.format(tmp=tmp_path)]
+        self.assert_one_line_error(argv, capsys)
+        assert runs == [] and not (tmp_path / "same.x").exists()
+
+    def test_bad_schedule_row_exits_2_naming_the_row(self, tmp_path, capsys):
+        rows = ["0.83,0.31"] * 3000
+        rows[2500] = "0.3,0.7"
+        schedule = tmp_path / "schedule.txt"
+        schedule.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "x.csv"
+        argv = [
+            "--units", "2", "--horizon", "3000", "--feedback", "full",
+            "--values", "1,0.5", "--seed", "1",
+            "--adversary", f"schedule:{schedule}", "--out", str(out),
+        ]
+        self.assert_one_line_error(argv, capsys)
+        assert not out.exists()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: schedule row 2501: bids must be non-increasing, got (0.3, 0.7)\n"
+        )
+
+    def test_first_price_bounds_above_the_top_exit_2_before_any_round(
+        self, capsys, monkeypatch
+    ):
+        # top = 1 - 0.25/sqrt(2) = 0.8232: h would be drawn from (0.8232, 0.95],
+        # below its lower bound and above the top bids
+        from uniprice import harness
+
+        def no_rounds(config, rep):
+            raise AssertionError("a round ran before the check")
+
+        monkeypatch.setattr(harness, "_run_replication", no_rounds)
+        argv = [
+            "--units", "2", "--horizon", "200", "--feedback", "bandit",
+            "--values", "1,0", "--adversary", "firstprice:uniform:0.95,1",
+            "--epsilon", "0.25", "--seed", "1",
+        ]
+        self.assert_one_line_error(argv, capsys)
+
     def test_malformed_adversary_bounds_exit_2(self, capsys):
         i = MINIMAL.index("--adversary")
         argv = MINIMAL[: i + 1] + ["iid:0.5"] + MINIMAL[i + 2 :]

@@ -32,7 +32,13 @@ from uniprice import (
 )
 from uniprice.auction_core import PricingRule
 from uniprice.cli import parse_config
-from uniprice.errors import ConfigError
+from uniprice.errors import (
+    ConfigError,
+    NotMonotone,
+    OutOfRange,
+    TieDetected,
+    WrongLength,
+)
 from uniprice.feedback import (
     AllWinnerFeedback,
     BanditFeedback,
@@ -155,6 +161,37 @@ class TestConfigValidation:
         spec = AdversarySpec(AdversaryKind.FIXED, 2, fixed_profile=(0.75, 0.25))
         traces = run_experiment(small_config(adversary=spec, tie_mode=TieMode.PERTURB))
         assert len(traces) == 2
+
+    @pytest.mark.parametrize(
+        "spec, error, match",
+        [
+            (AdversarySpec(AdversaryKind.SCHEDULE, 2, schedule=((0.83, 0.31),) * 2500
+                           + ((0.3, 0.7),) + ((0.83, 0.31),) * 499),
+             NotMonotone, r"^schedule row 2501: bids must be non-increasing, got \(0.3, 0.7\)$"),
+            (AdversarySpec(AdversaryKind.SCHEDULE, 2, schedule=((0.83, 0.31),) * 2500
+                           + ((20 / 39, 10 / 39),) + ((0.83, 0.31),) * 499),
+             TieDetected, "^schedule row 2501: adversary bid 0.5128"),
+            (AdversarySpec(AdversaryKind.SCHEDULE, 2, schedule=((0.83, 0.31),) * 2999
+                           + ((0.83,),)),
+             WrongLength, "^schedule row 3000: expected 2 bids, got 1$"),
+            (AdversarySpec(AdversaryKind.FIXED, 2, fixed_profile=(0.83, 1.31)),
+             OutOfRange, "^fixed profile: bid 1.31 outside"),
+            # top = 1 - (1/39)/sqrt(2) = 0.9819
+            (AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, 2, bounds=(0.99, 1.0)),
+             ConfigError, "lower bound 0.99"),
+        ],
+        ids=["schedule-not-monotone", "schedule-on-grid", "schedule-short-row",
+             "fixed-out-of-range", "firstprice-above-top"],
+    )
+    def test_adversary_contract_fails_before_any_round(self, spec, error, match, monkeypatch):
+        from uniprice import harness
+
+        def no_rounds(config, rep):
+            raise AssertionError("a round ran before the check")
+
+        monkeypatch.setattr(harness, "_run_replication", no_rounds)
+        with pytest.raises(error, match=match):
+            run_experiment(small_config(adversary=spec, horizon=3000, epsilon=1 / 39))
 
     def test_values_must_match_k(self):
         with pytest.raises(ConfigError):
@@ -373,6 +410,42 @@ class TestBenchmarkContract:
         tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
         assert tracer.counts["pseudo_space.firing_set.nodes"] == expected["nodes"]
         assert tracer.counts["learner.signal.entries"] == expected["entries"]
+
+
+class TestPerfbenchHooks:
+    """``perfbench/run.py --trace 1`` reads these spans and counts, which
+    ``perfbench/tracing.py`` records by patching names in ``harness``; a
+    refactor that drops or renames one breaks the traced benchmark."""
+
+    SPANS = (
+        "adversaries.next_bids",
+        "auction_core.clear_auction",
+        "pseudo_space.firing_set",
+        "learner.ensure_passes",
+        "learner.sample_path",
+        "learner.marginals",
+        "learner.update_weights",
+        "feedback.make_feedback",
+        "oracle.best_fixed_total",
+    )
+
+    @pytest.mark.parametrize("mode", list(FeedbackMode))
+    def test_every_layer_the_benchmark_reads_is_recorded(self, mode):
+        tracer = _load_tracer()()
+        tracer.install()
+        try:
+            run_experiment(small_config(feedback=mode, horizon=20, replications=1))
+        finally:
+            tracer.remove()
+        n_spans = len(tracer.start)
+        calls = tracer.times(0, n_spans).calls
+        assert {name: calls.get(name, 0) > 0 for name in self.SPANS} == dict.fromkeys(
+            self.SPANS, True
+        )
+        assert calls["adversaries.next_bids"] == 1  # one block per replication
+        tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
+        assert tracer.counts["learner.backward_pass"] > 0
+        assert tracer.counts["learner.signal.entries"] > 0
 
 
 class TestGoldenDigests:

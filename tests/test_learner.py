@@ -33,7 +33,7 @@ from uniprice import (
     update_weights,
     zero_event_set,
 )
-from uniprice.auction_core import grid_level
+from uniprice.auction_core import on_grid
 from uniprice.errors import HorizonTooShort, ZeroMarginal
 from uniprice.feedback import AllWinnerFeedback, BanditFeedback, make_feedback
 from uniprice.learner import allwinner_signal, ensure_passes, _logsumexp
@@ -418,7 +418,7 @@ def instances(draw):
     )
     off_grid = (
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | near_level
-    ).filter(lambda b: 0.0 < b < 1.0 and grid_level(b, g.epsilon) is None)
+    ).filter(lambda b: 0.0 < b < 1.0 and not on_grid(b, g.epsilon))
     beta = sorted(draw(st.lists(off_grid, min_size=k, max_size=k)), reverse=True)
     levels = sorted(draw(st.lists(st.integers(0, m), min_size=k, max_size=k)), reverse=True)
     bids = BidProfile(tuple(float(g.levels[j]) for j in levels))
