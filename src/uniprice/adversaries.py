@@ -82,6 +82,8 @@ def check_adversary(
     without it (the learner's bids shifted up, capped at 1) none equal to 1.
     The first-price scalar lies off the grid inside (0, top) and a uniform
     one's lower bound is at most top, top = 1 - ``reduction_top_nudge``.
+    An interval whose draws are redrawn off the grid is not a single value
+    on the grid or outside (0, 1).
     """
     if spec.k != k:
         raise ConfigError("adversary spec is for a different number of items")
@@ -95,6 +97,16 @@ def check_adversary(
             raise GridCollision(f"reduction scalar {h} must be off-grid inside (0, {top})")
         if h is None and lo > top:
             raise ConfigError(f"first-price lower bound {lo} lies above the top bids {top}")
+    # a draw redrawn off the grid (validate mode, and always the first-price
+    # scalar) never ends when its interval is one point on the grid
+    redrawn = spec.kind is AdversaryKind.IID_UNIFORM and require_off_grid or (
+        spec.kind is AdversaryKind.FIRST_PRICE_REDUCTION and spec.h_value is None
+    )
+    if redrawn and lo == hi and (lo <= 0.0 or lo >= 1.0 or on_grid(lo, epsilon)):
+        raise GridCollision(
+            f"adversary interval [{lo}, {hi}] is the single value {lo}, which lies "
+            f"outside (0, 1) or on the {epsilon}-grid: every draw would tie"
+        )
     if spec.kind is AdversaryKind.IID_UNIFORM and lo == 1.0 and not require_off_grid:
         raise ConfigError(_BID_OF_ONE)
     if spec.kind is AdversaryKind.FIXED:

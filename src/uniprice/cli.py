@@ -163,6 +163,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Resolve flags into a RunConfig; a ``--config`` file's values become
     the parser's defaults, so flags win and both share one conversion."""
+    return _parse(argv)[0]
+
+
+def _parse(argv: Optional[Sequence[str]]) -> tuple[RunConfig, Optional[str]]:
+    """``parse_config``'s RunConfig and the ``--config`` path, if any."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -189,19 +194,22 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
         seed=args.seed, replications=args.reps, epsilon=args.epsilon, eta=args.eta,
         tie_mode=args.tie_mode, workers=args.workers,
         out=args.out, plot=args.plot, scale=args.scale,
-    )
+    ), args.config
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        config = parse_config(argv)
+        config, config_path = _parse(argv)
         for key, path in (("out", config.out), ("plot", config.plot)):
             if path:
                 _check_writable(path, key)
-        if config.out and config.plot and (
-            os.path.realpath(config.out) == os.path.realpath(config.plot)
-        ):
-            raise ConfigError(f"--out and --plot name the same file {config.out!r}")
+        files = (("config", config_path), ("out", config.out), ("plot", config.plot))
+        named: dict[str, str] = {}  # real path -> the first flag naming it
+        for key, path in files:
+            if path:
+                first = named.setdefault(os.path.realpath(path), key)
+                if first != key:
+                    raise ConfigError(f"--{first} and --{key} name the same file {path!r}")
         traces = run_experiment(config)
     except AuctionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -130,7 +130,17 @@ def resolve_parameters(config: RunConfig) -> tuple[float, float]:
     return epsilon, eta
 
 
+#: Bytes of one (B, n_nodes) float array of block node totals: the rows
+#: per block of the adversary-only half.  The output does not depend on it.
+_BLOCK_BYTES = 512 * 1024
+
+
 def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
+    """One replication in two halves.  Against an oblivious adversary the
+    firing events, their sub-utilities, the node totals and the hindsight
+    comparator depend only on the adversary's (T, K) block, so they are
+    computed a block of rounds at a time, before those rounds run; the
+    learner's loop then reads each round's slice of them."""
     t_start = time.perf_counter()
     root = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     seed_learn, seed_adv, seed_tie = root.spawn(3)
@@ -152,7 +162,6 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     realized = np.empty(horizon)
     expected = np.empty(horizon)
     cum_regret = np.empty(horizon)
-    disc_bound = np.empty(horizon)
     prices = np.empty(horizon)
     allocations = np.empty(horizon, dtype=int)
     cum_expected = 0.0
@@ -160,60 +169,72 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     adversary_bids = next_bids(
         config.adversary, horizon, rng_adv, epsilon, require_off_grid=not perturb
     )
-    for t in range(1, horizon + 1):
-        beta_market = BidProfile(tuple(adversary_bids[t - 1].tolist()))
-        if perturb:
-            beta_node = BidProfile(tuple(b - offset for b in beta_market.bids))
-        else:
-            beta_node = beta_market
-
-        levels = sample_path(state, rng_learn)
-        grid_bids = BidProfile(tuple(level_prices[j] for j in levels))
-        if perturb:
-            market_bids = apply_tie_offset(grid_bids, offset, epsilon)
-            outcome_market = clear_auction(
-                market_bids, beta_market, PricingRule.LAB, values
-            )
-            outcome_node = clear_auction(grid_bids, beta_node, PricingRule.LAB, values)
-        else:
-            outcome_market = clear_auction(
-                grid_bids, beta_market, PricingRule.LAB, values
-            )
-            outcome_node = outcome_market
-
-        # exact expected utility and comparator totals, in market terms
-        marg = marginals(state)
-        events = firing_set(beta_node, graph)
+    rows = max(1, _BLOCK_BYTES // (8 * graph.n_nodes))
+    for t0 in range(0, horizon, rows):
+        # adversary-only half: events, sub-utilities, node totals and the
+        # comparator of every round in the block, in market terms
+        block = adversary_bids[t0 : t0 + rows]
+        node_block = block - offset if perturb else block
+        events = firing_set(node_block, graph)
         w_node = event_utilities(events, values)
         w_market = event_utilities(events, values, offset) if perturb else w_node
-        exp_market = expectation(marg[events.ids], w_market)
-        node_totals[events.ids] += w_market
-        cum_expected += exp_market
+        starts = events.starts.tolist()
+        totals = np.zeros((len(block), graph.n_nodes))
+        totals[0] = node_totals
+        totals[np.repeat(np.arange(len(block)), np.diff(events.starts)), events.ids] += w_market
+        np.cumsum(totals, axis=0, out=totals)
+        node_totals = totals[-1].copy()
+        comparator = best_fixed_total(totals, graph)
 
-        fb = make_feedback(config.feedback, outcome_node, beta_node)
-        if config.feedback is FeedbackMode.FULL_INFORMATION:
-            signal = full_info_signal(events, w_node)
-        elif config.feedback is FeedbackMode.BANDIT:
-            signal = bandit_signal(levels, fb, state, values)
-        else:
-            signal = allwinner_signal(fb, state, values, marg)
-        update_weights(state, signal, eta)
+        # learner half
+        market_rows = block.tolist()
+        node_rows = node_block.tolist() if perturb else market_rows
+        for i in range(len(block)):
+            beta_market = BidProfile(tuple(market_rows[i]))
+            beta_node = BidProfile(tuple(node_rows[i])) if perturb else beta_market
 
-        comparator_total = best_fixed_total(node_totals, graph)
-        idx = t - 1
-        realized[idx] = outcome_market.utility
-        expected[idx] = exp_market
-        cum_regret[idx] = comparator_total - cum_expected
-        disc_bound[idx] = config.k * t * epsilon
-        prices[idx] = outcome_market.price
-        allocations[idx] = outcome_market.allocation
+            levels = sample_path(state, rng_learn)
+            grid_bids = BidProfile(tuple(level_prices[j] for j in levels))
+            if perturb:
+                market_bids = apply_tie_offset(grid_bids, offset, epsilon)
+                outcome_market = clear_auction(
+                    market_bids, beta_market, PricingRule.LAB, values
+                )
+                outcome_node = clear_auction(grid_bids, beta_node, PricingRule.LAB, values)
+            else:
+                outcome_market = clear_auction(
+                    grid_bids, beta_market, PricingRule.LAB, values
+                )
+                outcome_node = outcome_market
+
+            # exact expected utility, in market terms
+            marg = marginals(state)
+            a, b = starts[i], starts[i + 1]
+            exp_market = expectation(marg[events.ids[a:b]], w_market[a:b])
+            cum_expected += exp_market
+
+            fb = make_feedback(config.feedback, outcome_node, beta_node)
+            if config.feedback is FeedbackMode.FULL_INFORMATION:
+                signal = full_info_signal(events[a:b], w_node[a:b])
+            elif config.feedback is FeedbackMode.BANDIT:
+                signal = bandit_signal(levels, fb, state, values)
+            else:
+                signal = allwinner_signal(fb, state, values, marg)
+            update_weights(state, signal, eta)
+
+            t = t0 + i
+            realized[t] = outcome_market.utility
+            expected[t] = exp_market
+            cum_regret[t] = comparator[i] - cum_expected
+            prices[t] = outcome_market.price
+            allocations[t] = outcome_market.allocation
 
     return RegretTrace(
         run=rep,
         realized_utility=realized,
         expected_utility=expected,
         cum_expected_regret=cum_regret,
-        discretization_bound=disc_bound,
+        discretization_bound=config.k * np.arange(1, horizon + 1) * epsilon,
         price=prices,
         allocation=allocations,
         final_regret=float(cum_regret[-1]),

@@ -95,41 +95,54 @@ def _logsumexp(a: np.ndarray) -> float:
 def _chain_scan(
     op: np.ufunc, mult: np.ndarray, prefix: np.ndarray, add: np.ndarray, out: np.ndarray
 ) -> None:
-    """out[0] = add[0], out[i] = op(mult[i-1] + out[i-1], add[i]), for the
-    associative ``op`` ``np.logaddexp`` or ``np.maximum``.
+    """out[0] = add[0], out[i] = op(mult[i-1] + out[i-1], add[i]) along the
+    last axis, for the associative ``op`` ``np.logaddexp`` or
+    ``np.maximum``; leading axes are independent chains.
 
     ``prefix`` holds 0 and the running sums of ``mult``, so that
     out[i] = prefix[i] + op-accumulate over i' <= i of (add[i'] - prefix[i'])
     and numpy does the scan.  A -inf in ``mult`` cuts the chain, which the
-    prefix form cannot express (it would subtract -inf); such rows run the
-    recursion step by step.  ``out`` may be ``add``.
+    prefix form cannot express (it would subtract -inf); such chains run
+    the recursion step by step.  The two forms round differently, so each
+    chain takes its form from its own prefix, whatever the others hold.
+    ``out`` may be ``add``.
     """
-    if math.isfinite(prefix[-1]):
+    # math.isfinite keeps the passes' one-chain calls cheap
+    if math.isfinite(prefix[-1]) if prefix.ndim == 1 else np.isfinite(prefix[..., -1]).all():
         np.subtract(add, prefix, out=out)
-        op.accumulate(out, out=out)
+        op.accumulate(out, axis=-1, out=out)
         np.add(out, prefix, out=out)
         return
-    out[0] = add[0]
-    for i in range(1, len(out)):
-        out[i] = op(mult[i - 1] + out[i - 1], add[i])
+    # a 0-d mask indexes one chain as a (1, n) stack
+    finite = np.isfinite(prefix[..., -1])
+    cut = ~finite
+    if finite.any():
+        scan = add[finite] - prefix[finite]
+        op.accumulate(scan, axis=-1, out=scan)
+        out[finite] = scan + prefix[finite]
+    a, mu = add[cut], mult[cut]
+    for i in range(1, a.shape[-1]):
+        a[:, i] = op(mu[:, i - 1] + a[:, i - 1], a[:, i])
+    out[cut] = a
 
 
 def _suffix_scan(op: np.ufunc, w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out``, shaped like the bid rows ``w_bid``, with the suffix
-    recursion on a node array's row views: 0 on the last bid row, and bid
-    row r the ``op``-scan along gap row r of ``w_bid[r+1] + out[r+1]``.
+    """Fill ``out``, shaped like the bid rows ``w_bid`` (..., K, M+1), with
+    the suffix recursion on a node array's row views: 0 on the last bid
+    row, and bid row r the ``op``-scan along gap row r of
+    ``w_bid[r+1] + out[r+1]``; leading axes are independent node arrays.
     ``np.logaddexp`` gives the backward pass, ``np.maximum`` the best path
     suffix.  Bid and gap nodes at the same (k, j) share successors, so gap
     row r's value is bid row r's first M entries.  One cumsum gives every
     gap row's prefix sums.
     """
-    prefix = np.zeros((w_gap.shape[0], w_gap.shape[1] + 1))
-    w_gap.cumsum(axis=1, out=prefix[:, 1:])
-    out[-1] = 0.0
-    for r in range(len(out) - 2, -1, -1):
-        row = out[r]
-        np.add(w_bid[r + 1], out[r + 1], out=row)
-        _chain_scan(op, w_gap[r], prefix[r], row, row)
+    prefix = np.zeros(w_gap.shape[:-1] + (w_gap.shape[-1] + 1,))
+    w_gap.cumsum(axis=-1, out=prefix[..., 1:])
+    out[..., -1, :] = 0.0
+    for r in range(out.shape[-2] - 2, -1, -1):
+        row = out[..., r, :]
+        np.add(w_bid[..., r + 1, :], out[..., r + 1, :], out=row)
+        _chain_scan(op, w_gap[..., r, :], prefix[..., r, :], row, row)
 
 
 def backward_pass(state: WeightState) -> WeightState:

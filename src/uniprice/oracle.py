@@ -85,14 +85,16 @@ def node_totals_from_history(
     return totals
 
 
-def best_fixed_total(node_totals: np.ndarray, graph: PseudoGraph) -> float:
+def best_fixed_total(node_totals: np.ndarray, graph: PseudoGraph) -> np.ndarray:
     """Value of the max-weight source-to-sink path, without backtracking:
     the backward pass's suffix recursion (``learner._suffix_scan``) in
-    (max, +) on the row views of ``node_totals``, then the best start."""
+    (max, +) on the row views of ``node_totals``, then the best start.
+    Maps a C-contiguous (..., n) stack of node totals to its (...) values;
+    each is bitwise the value of its own one-row call."""
     t_bid, t_gap = graph.rows(node_totals)
     best_after = np.empty(t_bid.shape)
     _suffix_scan(np.maximum, t_bid, t_gap, best_after)
-    return float(np.maximum.reduce(t_bid[0] + best_after[0]))
+    return np.maximum.reduce(t_bid[..., 0, :] + best_after[..., 0, :], axis=-1)
 
 
 def best_fixed_action_dp(

@@ -19,13 +19,13 @@ A node is its id in a ``PseudoGraph``, and an action is the tuple of its
 node ids (``PseudoPath``).  ``encode`` / ``decode`` map grid profiles to
 paths and back, ``PseudoGraph.successors`` is the one statement of the
 successor rule, and ``node_fires`` / ``sub_utility`` are the scalar
-references for a single node.  Within a round, events are node-id arrays:
-``firing_set`` and ``zero_event_set`` return ``Events``, equal-length
-arrays of node id, allocation and price, which the accounting, the signals
-and the weight update consume; ``event_utilities`` gives all their
-sub-utilities at once, and ``_observed`` is the one statement of which
-events all-winner feedback reveals.  Per-node arrays are read row by row
-through ``PseudoGraph.rows``.
+references for a single node.  Events are node-id arrays: ``firing_set``
+(on a block of rounds) and ``zero_event_set`` return ``Events``,
+equal-length arrays of node id, allocation and price, which the
+accounting, the signals and the weight update consume; ``event_utilities``
+gives all their sub-utilities at once, and ``_observed`` is the one
+statement of which events all-winner feedback reveals.  Per-node arrays,
+and stacks of them, are read row by row through ``PseudoGraph.rows``.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ class PseudoGraph:
         self.n_nodes = int(self.row_offset[-1])
         self.row = np.repeat(np.arange(2 * k - 1), widths)
         self.level = np.arange(self.n_nodes) - self.row_offset[self.row]
+        self.alloc = self.row // 2 + 1  # the allocation floor(k) of each id
         self.levels = np.arange(m + 1) / max(m, 1)  # canonical grid prices
         self._row_ids = np.split(np.arange(self.n_nodes), self.row_offset[1:-1])
 
@@ -85,15 +86,16 @@ class PseudoGraph:
         return self._row_ids[2 * kk - 1]
 
     def rows(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the contiguous per-node array ``a``: the bid rows as a
-        (K, M+1) array and the gap rows as a (K-1, M) array, both with row
-        stride 2M+1 ids.  Writes go through to ``a``."""
+        """Views of the C-contiguous per-node array ``a``, shaped (..., n):
+        the bid rows as a (..., K, M+1) array and the gap rows as a
+        (..., K-1, M) array, both with row stride 2M+1 ids.  Leading axes
+        are kept.  Writes go through to ``a``."""
         m = self.inv_epsilon
-        step = a.strides[0]
-        strides = (step * (2 * m + 1), step)
+        lead, step = a.shape[:-1], a.strides[-1]
+        strides = a.strides[:-1] + (step * (2 * m + 1), step)
         return (
-            np.ndarray((self.k, m + 1), a.dtype, a, 0, strides),
-            np.ndarray((self.k - 1, m), a.dtype, a, step * (m + 1), strides),
+            np.ndarray(lead + (self.k, m + 1), a.dtype, a, 0, strides),
+            np.ndarray(lead + (self.k - 1, m), a.dtype, a, step * (m + 1), strides),
         )
 
     def label(self, i: int) -> str:
@@ -309,13 +311,20 @@ def enumerate_paths(graph: PseudoGraph, cap: int = 10**6) -> Iterator[PseudoPath
 
 @dataclass(frozen=True)
 class Events:
-    """Realized events of one round as equal-length arrays: node id, the
-    allocation the event credits, and its price.  Iterates as
-    (id, allocation, price) triples of Python scalars."""
+    """Realized events as equal-length arrays: node id, the allocation the
+    event credits, and its price.  ``firing_set`` lists a block of rounds
+    one after another and sets ``starts``: round t's events are entries
+    ``starts[t]`` to ``starts[t + 1] - 1``, and ``events[a:b]`` slices out
+    one round.  Iterates as (id, allocation, price) triples of Python
+    scalars; ``+`` joins two sets of one round's events."""
 
     ids: np.ndarray
     alloc: np.ndarray
     price: np.ndarray
+    starts: Optional[np.ndarray] = None
+
+    def __getitem__(self, s: slice) -> "Events":
+        return Events(self.ids[s], self.alloc[s], self.price[s])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -333,22 +342,23 @@ class Events:
 
 def event_utilities(events: Events, values: Valuation, offset: float = 0.0) -> np.ndarray:
     """``utility_sum`` of every event's allocation at its price plus
-    ``offset``, capped at 1, in K elementwise steps.
+    ``offset``, capped at 1.
 
     The cap gives a level-M bid node its market price in perturb mode,
     where ``apply_tie_offset`` caps the played bids at 1; node prices never
-    exceed 1, so at offset 0 it changes nothing.  ``firing_set`` and
-    ``zero_event_set`` list events by ascending allocation, so step l adds
-    v_l - price to the suffix of events that credit more than l items.
-    Each event sums its terms from 0.0 in ``utility_sum``'s order, so the
-    values are bitwise the same.
+    exceed 1, so at offset 0 it changes nothing.  Row l + 1 of a
+    (K + 1, events) table holds v_l - price where the event credits more
+    than l items and 0.0 elsewhere, under a row of 0.0; its cumsum down the
+    rows adds each event's terms from 0.0 in ``utility_sum``'s order (a
+    partial sum is never -0.0, so adding 0.0 keeps its bits), so the
+    values are bitwise the same, in any event order.
     """
     price = np.minimum(events.price + offset, 1.0)
-    w = np.zeros(len(price))
-    starts = events.alloc.searchsorted(np.arange(len(values.values)), side="right")
-    for v, s in zip(values.values, starts.tolist()):
-        w[s:] += v - price[s:]
-    return w
+    k = len(values.values)
+    terms = np.zeros((k + 1, len(price)))
+    credited = np.arange(k)[:, None] < events.alloc
+    np.subtract(np.array(values.values)[:, None], price, out=terms[1:], where=credited)
+    return terms.cumsum(axis=0, out=terms)[-1].copy()
 
 
 def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
@@ -367,34 +377,43 @@ def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
     return Events(graph.bid_ids(1)[:n], np.zeros(n, dtype=int), np.full(n, beta_k))
 
 
-def firing_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
-    """All nodes that fire against ``adversary``, in id order, with the
-    allocation floor(k) and the price of each (see ``node_fires``).
+def firing_set(bids, graph: PseudoGraph) -> Events:
+    """All nodes that fire against each profile of ``bids``, a (T, K) array
+    of non-increasing profiles in [0, 1] or one ``BidProfile`` (T = 1),
+    with the allocation floor(k) and the price of each (see
+    ``node_fires``).  The rounds follow one another, each in id order, and
+    ``starts`` holds the T + 1 round starts.
 
     Per allocation k, with hi the first level at or above beta_{K-k}
     (``searchsorted`` over ``graph.levels``), the bid row fires on the
     levels above beta_{K-k+1} and below hi, and the gap row k+1/2 in band
-    hi - 1 iff 0 < hi <= M and beta_{K-k} < ``levels[hi]``, at the
-    adversary's price.  So at most 2(K^2 + M) nodes fire, in strictly
-    ascending (allocation, price) order.
+    hi - 1 iff beta_{K-k} lies strictly inside it: 0 < hi and beta_{K-k}
+    is no level, which is when the levels at or below it, row k+1's lower
+    end, number hi too.  So at most 2(K^2 + M) nodes fire a round, in
+    strictly ascending (allocation, price) order.  The rule fills a dense
+    (T, n) fire mask and price table through ``PseudoGraph.rows``; the
+    mask's entries in row-major order are the events.
     """
-    k, m, levels = graph.k, graph.inv_epsilon, graph.levels
-    offset = graph.row_offset.tolist()
-    beta = (_BETA_HIGH, *adversary.bids, _BETA_LOW)  # beta[i] = beta_i
-    # bid row kk fires on levels lo[kk-1] .. hi[kk-1]-1
-    lo = np.searchsorted(levels, beta[k:0:-1], side="right").tolist()
-    hi = np.searchsorted(levels, beta[k - 1 :: -1], side="left").tolist()
-    ids: list[int] = []
-    alloc: list[int] = []
-    price: list[float] = []
-    for kk in range(1, k + 1):
-        a, b = lo[kk - 1], hi[kk - 1]
-        if a < b:
-            ids.extend(range(offset[2 * kk - 2] + a, offset[2 * kk - 2] + b))
-            alloc.extend([kk] * (b - a))
-            price.extend(levels[a:b].tolist())
-        if kk < k and 0 < b <= m and beta[k - kk] < levels[b]:
-            ids.append(offset[2 * kk - 1] + b - 1)
-            alloc.append(kk)
-            price.append(beta[k - kk])
-    return Events(np.array(ids, dtype=int), np.array(alloc, dtype=int), np.array(price))
+    beta = np.array(bids.bids if isinstance(bids, BidProfile) else bids, ndmin=2)
+    k, m, levels, n = graph.k, graph.inv_epsilon, graph.levels, graph.n_nodes
+    # column k - 1 of each: bid row k fires on levels lo .. hi - 1
+    lo = levels.searchsorted(beta[:, ::-1], side="right")[..., None]
+    above = beta[:, -2::-1]  # beta_{K-k} for k < K
+    hi = np.full(lo.shape, m + 1)  # beta_0 lies above every level
+    hi[:, :-1, 0] = levels.searchsorted(above, side="left")
+    fire = np.zeros((len(beta), n), dtype=bool)
+    fire_bid, fire_gap = graph.rows(fire)
+    j = np.arange(m + 1)
+    np.greater_equal(j, lo, out=fire_bid)
+    fire_bid &= j < hi
+    hi_gap = hi[:, :-1]
+    np.equal(j[1:], hi_gap, out=fire_gap)
+    fire_gap &= hi_gap == lo[:, 1:]
+    table = np.empty(fire.shape)
+    price_bid, price_gap = graph.rows(table)
+    price_bid[...] = levels
+    price_gap[...] = above[..., None]
+    flat = np.flatnonzero(fire)
+    ids = flat % n
+    starts = flat.searchsorted(np.arange(0, len(beta) * n + 1, n))
+    return Events(ids, graph.alloc[ids], table.ravel()[flat], starts)

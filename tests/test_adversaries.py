@@ -94,8 +94,11 @@ class TestIIDUniform:
         assert rng.values == [0.1]
 
     def test_redraws_give_up_with_grid_collision(self):
+        # every draw of this interval is on the grid: the contract rejects
+        # it, and next_bids, which checks nothing, gives up after the redraws
         spec = AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(0.5, 0.5))
-        check_adversary(spec, 2, 4, 0.25)
+        with pytest.raises(GridCollision, match="single value"):
+            check_adversary(spec, 2, 4, 0.25)
         with pytest.raises(GridCollision, match=f"after {_MAX_REDRAWS} tries"):
             next_bids(spec, 4, rng_from(0), 0.25)
 

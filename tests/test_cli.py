@@ -226,6 +226,25 @@ class TestMain:
         self.assert_one_line_error(argv, capsys)
         assert runs == [] and not (tmp_path / "same.x").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--plot"])
+    def test_an_output_on_the_config_file_exits_2_and_keeps_it(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        from uniprice import harness
+
+        def no_rounds(config, rep):
+            raise AssertionError("a round ran before the check")
+
+        monkeypatch.setattr(harness, "_run_replication", no_rounds)
+        monkeypatch.chdir(tmp_path)
+        text = (
+            "units=2\nhorizon=60\nfeedback=bandit\nvalues=1,0.5\n"
+            "adversary=iid\nseed=3\n"
+        )
+        (tmp_path / "run.cfg").write_text(text)
+        self.assert_one_line_error(["--config", "run.cfg", flag, "./run.cfg"], capsys)
+        assert (tmp_path / "run.cfg").read_text() == text
+
     def test_bad_schedule_row_exits_2_naming_the_row(self, tmp_path, capsys):
         rows = ["0.83,0.31"] * 3000
         rows[2500] = "0.3,0.7"

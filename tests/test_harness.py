@@ -34,6 +34,7 @@ from uniprice.auction_core import PricingRule
 from uniprice.cli import parse_config
 from uniprice.errors import (
     ConfigError,
+    GridCollision,
     NotMonotone,
     OutOfRange,
     TieDetected,
@@ -192,6 +193,28 @@ class TestConfigValidation:
         monkeypatch.setattr(harness, "_run_replication", no_rounds)
         with pytest.raises(error, match=match):
             run_experiment(small_config(adversary=spec, horizon=3000, epsilon=1 / 39))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(x, x)) for x in (0.0, 0.5, 1.0)]
+        + [AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, 2, bounds=(x, x))
+           for x in (0.0, 0.5)],
+        ids=["iid-0", "iid-half", "iid-1", "firstprice-0", "firstprice-half"],
+    )
+    def test_single_grid_point_interval_fails_before_any_round(self, spec, monkeypatch):
+        from uniprice import harness
+
+        def no_rounds(config, rep):
+            raise AssertionError("a round ran before the check")
+
+        monkeypatch.setattr(harness, "_run_replication", no_rounds)
+        with pytest.raises(GridCollision, match=r"is the single value"):
+            run_experiment(small_config(adversary=spec, epsilon=0.25))
+
+    def test_single_off_grid_point_interval_runs(self):
+        spec = AdversarySpec(AdversaryKind.IID_UNIFORM, 2, bounds=(0.3, 0.3))
+        traces = run_experiment(small_config(adversary=spec, epsilon=0.25, replications=1))
+        assert len(traces[0].price) == 40
 
     def test_values_must_match_k(self):
         with pytest.raises(ConfigError):
@@ -360,6 +383,43 @@ def _realized(graph, adversary):
     return fired, zero
 
 
+class TestBlocks:
+    """The adversary-only half of each round runs a block of rounds at a
+    time; the output bytes do not depend on the rows per block."""
+
+    CONFIGS = {
+        "full": small_config(feedback=FeedbackMode.FULL_INFORMATION, horizon=61),
+        "bandit": small_config(feedback=FeedbackMode.BANDIT, horizon=61),
+        "allwinner": small_config(feedback=FeedbackMode.ALL_WINNER, horizon=61),
+        "k3-perturb": small_config(
+            k=3, values=(1.0, 0.7, 0.4), horizon=61, tie_mode=TieMode.PERTURB,
+            adversary=AdversarySpec(AdversaryKind.IID_UNIFORM, 3),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_bytes_do_not_depend_on_the_rows_per_block(self, name, monkeypatch):
+        from uniprice import harness
+
+        config = self.CONFIGS[name]
+        n = build_graph(config.k, round(1 / resolve_parameters(config)[0])).n_nodes
+        firing_set, calls = harness.firing_set, []
+
+        def counted(bids, graph):
+            calls.append(len(bids))
+            return firing_set(bids, graph)
+
+        monkeypatch.setattr(harness, "firing_set", counted)
+        outputs = []
+        for rows in (1, 7, config.horizon + 5):
+            monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
+            calls.clear()
+            outputs.append(csv_bytes(run_experiment(config)))
+            blocks = [min(rows, config.horizon - t0) for t0 in range(0, config.horizon, rows)]
+            assert calls == blocks * config.replications
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 class TestBenchmarkContract:
     """perfbench/tracing.py wraps the names harness imports and counts from
     their arguments; these checks fail when harness stops calling them the
@@ -376,7 +436,8 @@ class TestBenchmarkContract:
         @functools.wraps(firing_set)
         def spy_firing_set(adversary, graph):
             graphs.append(graph)
-            expected["nodes"] += len(_realized(graph, adversary)[0])
+            for row in adversary:  # one block of rounds
+                expected["nodes"] += len(_realized(graph, BidProfile(tuple(row.tolist())))[0])
             return firing_set(adversary, graph)
 
         @functools.wraps(make_feedback_)

@@ -554,6 +554,100 @@ class TestRowKernelProperties:
         assert best_fixed_total(totals, g) == pytest.approx(dp_total, abs=1e-9)
 
 
+@st.composite
+def blocks(draw):
+    """K in 1..4, M in 0..8 and a (B, K) block of 1 to 6 off-grid
+    adversary profiles, bids anywhere in (0, 1) or one ulp either side of a
+    grid level, as in ``instances``."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 8))
+    g = build_graph(k, m)
+    near_level = st.builds(
+        math.nextafter, st.sampled_from(g.levels.tolist()), st.sampled_from([-1.0, 2.0])
+    )
+    off_grid = (
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | near_level
+    ).filter(lambda b: 0.0 < b < 1.0 and not on_grid(b, g.epsilon))
+    profile = st.lists(off_grid, min_size=k, max_size=k).map(lambda b: sorted(b, reverse=True))
+    return g, np.array(draw(st.lists(profile, min_size=1, max_size=6)))
+
+
+def _band_edge_block():
+    """``_band_edge``'s profile between two others on the K = 2, M = 6 grid."""
+    g, beta, _ = _band_edge()
+    return g, np.array([(0.9, 0.05), beta.bids, (0.55, math.nextafter(1 / 6, 1.0))])
+
+
+@st.composite
+def weighted_stacks(draw):
+    """K in 1..4, M in 0..8 and a (B, n) stack of 1 to 5 per-node totals,
+    some of them -inf."""
+    g = build_graph(draw(st.integers(1, 4)), draw(st.integers(0, 8)))
+    weight = st.one_of(st.floats(-5.0, 5.0), st.just(-math.inf))
+    row = st.lists(weight, min_size=g.n_nodes, max_size=g.n_nodes)
+    return g, np.array(draw(st.lists(row, min_size=1, max_size=5)))
+
+
+def _mixed_chain_stack():
+    """K = 2, M = 4: one row of two-decimal totals, on which the prefix
+    form rounds the best total to 11.65 and the step form to
+    11.649999999999999, and the same row with its gap row cut by -inf."""
+    g = build_graph(2, 4)
+    row = [-4.97, -3.05, -1.58, 4.28, 3.9, -0.19, -0.45, 1.67, 3.59, -1.63, 2.94, -1.01,
+           0.94, 2.37]
+    cut = list(row)
+    cut[gap(g, 1, 0)] = -math.inf
+    return g, np.array([row, cut])
+
+
+class TestBlockProperties:
+    """The adversary-only half of a round runs on blocks of rounds; each
+    block kernel equals its per-round reference."""
+
+    @given(blocks())
+    @example(_band_edge_block())
+    @settings(max_examples=200, deadline=None)
+    def test_block_firing_set_is_the_scalar_scan_round_by_round(self, instance):
+        g, block = instance
+        events = firing_set(block, g)
+        assert events.starts[0] == 0 and events.starts[-1] == len(events)
+        for t, row in enumerate(block):
+            beta = BidProfile(tuple(row.tolist()))
+            scan = [
+                (n, g.row[n] // 2 + 1, price)
+                for n in range(g.n_nodes)
+                for fires, price in [node_fires(n, beta, g)]
+                if fires
+            ]
+            assert list(events[events.starts[t] : events.starts[t + 1]]) == scan
+
+    @given(blocks(), st.sampled_from([0.0, 1e-3]))
+    @example(_band_edge_block(), 1e-3)
+    @settings(max_examples=200, deadline=None)
+    def test_block_event_utilities_are_the_per_round_values(self, instance, offset):
+        g, block = instance
+        v = Valuation(tuple(np.linspace(1.0, 0.3, g.k).tolist()))
+        events = firing_set(block, g)
+        per_round = [
+            event_utilities(firing_set(BidProfile(tuple(row.tolist())), g), v, offset)
+            for row in block
+        ]
+        assert event_utilities(events, v, offset).tobytes() == np.concatenate(per_round).tobytes()
+
+    @given(weighted_stacks())
+    @example(_mixed_chain_stack())
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_best_fixed_total_is_the_one_row_calls(self, instance):
+        g, stack = instance
+        totals = best_fixed_total(stack, g)
+        assert totals.shape == stack.shape[:1]
+        one_row = np.array([best_fixed_total(row.copy(), g) for row in stack])
+        assert totals.tobytes() == one_row.tobytes()
+        for row, total in zip(stack, totals.tolist()):
+            if math.isfinite(best_path_weight(g, row)):
+                assert total == pytest.approx(best_fixed_action_dp(row, g)[1], abs=1e-9)
+
+
 class TestExpectedUtility:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(12)
