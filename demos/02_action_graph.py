@@ -40,7 +40,7 @@ print()
 adversary = BidProfile((0.8, 0.3))
 values = Valuation((1.0, 0.5))
 print("against adversary", adversary.bids, "the firing nodes are:")
-for i, allocation, price in firing_set(adversary, g):
+for i, allocation, price in firing_set(adversary.bids, g):
     print(f"  {g.label(i)} (id {i}): allocation {allocation}, price {price:.2f}")
 print()
 

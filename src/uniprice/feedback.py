@@ -1,8 +1,8 @@
-"""Feedback views: the only auction information each mode may show the learner.
+"""Feedback views: the auction information each mode shows the learner.
 
-Signals are constructed exclusively from these values, so leaking the raw
-adversary profile into a partial-feedback learner is a structural
-impossibility rather than a convention.
+All-winner also reads the round's events, computed from the raw profile;
+that ``_observed`` hides what this view hides is a proven and tested
+property (``learner.allwinner_signal``), not a structural one.
 """
 
 from __future__ import annotations

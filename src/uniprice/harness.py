@@ -219,7 +219,7 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
             elif config.feedback is FeedbackMode.BANDIT:
                 signal = bandit_signal(levels, fb, state, values)
             else:
-                signal = allwinner_signal(fb, state, values, marg)
+                signal = allwinner_signal(fb, events[a:b], w_node[a:b], state, marg)
             update_weights(state, signal, eta)
 
             t = t0 + i
@@ -370,13 +370,7 @@ def svg_bytes(traces: Sequence[RegretTrace], scale: PlotScale = PlotScale.LINEAR
     def poly(xs, ys) -> str:
         return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
 
-    band = (
-        poly(ts_plot, hi_p)
-        + " "
-        + " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(ts_plot[::-1], lo_p[::-1])
-        )
-    )
+    band = poly(ts_plot, hi_p) + " " + poly(ts_plot[::-1], lo_p[::-1])
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',

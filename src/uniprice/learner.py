@@ -11,8 +11,10 @@ estimators divide by.
 
 Signals are keyed by node id: each maps the ids of a round's realized
 events (``pseudo_space.Events``) to their estimates, and ``update_weights``
-scatter-adds eta times them into the log weights.  Everything runs in the
-log domain; the raw accumulators overflow after a few thousand rounds.
+scatter-adds eta times them into the log weights.  All-winner reads the
+round's events, computed from the raw profile; the proven and tested
+``_observed`` filter hides the rest.  Everything runs in the log domain;
+the raw accumulators overflow after a few thousand rounds.
 """
 
 from __future__ import annotations
@@ -24,18 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction_core import BidProfile, Valuation, utility_sum
+from .auction_core import Valuation, utility_sum
 from .errors import HorizonTooShort, ZeroMarginal, ZeroObservationProbability
-from .pseudo_space import (
-    _BETA_LOW,
-    Events,
-    PseudoGraph,
-    PseudoPath,
-    _observed,
-    event_utilities,
-    firing_set,
-    zero_event_set,
-)
+from .pseudo_space import Events, PseudoGraph, PseudoPath, _observed, zero_event_set
 
 
 class FeedbackMode(Enum):
@@ -320,45 +313,44 @@ def bandit_signal(
     return {i: (w - g.k) / p_node}
 
 
+def _observed_events(feedback, events: Events, utilities: np.ndarray, graph: PseudoGraph):
+    """All-winner's observed events and their utilities: at x = 0 the zero
+    events at beta_K = p (utility 0) and all ``events``, else the ``events``
+    ``_observed`` admits.  ``oracle._revealed_events`` is the reference."""
+    x, p = feedback.allocation, feedback.price
+    if x == 0:
+        zero = zero_event_set(p, graph)
+        return zero + events, np.concatenate((np.zeros(len(zero)), utilities))
+    seen = _observed(x, p, events.alloc, events.price)
+    return events[seen], utilities[seen]
+
+
 def allwinner_signal(
-    feedback, state: WeightState, values: Valuation, marg: np.ndarray
+    feedback, events: Events, utilities: np.ndarray, state: WeightState, marg: np.ndarray
 ) -> EstimateVector:
     """Estimates at every observed realized event: (w - K) / P(observed).
 
-    The feedback reveals the adversary's K - x winning bids and puts the
-    rest below the price, so the realized events it pins down are those
-    ``firing_set`` and ``zero_event_set`` find on the revealed profile
-    (the hidden bids set to the low sentinel) that pass the observed-set
-    rule ``_observed``.  Firing nodes carry w, the utility of their
-    allocation at their price.  Only a zero allocation reveals beta_K and
-    with it the zero-allocation events, with w = 0; each gets the
-    denominator P(x = 0), so every action's expected estimate is its
-    utility minus K.  The observation probability is one minus the mass of
-    the realized events above the event in (allocation, price) order: the
-    outcomes that hide it, all of which the feedback also reveals.  The
-    events already ascend in that order (see ``firing_set``), so those
-    above an event are the ones after its run of equal pairs.  ``marg`` is
-    ``marginals(state)``, which the caller already holds for the round.
+    ``events`` are the round's firing events, computed from the raw
+    profile, with their ``utilities``; ``marg`` is ``marginals(state)``.
+    ``_observed_events`` keeps the ones the feedback reveals (README gives
+    the proof).  Zero-allocation events carry w = 0 and the denominator
+    P(x = 0), so every action's expected estimate is its utility minus K.
+    P(observed) is one minus the mass of the realized events after the
+    event's run of equal (allocation, price) pairs, in which order they
+    ascend: the outcomes that hide it, all of which the feedback reveals.
     """
     g = state.graph
-    x, p = feedback.allocation, feedback.price
-    revealed = BidProfile(feedback.adversary_winning_bids + (_BETA_LOW,) * x)
-    events = zero_event_set(revealed, g) + firing_set(revealed, g)
-    seen = _observed(x, p, events.alloc, events.price)
-    ids, alloc, price = events.ids[seen], events.alloc[seen], events.price[seen]
-    mass = marg[ids]
-    above = np.concatenate((np.cumsum(mass[::-1])[::-1], [0.0]))
+    seen, w = _observed_events(feedback, events, utilities, g)
+    ids, alloc, price = seen.ids, seen.alloc, seen.price
+    above = np.concatenate((np.cumsum(marg[ids][::-1])[::-1], [0.0]))
     n = len(ids)
     # the index where each run of equal pairs after the first starts
     runs = np.flatnonzero((alloc[1:] != alloc[:-1]) | (price[1:] != price[:-1])) + 1
     q = 1.0 - above[np.append(runs, n)[runs.searchsorted(np.arange(n), side="right")]]
     if np.any(q <= 0.0):
         i = int(ids[np.argmax(q <= 0.0)])
-        raise ZeroObservationProbability(
-            f"node {g.label(i)} has zero observation probability"
-        )
-    estimates = (event_utilities(Events(ids, alloc, price), values) - g.k) / q
-    return dict(zip(ids.tolist(), estimates.tolist()))
+        raise ZeroObservationProbability(f"node {g.label(i)} has zero observation probability")
+    return dict(zip(ids.tolist(), ((w - g.k) / q).tolist()))
 
 
 # --- expectation and parameters ------------------------------------------

@@ -9,8 +9,8 @@ weight-pushing recursions.  Actions are paths of node ids
 (``pseudo_space.PseudoPath``), listed by ``enumerate_paths``.
 
 ``expected_utility`` and ``observation_probability`` are exact references
-computed from the marginals rather than by enumeration.  They live here
-because they read the raw adversary profile, which the learner never sees.
+computed from the marginals rather than by enumeration; ``_revealed_events``
+is the all-winner reference on the revealed bids alone.
 ``best_fixed_total``, the harness's per-round comparator, is not an oracle:
 it runs the backward pass's stage loop, and ``best_fixed_action_dp`` checks it.
 """
@@ -36,6 +36,8 @@ from .learner import (
     marginals,
 )
 from .pseudo_space import (
+    _BETA_LOW,
+    Events,
     PseudoGraph,
     PseudoPath,
     _observed,
@@ -80,7 +82,7 @@ def node_totals_from_history(
     """Cumulative sub-utility of every node over the history."""
     totals = np.zeros(graph.n_nodes)
     for beta in histories:
-        for i, x, price in firing_set(beta, graph):
+        for i, x, price in firing_set(beta.bids, graph):
             totals[i] += utility_sum(values.values, x, price)
     return totals
 
@@ -169,7 +171,7 @@ def expected_utility(
 ) -> float:
     """Exact one-round expected utility of the current distribution:
     sum over firing nodes of marginal * sub-utility."""
-    events = firing_set(adversary, state.graph)
+    events = firing_set(adversary.bids, state.graph)
     return expectation(marginals(state)[events.ids], event_utilities(events, values))
 
 
@@ -200,9 +202,10 @@ def _estimates(
             bid_nodes = [i for i in sampled if g.row[i] % 2 == 0]
             signal = bandit_signal(g.level[bid_nodes].tolist(), fb, state, values)
         elif mode is FeedbackMode.ALL_WINNER:
-            signal = allwinner_signal(fb, state, values, marg)
+            fired = _revealed_events(fb, g)[1]
+            signal = allwinner_signal(fb, fired, event_utilities(fired, values), state, marg)
         else:
-            events = firing_set(adversary, g)
+            events = firing_set(adversary.bids, g)
             signal = full_info_signal(events, event_utilities(events, values))
         yield p_sampled, [sum(signal.get(i, 0.0) for i in path) for path in dist]
 
@@ -258,13 +261,24 @@ def observation_probability(
     since it reads the raw adversary profile.
     """
     g = state.graph
-    events = firing_set(adversary, g) + zero_event_set(adversary, g)
+    events = firing_set(adversary.bids, g) + zero_event_set(adversary.bids[-1], g)
     hit = np.flatnonzero(events.ids == node)
     if hit.size != 1:
         raise ValueError(f"node {node} holds no realized event")
     h = hit[0]
     seen = _observed(events.alloc, events.price, events.alloc[h], events.price[h])
     return min(float(marginals(state)[events.ids[seen]].sum()), 1.0)
+
+
+def _revealed_events(feedback, graph: PseudoGraph) -> tuple[Events, Events]:
+    """The all-winner reference: the zero and the firing events ``_observed``
+    admits on the revealed profile, the K - x winning bids and x times
+    ``_BETA_LOW``.  Joined, they are what ``allwinner_signal`` must keep of
+    the round's events; it can take the firing part in their place."""
+    x, p = feedback.allocation, feedback.price
+    revealed = feedback.adversary_winning_bids + (_BETA_LOW,) * x
+    zero, fired = zero_event_set(revealed[-1], graph), firing_set(revealed, graph)
+    return tuple(e[_observed(x, p, e.alloc, e.price)] for e in (zero, fired))
 
 
 def brute_observation_probability(

@@ -314,16 +314,16 @@ class Events:
     """Realized events as equal-length arrays: node id, the allocation the
     event credits, and its price.  ``firing_set`` lists a block of rounds
     one after another and sets ``starts``: round t's events are entries
-    ``starts[t]`` to ``starts[t + 1] - 1``, and ``events[a:b]`` slices out
-    one round.  Iterates as (id, allocation, price) triples of Python
-    scalars; ``+`` joins two sets of one round's events."""
+    ``starts[t]`` to ``starts[t + 1] - 1``; ``events[a:b]`` slices out one
+    round, ``events[mask]`` selects.  Iterates as (id, allocation, price)
+    triples of Python scalars; ``+`` joins two sets of one round's events."""
 
     ids: np.ndarray
     alloc: np.ndarray
     price: np.ndarray
     starts: Optional[np.ndarray] = None
 
-    def __getitem__(self, s: slice) -> "Events":
+    def __getitem__(self, s) -> "Events":
         return Events(self.ids[s], self.alloc[s], self.price[s])
 
     def __len__(self) -> int:
@@ -361,7 +361,7 @@ def event_utilities(events: Events, values: Valuation, offset: float = 0.0) -> n
     return terms.cumsum(axis=0, out=terms)[-1].copy()
 
 
-def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
+def zero_event_set(beta_k: float, graph: PseudoGraph) -> Events:
     """Row-1 bid nodes whose zero-allocation event is realized: j*eps < beta_K.
 
     An action whose top bid is j*eps sits below every adversary bid and
@@ -372,14 +372,13 @@ def zero_event_set(adversary: BidProfile, graph: PseudoGraph) -> Events:
     event: its firing node or this one.  All its events share the pair
     (0, beta_K), so ``zero_event_set + firing_set`` ascends by that pair.
     """
-    beta_k = adversary.bids[-1]
     n = int(np.searchsorted(graph.levels, beta_k, side="left"))
     return Events(graph.bid_ids(1)[:n], np.zeros(n, dtype=int), np.full(n, beta_k))
 
 
 def firing_set(bids, graph: PseudoGraph) -> Events:
-    """All nodes that fire against each profile of ``bids``, a (T, K) array
-    of non-increasing profiles in [0, 1] or one ``BidProfile`` (T = 1),
+    """All nodes that fire against each profile of ``bids``, a (T, K)
+    array-like of non-increasing profiles in [0, 1] (K bids are one round),
     with the allocation floor(k) and the price of each (see
     ``node_fires``).  The rounds follow one another, each in id order, and
     ``starts`` holds the T + 1 round starts.
@@ -394,7 +393,7 @@ def firing_set(bids, graph: PseudoGraph) -> Events:
     (T, n) fire mask and price table through ``PseudoGraph.rows``; the
     mask's entries in row-major order are the events.
     """
-    beta = np.array(bids.bids if isinstance(bids, BidProfile) else bids, ndmin=2)
+    beta = np.array(bids, ndmin=2)
     k, m, levels, n = graph.k, graph.inv_epsilon, graph.levels, graph.n_nodes
     # column k - 1 of each: bid row k fires on levels lo .. hi - 1
     lo = levels.searchsorted(beta[:, ::-1], side="right")[..., None]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -36,9 +37,10 @@ from uniprice import (
 from uniprice.auction_core import on_grid
 from uniprice.errors import HorizonTooShort, ZeroMarginal
 from uniprice.feedback import AllWinnerFeedback, BanditFeedback, make_feedback
-from uniprice.learner import allwinner_signal, ensure_passes, _logsumexp
+from uniprice.learner import _logsumexp, _observed_events, allwinner_signal, ensure_passes
 from uniprice.pseudo_space import event_utilities
 from uniprice.oracle import (
+    _revealed_events,
     best_fixed_action_dp,
     best_fixed_total,
     brute_observation_probability,
@@ -68,8 +70,15 @@ def off_grid_profile(rng, k, m):
 
 def full_info(beta, v, g):
     """The full-information signal of adversary ``beta``."""
-    events = firing_set(beta, g)
+    events = firing_set(beta.bids, g)
     return full_info_signal(events, event_utilities(events, v))
+
+
+def revealed(fb, g, v):
+    """``allwinner_signal``'s round events and utilities for all-winner
+    feedback ``fb``, from the oracle reference on the revealed bids."""
+    fired = _revealed_events(fb, g)[1]
+    return fired, event_utilities(fired, v)
 
 
 def as_path(g, levels):
@@ -343,7 +352,7 @@ class TestSignals:
             fb_b = make_feedback(FeedbackMode.BANDIT, o, beta)
             fb_a = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
             sig_b = bandit_signal(levels, fb_b, s, v)
-            sig_a = allwinner_signal(fb_a, s, v, marginals(s))
+            sig_a = allwinner_signal(fb_a, *revealed(fb_a, s.graph, v), s, marginals(s))
             assert set(sig_b) <= set(sig_a)
             for val in sig_a.values():
                 assert val <= 0.0
@@ -358,8 +367,8 @@ class TestSignals:
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig = allwinner_signal(fb, s, v, marginals(s))
-            zero_events = set(zero_event_set(beta, g).ids.tolist())
+            sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
+            zero_events = set(zero_event_set(beta.bids[-1], g).ids.tolist())
             for node, val in sig.items():
                 if node in zero_events:
                     w = 0.0
@@ -376,8 +385,8 @@ class TestSignals:
             for _ in range(10):
                 s = random_state(g, rng)
                 beta = off_grid_profile(rng, k, m)
-                events = (firing_set(beta, g) + zero_event_set(beta, g)).ids.tolist()
-                for node in events:
+                events = firing_set(beta.bids, g) + zero_event_set(beta.bids[-1], g)
+                for node in events.ids.tolist():
                     fast = observation_probability(node, s, beta)
                     brute = brute_observation_probability(node, s, beta)
                     assert fast == pytest.approx(brute, abs=1e-12)
@@ -393,11 +402,11 @@ class TestSignals:
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
         assert fb.adversary_winning_bids == beta.bids
-        sig = allwinner_signal(fb, s, v, marginals(s))
+        sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
         # levels 0 and 0.25 lie below 0.3
         zero_events = {bid(g, 1, 0), bid(g, 1, 1)}
-        assert set(zero_event_set(beta, g).ids.tolist()) == zero_events
-        assert set(sig) == set(firing_set(beta, g).ids.tolist()) | zero_events
+        assert set(zero_event_set(beta.bids[-1], g).ids.tolist()) == zero_events
+        assert set(sig) == set(firing_set(beta.bids, g).ids.tolist()) | zero_events
         p_zero = sum(node_marginal(s, n) for n in zero_events)
         for node in zero_events:
             assert sig[node] == pytest.approx(-2 / p_zero, rel=1e-12)
@@ -445,7 +454,7 @@ class TestEventProperties:
             for fires, price in [node_fires(n, beta, g)]
             if fires
         ]
-        assert [(i, price) for i, _, price in firing_set(beta, g)] == scan
+        assert [(i, price) for i, _, price in firing_set(beta.bids, g)] == scan
 
     @given(instances())
     @example(_band_edge())
@@ -456,7 +465,7 @@ class TestEventProperties:
         outcome = clear_auction(bids, beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
         s = init_state(g)
-        sig = allwinner_signal(fb, s, v, marginals(s))
+        sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
 
         def realized(h):
             zero_event = g.row[h] == 0 and g.levels[g.level[h]] < beta.bids[-1]
@@ -478,9 +487,53 @@ class TestEventProperties:
     def test_events_ascend_by_allocation_then_price(self, instance):
         # the order allwinner_signal reads its observation probabilities in
         g, beta, _ = instance
-        events = zero_event_set(beta, g) + firing_set(beta, g)
+        events = zero_event_set(beta.bids[-1], g) + firing_set(beta.bids, g)
         pairs = list(zip(events.alloc.tolist(), events.price.tolist()))
         assert pairs == sorted(pairs)
+
+
+class TestAllWinnerEvents:
+    """All-winner reads the round's events, computed from the raw profile;
+    what it keeps is, bit for bit and in order, what the oracle reference
+    finds on the revealed bids alone."""
+
+    @given(instances(), st.just(0.0) | st.floats(1e-3, 1.0, exclude_max=True))
+    @example(_band_edge(), 0.0)
+    @example(_band_edge(), 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_block_events_give_the_revealed_reference(self, instance, share):
+        # share 0 is the validate tie mode; otherwise the harness's perturb
+        # frame, offset share * eps/100 below, where the bottom bid may be
+        # negative
+        g, beta, _ = instance
+        node = [b - g.epsilon / 100 * share for b in beta.bids]
+        assume(not on_grid(np.array(node), g.epsilon).any())
+        beta_node = BidProfile(tuple(node))
+        v = Valuation(tuple(np.linspace(1.0, 0.3, g.k).tolist()))
+        events = firing_set(node, g)
+        utilities = event_utilities(events, v)
+        s = random_state(g, np.random.default_rng(0))
+        marg = marginals(s)
+        outcomes = {}  # every outcome any grid action gets
+        for levels in itertools.combinations_with_replacement(range(g.inv_epsilon, -1, -1), g.k):
+            bids = BidProfile(tuple(float(g.levels[j]) for j in levels))
+            o = clear_auction(bids, beta_node, PricingRule.LAB, v)
+            outcomes.setdefault((o.allocation, o.price), o)
+        xs = {x for x, _ in outcomes}
+        assert (g.k in xs or g.inv_epsilon == 0) and (0 in xs or node[-1] < 0)
+        for o in outcomes.values():
+            fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta_node)
+            seen, w = _observed_events(fb, events, utilities, g)
+            zero, fired = _revealed_events(fb, g)
+            ref = zero + fired
+            assert seen.ids.tolist() == ref.ids.tolist()
+            assert seen.alloc.tolist() == ref.alloc.tolist()
+            assert seen.price.tobytes() == ref.price.tobytes()
+            assert w.tobytes() == event_utilities(ref, v).tobytes()
+            fast = allwinner_signal(fb, events, utilities, s, marg)
+            slow = allwinner_signal(fb, fired, event_utilities(fired, v), s, marg)
+            assert list(fast) == list(slow)
+            assert np.array(list(fast.values())).tobytes() == np.array(list(slow.values())).tobytes()
 
 
 class TestBandEdges:
@@ -491,7 +544,7 @@ class TestBandEdges:
     def test_gap_node_just_below_a_level_fires(self):
         g, beta, _ = _band_edge()
         assert node_fires(gap(g, 1, 4), beta, g) == (True, beta.bids[0])
-        assert gap(g, 1, 4) in firing_set(beta, g).ids.tolist()
+        assert gap(g, 1, 4) in firing_set(beta.bids, g).ids.tolist()
 
     def test_bandit_credits_the_played_gap_node(self):
         g, beta, bids = _band_edge()
@@ -513,7 +566,7 @@ class TestBandEdges:
         o = clear_auction(BidProfile((0.0, 0.0)), beta, PricingRule.LAB, v)
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-        sig = allwinner_signal(fb, s, v, marginals(s))
+        sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
         q = brute_observation_probability(bid(g, 1, 3), s, beta)
         assert sig[bid(g, 1, 3)] == pytest.approx(-2 / q, rel=1e-12)
 
@@ -629,7 +682,7 @@ class TestBlockProperties:
         v = Valuation(tuple(np.linspace(1.0, 0.3, g.k).tolist()))
         events = firing_set(block, g)
         per_round = [
-            event_utilities(firing_set(BidProfile(tuple(row.tolist())), g), v, offset)
+            event_utilities(firing_set(row, g), v, offset)
             for row in block
         ]
         assert event_utilities(events, v, offset).tobytes() == np.concatenate(per_round).tobytes()
@@ -669,7 +722,7 @@ class TestExpectedUtility:
         s = init_state(g)
         beta = BidProfile((0.999, 0.997))
         v = Valuation((1.0, 1.0))
-        fired = set(firing_set(beta, g).ids.tolist())
+        fired = set(firing_set(beta.bids, g).ids.tolist())
         assert fired == {bid(g, 2, 2), gap(g, 1, 1)}
         expect = node_marginal(s, gap(g, 1, 1)) * (1.0 - 0.999)
         assert expected_utility(s, beta, v) == pytest.approx(expect, abs=1e-15)
@@ -747,14 +800,14 @@ class TestEdgeCases:
         # inconsistent with the concentrated state
         fb = AllWinnerFeedback(0, 0.3, beta.bids)
         with pytest.raises(ZeroObservationProbability):
-            allwinner_signal(fb, s, Valuation((1.0, 0.5)), marginals(s))
+            allwinner_signal(fb, *revealed(fb, g, Valuation((1.0, 0.5))), s, marginals(s))
 
     def test_allwinner_one_level_grid(self):
         # M = 0: the single level 0 lies below the adversary's bid, so winning
         # nothing reveals its zero-allocation event, observed with certainty
         fb = AllWinnerFeedback(0, 0.4, (0.4,))
         s = init_state(build_graph(1, 0))
-        sig = allwinner_signal(fb, s, Valuation((0.9,)), marginals(s))
+        sig = allwinner_signal(fb, *revealed(fb, s.graph, Valuation((0.9,))), s, marginals(s))
         assert sig == {0: -1.0}
 
     def test_passes_stable_at_extreme_weights(self):
@@ -774,6 +827,6 @@ class TestEdgeCases:
         # shifted-adversary frame: negative node-space bids never fire
         g = build_graph(2, 2)
         beta_shifted = BidProfile((0.3, -0.004))
-        fired = firing_set(beta_shifted, g).ids.tolist()
+        fired = firing_set(beta_shifted.bids, g).ids.tolist()
         assert gap(g, 1, 0) in fired  # 0 < 0.3 < 0.5
         assert all(node_fires(i, beta_shifted, g)[0] for i in fired)

@@ -254,7 +254,7 @@ class TestFiring:
                     for n in range(g.n_nodes)
                     if node_fires(n, beta, g)[0]
                 }
-                got = {(i, price) for i, _, price in firing_set(beta, g)}
+                got = {(i, price) for i, _, price in firing_set(beta.bids, g)}
                 assert got == expected
                 assert len(got) <= 2 * (k * k + m)
 
@@ -266,7 +266,7 @@ class TestFiring:
             g = build_graph(k, m)
             for _ in range(30):
                 beta = off_grid_profile(rng, k, m)
-                zero = set(zero_event_set(beta, g).ids.tolist())
+                zero = set(zero_event_set(beta.bids[-1], g).ids.tolist())
                 assert all(
                     g.row[i] == 0 and g.level[i] / m < beta.bids[-1]
                     for i in zero
@@ -337,7 +337,7 @@ class TestPerturbAccounting:
         # adversary shifted down by the offset, and are credited at their
         # price plus the offset
         g, offset, beta, v = instance
-        events = firing_set(BidProfile(tuple(b - offset for b in beta.bids)), g)
+        events = firing_set([b - offset for b in beta.bids], g)
         credit = dict(zip(events.ids.tolist(), event_utilities(events, v, offset).tolist()))
         for path in enumerate_paths(g):
             market = apply_tie_offset(decode(path, g), offset, g.epsilon)
