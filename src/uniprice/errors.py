@@ -62,3 +62,8 @@ class HorizonTooShort(AuctionError):
 
 class ConfigError(AuctionError):
     """Invalid or incomplete experiment configuration."""
+
+
+class WeightOverflow(AuctionError):
+    """The log weights left floating-point range: the learning rate is too
+    large for the run."""

@@ -26,7 +26,7 @@ from .auction_core import (
     clear_auction,
     utility_sum,  # noqa: F401  perfbench/tracing.py wraps harness.utility_sum by name
 )
-from .errors import ConfigError
+from .errors import ConfigError, WeightOverflow
 from .feedback import make_feedback
 from .learner import (
     FeedbackMode,
@@ -253,12 +253,16 @@ def run_experiment(config: RunConfig) -> list[RegretTrace]:
     """
     validate_config(config)
     reps = range(config.replications)
-    if config.workers > 1 and config.replications > 1:
-        workers = min(config.workers, config.replications)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_replication, [config] * config.replications, reps))
-    else:
-        traces = [_run_replication(config, rep) for rep in reps]
+    try:
+        if config.workers > 1 and config.replications > 1:
+            workers = min(config.workers, config.replications)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                traces = list(pool.map(_run_replication, [config] * config.replications, reps))
+        else:
+            traces = [_run_replication(config, rep) for rep in reps]
+    except WeightOverflow as exc:
+        eta = resolve_parameters(config)[1]
+        raise WeightOverflow(f"eta={eta:g} is too large: {exc}") from None
     traces.sort(key=lambda tr: tr.run)
     return traces
 

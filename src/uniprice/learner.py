@@ -7,7 +7,10 @@ products of all path suffixes after h, so the walk start / transition
 probabilities W(h') Gamma(h') / Gamma(h) reproduce path probabilities
 proportional to the product of node weights.  A symmetric forward pass
 yields exact node inclusion probabilities, which the partial-feedback
-estimators divide by.
+estimators divide by.  Both passes recompute only the rows that the
+updates since the last pass reached (``WeightState``'s dirty range), with
+the bits of a full pass; a log weight that leaves floating-point range
+raises ``WeightOverflow``.
 
 Signals are keyed by node id: each maps the ids of a round's realized
 events (``pseudo_space.Events``) to their estimates, and ``update_weights``
@@ -27,7 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from .auction_core import Valuation, utility_sum
-from .errors import HorizonTooShort, ZeroMarginal, ZeroObservationProbability
+from .errors import (
+    HorizonTooShort,
+    WeightOverflow,
+    ZeroMarginal,
+    ZeroObservationProbability,
+)
 from .pseudo_space import Events, PseudoGraph, PseudoPath, _observed, zero_event_set
 
 
@@ -48,6 +56,12 @@ class WeightState:
     ``w_rows``, ``b_rows`` and ``f_rows`` are the (bid, gap) row views of
     ``log_w``, ``backward`` and ``forward`` (see ``PseudoGraph.rows``),
     built once; the arrays are updated in place, never replaced.
+
+    ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
+    whose weight changed since the last ``ensure_passes``, or n and -1
+    when none did; a new state is all dirty.  ``update_weights`` widens
+    the range.  Code that writes ``log_w`` directly after a pass must call
+    ``mark_all_dirty``.
     """
 
     graph: PseudoGraph
@@ -55,7 +69,8 @@ class WeightState:
     backward: np.ndarray
     forward: np.ndarray
     log_gamma0: float = math.nan
-    fresh: bool = False
+    dirty_lo: int = field(init=False)
+    dirty_hi: int = field(init=False)
     w_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     b_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     f_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
@@ -65,6 +80,11 @@ class WeightState:
         self.w_rows = rows(self.log_w)
         self.b_rows = rows(self.backward)
         self.f_rows = rows(self.forward)
+        self.mark_all_dirty()
+
+    def mark_all_dirty(self) -> None:
+        """Make the next pass recompute every row."""
+        self.dirty_lo, self.dirty_hi = 0, self.graph.n_nodes - 1
 
 
 def init_state(graph: PseudoGraph) -> WeightState:
@@ -119,7 +139,9 @@ def _chain_scan(
     out[cut] = a
 
 
-def _suffix_scan(op: np.ufunc, w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> None:
+def _suffix_scan(
+    op: np.ufunc, w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray, rows: int | None = None
+) -> None:
     """Fill ``out``, shaped like the bid rows ``w_bid`` (..., K, M+1), with
     the suffix recursion on a node array's row views: 0 on the last bid
     row, and bid row r the ``op``-scan along gap row r of
@@ -128,31 +150,41 @@ def _suffix_scan(op: np.ufunc, w_bid: np.ndarray, w_gap: np.ndarray, out: np.nda
     suffix.  Bid and gap nodes at the same (k, j) share successors, so gap
     row r's value is bid row r's first M entries.  One cumsum gives every
     gap row's prefix sums.
+
+    Only bid rows 0..``rows``-1 (default: all) are recomputed; the rest
+    keep their values, except that the last row's 0 is always written.
     """
-    prefix = np.zeros(w_gap.shape[:-1] + (w_gap.shape[-1] + 1,))
-    w_gap.cumsum(axis=-1, out=prefix[..., 1:])
+    if rows is None:
+        rows = w_gap.shape[-2]
+    prefix = np.zeros(w_gap.shape[:-2] + (rows, w_gap.shape[-1] + 1))
+    w_gap[..., :rows, :].cumsum(axis=-1, out=prefix[..., 1:])
     out[..., -1, :] = 0.0
-    for r in range(out.shape[-2] - 2, -1, -1):
+    for r in range(rows - 1, -1, -1):
         row = out[..., r, :]
         np.add(w_bid[..., r + 1, :], out[..., r + 1, :], out=row)
         _chain_scan(op, w_gap[..., r, :], prefix[..., r, :], row, row)
 
 
-def backward_pass(state: WeightState) -> WeightState:
+def backward_pass(state: WeightState, dirty_row: int) -> WeightState:
     """Fill Gamma: suffix weight products.  Gamma = 1 on the last bid row;
     elsewhere Gamma(h) = sum over successors h' of W(h') Gamma(h'), which
     ``_suffix_scan`` computes in the log domain.
+
+    Bid row k's Gamma reads only the weights of the rows after it, so only
+    the bid rows above ``dirty_row`` (the highest ``graph.row`` whose
+    weights changed) are recomputed; log Gamma_0 always is.
     """
     m = state.graph.inv_epsilon
     w_bid, w_gap = state.w_rows
     b_bid, b_gap = state.b_rows
-    _suffix_scan(np.logaddexp, w_bid, w_gap, b_bid)
-    b_gap[...] = b_bid[:-1, :m]
+    rows = (dirty_row + 1) // 2  # bid row r sits at graph row 2r
+    _suffix_scan(np.logaddexp, w_bid, w_gap, b_bid, rows)
+    b_gap[:rows] = b_bid[:rows, :m]
     state.log_gamma0 = _logsumexp(w_bid[0] + b_bid[0])
     return state
 
 
-def forward_pass(state: WeightState) -> WeightState:
+def forward_pass(state: WeightState, dirty_row: int) -> WeightState:
     """Fill F: prefix weight products including the node's own weight.
     F(h) = W(h) * sum over predecessors h' of F(h'), seeded on the first
     bid row with F = W.
@@ -162,6 +194,10 @@ def forward_pass(state: WeightState) -> WeightState:
     F_gap(j) = W_gap(j) * (F_bid(j+1) + F_gap(j+1)), a scan along the
     reversed row; one cumsum gives the prefix sums of every reversed gap
     row below its top level.
+
+    A row's F reads only the weights of its own row and the rows before
+    it, so only the rows from ``dirty_row`` (the lowest ``graph.row``
+    whose weights changed) on are recomputed, and the top column in full.
     """
     g = state.graph
     m = g.inv_epsilon
@@ -170,27 +206,36 @@ def forward_pass(state: WeightState) -> WeightState:
     w_bid[:, m].cumsum(out=f_bid[:, m])
     if m == 0:
         return state
-    f_bid[0, :m] = w_bid[0, :m]
+    if dirty_row == 0:
+        f_bid[0, :m] = w_bid[0, :m]
     w_low, f_low = w_bid[:, :m], f_bid[:, :m]
     w_gap_down, f_gap_down = w_gap[:, ::-1], f_gap[:, ::-1]
     f_bid_down = f_bid[:, m:0:-1]
-    below_top = w_gap_down[:, 1:]
-    prefix = np.zeros((g.k - 1, m))
+    # gap row r sits at graph row 2r + 1, bid row r + 1 at 2r + 2
+    first_gap = dirty_row // 2
+    below_top = w_gap_down[first_gap:, 1:]
+    prefix = np.zeros((g.k - 1 - first_gap, m))
     below_top.cumsum(axis=1, out=prefix[:, 1:])
-    for r in range(g.k - 1):
-        out = f_gap_down[r]
-        np.add(w_gap_down[r], f_bid_down[r], out=out)
-        _chain_scan(np.logaddexp, below_top[r], prefix[r], out, out)
+    for r in range(max(dirty_row - 1, 0) // 2, g.k - 1):
+        if r >= first_gap:
+            out = f_gap_down[r]
+            np.add(w_gap_down[r], f_bid_down[r], out=out)
+            _chain_scan(np.logaddexp, below_top[r - first_gap], prefix[r - first_gap], out, out)
         np.logaddexp(f_low[r], f_gap[r], out=f_low[r + 1])
         np.add(w_low[r + 1], f_low[r + 1], out=f_low[r + 1])
     return state
 
 
 def ensure_passes(state: WeightState) -> WeightState:
-    if not state.fresh:
-        backward_pass(state)
-        forward_pass(state)
-        state.fresh = True
+    """Bring Gamma, F and log Gamma_0 up to date with ``log_w``: run both
+    passes on the dirty rows, then mark the state clean."""
+    if state.dirty_lo <= state.dirty_hi:
+        row = state.graph.row
+        backward_pass(state, int(row[state.dirty_hi]))
+        forward_pass(state, int(row[state.dirty_lo]))
+        state.dirty_lo, state.dirty_hi = state.graph.n_nodes, -1
+        if not math.isfinite(state.log_gamma0):
+            raise WeightOverflow(f"log Gamma_0 is {state.log_gamma0} after the weight update")
     return state
 
 
@@ -235,12 +280,15 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     levels = [j]
     # log of each gap step's probability, gap level j - 1 from bid level j
     steps = (w_gap + b_gap - b_bid[:-1, 1:]).tolist()
-    for row in steps:
-        while j > 0:
-            if rng.random() >= math.exp(row[j - 1]):
-                break
-            j -= 1
-        levels.append(j)
+    try:
+        for row in steps:
+            while j > 0:
+                if rng.random() >= math.exp(row[j - 1]):
+                    break
+                j -= 1
+            levels.append(j)
+    except OverflowError:
+        raise WeightOverflow("a walk step's log probability overflows") from None
     return tuple(levels)
 
 
@@ -257,13 +305,19 @@ def path_log_probability(state: WeightState, path: PseudoPath) -> float:
 
 def update_weights(state: WeightState, signal: EstimateVector, eta: float) -> WeightState:
     """Multiply each signalled node's weight by exp(eta * signal): a
-    scatter-add into the log weights."""
+    scatter-add into the log weights, which widens the dirty range to the
+    signalled ids."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     n = len(signal)
     ids = np.fromiter(signal, dtype=np.intp, count=n)
     state.log_w[ids] += eta * np.fromiter(signal.values(), dtype=float, count=n)
-    state.fresh = False
+    if n:
+        ends = sorted(signal)  # faster than min and max on int keys
+        if ends[0] < state.dirty_lo:
+            state.dirty_lo = ends[0]
+        if ends[-1] > state.dirty_hi:
+            state.dirty_hi = ends[-1]
     return state
 
 

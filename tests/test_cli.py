@@ -200,6 +200,7 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize("flag", ["--out", "--plot"])
     def test_unwritable_output_exits_2_before_simulating(
@@ -325,6 +326,32 @@ class TestMain:
         ]
         self.assert_one_line_error(argv, capsys)
         assert out.read_text().count("\n") == 6 and not plot.exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--feedback", "full", "--eta", "1e308"],
+            ["--feedback", "allwinner", "--eta", "1e308"],
+            ["--feedback", "bandit", "--eta", "1e308"],
+            ["--feedback", "full", "--eta", "1e200"],
+            ["--feedback", "bandit", "--epsilon", "0.5", "--eta", "1e300"],
+        ],
+        ids=lambda extra: " ".join(extra),
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the way there
+    def test_overflowing_weights_exit_2_naming_eta_and_write_no_csv(
+        self, extra, tmp_path, capsys
+    ):
+        # a huge finite eta drives the log weights out of floating-point
+        # range: log Gamma_0 turns non-finite, or a walk step's exp overflows
+        out = tmp_path / "run.csv"
+        argv = [
+            "--units", "2", "--horizon", "100", "--values", "1,0.5",
+            "--adversary", "iid", "--seed", "1", "--out", str(out),
+        ] + extra
+        err = self.assert_one_line_error(argv, capsys)
+        assert f"eta={float(extra[-1]):g}" in err
+        assert not out.exists()
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         from uniprice import cli

@@ -420,6 +420,45 @@ class TestBlocks:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+class TestDirtyRows:
+    """The passes recompute only the rows an update reaches: bandit's one
+    node a round spares rows, full information's update reaches every
+    row."""
+
+    @staticmethod
+    def pass_scans(config, monkeypatch):
+        from uniprice import learner
+
+        scan, calls = learner._chain_scan, []
+
+        def counted(op, *args):
+            if op is np.logaddexp:  # the passes; best_fixed_total scans in (max, +)
+                calls.append(1)
+            return scan(op, *args)
+
+        monkeypatch.setattr(learner, "_chain_scan", counted)
+        run_experiment(config)
+        return len(calls)
+
+    @staticmethod
+    def config(k, feedback):
+        return small_config(
+            k=k, feedback=feedback, horizon=200, replications=1,
+            values=tuple(1 - i / (2 * k) for i in range(k)),
+            adversary=AdversarySpec(AdversaryKind.IID_UNIFORM, k),
+        )
+
+    def test_bandit_k8_scans_fewer_rows_than_full_passes(self, monkeypatch):
+        config = self.config(8, FeedbackMode.BANDIT)
+        full = 2 * (config.k - 1) * config.horizon  # one pass pair a round
+        assert self.pass_scans(config, monkeypatch) < full
+
+    def test_full_information_scans_every_row(self, monkeypatch):
+        config = self.config(3, FeedbackMode.FULL_INFORMATION)
+        full = 2 * (config.k - 1) * config.horizon
+        assert self.pass_scans(config, monkeypatch) == full
+
+
 class TestBenchmarkContract:
     """perfbench/tracing.py wraps the names harness imports and counts from
     their arguments; these checks fail when harness stops calling them the

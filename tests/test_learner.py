@@ -584,6 +584,72 @@ def best_path_weight(g, w):
     return max(sum(w[n] for n in path) for path in enumerate_paths(g))
 
 
+@st.composite
+def update_runs(draw):
+    """K in 1..4, M in 0..8 and 1 to 8 sparse weight updates, each with a
+    flag that says whether the passes run after it.  An update is one node
+    of the first bid row, the last bid row or a gap row, or up to four
+    nodes anywhere; a value may be -inf, which cuts the chains through its
+    node."""
+    g = build_graph(draw(st.integers(1, 4)), draw(st.integers(0, 8)))
+    rows = [g.bid_ids(1), g.bid_ids(g.k)] + [g.gap_ids(k) for k in range(1, g.k)]
+    value = st.one_of(st.floats(-5.0, 5.0), st.just(-math.inf))
+    node = st.sampled_from([ids.tolist() for ids in rows if len(ids)]).flatmap(st.sampled_from)
+    single = st.builds(lambda i, v: {i: v}, node, value)
+    sparse = st.dictionaries(st.integers(0, g.n_nodes - 1), value, max_size=4)
+    return g, draw(st.lists(st.tuples(single | sparse, st.booleans()), min_size=1, max_size=8))
+
+
+def _edge_updates():
+    """K = 3, M = 4: the last bid row, a -inf cut in the middle of gap row
+    1.5, the first bid row and the last gap row, passes after each."""
+    g = build_graph(3, 4)
+    return g, [
+        ({bid(g, 3, 4): 1.5}, True),
+        ({gap(g, 1, 2): -math.inf}, True),
+        ({bid(g, 1, 0): -2.0}, True),
+        ({gap(g, 2, 3): 0.75, bid(g, 2, 1): 0.25}, True),
+    ]
+
+
+def assert_full_pass_bits(s):
+    """Gamma, F and log Gamma_0 of ``s`` equal, byte for byte, a full pass
+    on a new state holding the same weights."""
+    full = init_state(s.graph)
+    full.log_w[:] = s.log_w
+    ensure_passes(full)
+    assert s.backward.tobytes() == full.backward.tobytes()
+    assert s.forward.tobytes() == full.forward.tobytes()
+    assert np.float64(s.log_gamma0).tobytes() == np.float64(full.log_gamma0).tobytes()
+
+
+class TestDirtyRows:
+    @given(update_runs())
+    @example(_edge_updates())
+    @settings(max_examples=300, deadline=None)
+    def test_dirty_row_passes_equal_full_passes_bitwise(self, run):
+        g, updates = run
+        s = init_state(g)
+        ensure_passes(s)
+        for n, (signal, passes) in enumerate(updates, 1):
+            update_weights(s, signal, 1.0)
+            if not (passes or n == len(updates)):
+                continue
+            if not math.isfinite(best_path_weight(g, s.log_w)):
+                break  # every action has weight 0 from here on
+            ensure_passes(s)
+            assert_full_pass_bits(s)
+
+    def test_a_direct_write_after_a_pass_needs_mark_all_dirty(self):
+        g = build_graph(2, 3)
+        s = init_state(g)
+        ensure_passes(s)
+        s.log_w[bid(g, 2, 1)] = 2.0
+        s.mark_all_dirty()
+        ensure_passes(s)
+        assert_full_pass_bits(s)
+
+
 class TestRowKernelProperties:
     @given(weighted_graphs())
     @settings(max_examples=300, deadline=None)
