@@ -19,7 +19,6 @@ from uniprice import (
     exact_path_distribution,
     init_state,
     marginals,
-    node_marginal,
     path_log_probability,
     sample_path,
 )
@@ -58,7 +57,7 @@ for kk in (1, 2):
     print(f"  bid row {kk}: {np.round(row, 4)} sum={row.sum():.6f}")
 
 check = max(
-    abs(sum(p for path, p in dist.items() if i in path) - node_marginal(state, i))
+    abs(sum(p for path, p in dist.items() if i in path) - marg[i])
     for i in range(g.n_nodes)
 )
 print(f"max |marginal - enumeration| = {check:.2e}")

@@ -34,6 +34,7 @@ from uniprice import (
     encode,
     expected_utility,
     init_state,
+    marginals,
     path_log_probability,
     sample_path,
     update_weights,
@@ -62,7 +63,7 @@ def run(horizon, seed, zero_event):
         bids = BidProfile(tuple(float(graph.levels[j]) for j in levels))
         outcome = clear_auction(bids, beta, PricingRule.LAB, values)
         fb = make_feedback(FeedbackMode.BANDIT, outcome, beta)
-        signal = bandit_signal(levels, fb, state, values)
+        signal = bandit_signal(levels, fb, state, values, marginals(state))
         if not zero_event and outcome.allocation == 0:
             signal = {}  # before: winning nothing gave no signal
         update_weights(state, signal, eta)

@@ -52,7 +52,6 @@ from .learner import (
     full_info_signal,
     init_state,
     marginals,
-    node_marginal,
     path_log_probability,
     sample_path,
     update_weights,

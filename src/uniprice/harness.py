@@ -135,12 +135,14 @@ def resolve_parameters(config: RunConfig) -> tuple[float, float]:
 _BLOCK_BYTES = 512 * 1024
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     """One replication in two halves.  Against an oblivious adversary the
     firing events, their sub-utilities, the node totals and the hindsight
     comparator depend only on the adversary's (T, K) block, so they are
     computed a block of rounds at a time, before those rounds run; the
-    learner's loop then reads each round's slice of them."""
+    learner's loop then reads each round's slice of them.  numpy's overflow
+    and invalid-value warnings are off: ``WeightOverflow`` reports those."""
     t_start = time.perf_counter()
     root = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     seed_learn, seed_adv, seed_tie = root.spawn(3)
@@ -217,7 +219,7 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
             if config.feedback is FeedbackMode.FULL_INFORMATION:
                 signal = full_info_signal(events[a:b], w_node[a:b])
             elif config.feedback is FeedbackMode.BANDIT:
-                signal = bandit_signal(levels, fb, state, values)
+                signal = bandit_signal(levels, fb, state, values, marg)
             else:
                 signal = allwinner_signal(fb, events[a:b], w_node[a:b], state, marg)
             update_weights(state, signal, eta)

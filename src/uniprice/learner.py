@@ -5,12 +5,13 @@ Actions are sampled exactly from the induced product distribution with a
 weight-pushing pass: a backward accumulator Gamma(h) sums the weight
 products of all path suffixes after h, so the walk start / transition
 probabilities W(h') Gamma(h') / Gamma(h) reproduce path probabilities
-proportional to the product of node weights.  A symmetric forward pass
-yields exact node inclusion probabilities, which the partial-feedback
-estimators divide by.  Both passes recompute only the rows that the
-updates since the last pass reached (``WeightState``'s dirty range), with
-the bits of a full pass; a log weight that leaves floating-point range
-raises ``WeightOverflow``.
+proportional to the product of node weights.  The forward accumulator F is
+the same recursion on the reversed graph, and W F Gamma / Gamma_0 gives
+exact node inclusion probabilities, which the partial-feedback estimators
+divide by.  Both passes recompute only the rows that the updates since the
+last pass reached (``WeightState``'s dirty range), with the bits of a full
+pass; a log weight that leaves floating-point range raises
+``WeightOverflow``.
 
 Signals are keyed by node id: each maps the ids of a round's realized
 events (``pseudo_space.Events``) to their estimates, and ``update_weights``
@@ -53,9 +54,10 @@ EstimateVector = dict[int, float]
 class WeightState:
     """Log-domain node weights plus the backward/forward accumulators.
 
-    ``w_rows``, ``b_rows`` and ``f_rows`` are the (bid, gap) row views of
-    ``log_w``, ``backward`` and ``forward`` (see ``PseudoGraph.rows``),
-    built once; the arrays are updated in place, never replaced.
+    ``w_rows`` and ``b_rows`` are the (bid, gap) row views of ``log_w`` and
+    ``backward`` (see ``PseudoGraph.rows``), ``w_rev`` and ``f_rev`` those
+    of ``log_w[::-1]`` and ``forward[::-1]``, the reversed graph's; all are
+    built once, and the arrays are updated in place, never replaced.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -73,13 +75,15 @@ class WeightState:
     dirty_hi: int = field(init=False)
     w_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     b_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    f_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    w_rev: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    f_rev: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = self.graph.rows
         self.w_rows = rows(self.log_w)
         self.b_rows = rows(self.backward)
-        self.f_rows = rows(self.forward)
+        self.w_rev = rows(self.log_w[::-1])
+        self.f_rev = rows(self.forward[::-1])
         self.mark_all_dirty()
 
     def mark_all_dirty(self) -> None:
@@ -174,116 +178,101 @@ def backward_pass(state: WeightState, dirty_row: int) -> WeightState:
     the bid rows above ``dirty_row`` (the highest ``graph.row`` whose
     weights changed) are recomputed; log Gamma_0 always is.
     """
-    m = state.graph.inv_epsilon
     w_bid, w_gap = state.w_rows
     b_bid, b_gap = state.b_rows
     rows = (dirty_row + 1) // 2  # bid row r sits at graph row 2r
     _suffix_scan(np.logaddexp, w_bid, w_gap, b_bid, rows)
-    b_gap[:rows] = b_bid[:rows, :m]
+    b_gap[:rows] = b_bid[:rows, :-1]  # gap (k, j) shares bid (k, j)'s successors
     state.log_gamma0 = _logsumexp(w_bid[0] + b_bid[0])
     return state
 
 
 def forward_pass(state: WeightState, dirty_row: int) -> WeightState:
-    """Fill F: prefix weight products including the node's own weight.
-    F(h) = W(h) * sum over predecessors h' of F(h'), seeded on the first
-    bid row with F = W.
-
-    The top level has one predecessor, the top of the bid row above, so
-    that column is a cumsum.  Gap row k runs from the top level down,
-    F_gap(j) = W_gap(j) * (F_bid(j+1) + F_gap(j+1)), a scan along the
-    reversed row; one cumsum gives the prefix sums of every reversed gap
-    row below its top level.
-
-    A row's F reads only the weights of its own row and the rows before
-    it, so only the rows from ``dirty_row`` (the lowest ``graph.row``
-    whose weights changed) on are recomputed, and the top column in full.
+    """Fill F: prefix weight products, without the node's own weight as
+    Gamma leaves it out.  F = 1 on the first bid row; elsewhere F(h) = sum
+    over predecessors h' of W(h') F(h').  Predecessors are the reversed
+    graph's successors (see ``PseudoGraph.rows``), so F is Gamma of the
+    reversed graph, ``_suffix_scan`` on ``w_rev``.  Graph row ``dirty_row``
+    (the lowest whose weights changed) is reversed row 2K-2-``dirty_row``;
+    the bid rows above it there are recomputed.
     """
-    g = state.graph
-    m = g.inv_epsilon
-    w_bid, w_gap = state.w_rows
-    f_bid, f_gap = state.f_rows
-    w_bid[:, m].cumsum(out=f_bid[:, m])
-    if m == 0:
-        return state
-    if dirty_row == 0:
-        f_bid[0, :m] = w_bid[0, :m]
-    w_low, f_low = w_bid[:, :m], f_bid[:, :m]
-    w_gap_down, f_gap_down = w_gap[:, ::-1], f_gap[:, ::-1]
-    f_bid_down = f_bid[:, m:0:-1]
-    # gap row r sits at graph row 2r + 1, bid row r + 1 at 2r + 2
-    first_gap = dirty_row // 2
-    below_top = w_gap_down[first_gap:, 1:]
-    prefix = np.zeros((g.k - 1 - first_gap, m))
-    below_top.cumsum(axis=1, out=prefix[:, 1:])
-    for r in range(max(dirty_row - 1, 0) // 2, g.k - 1):
-        if r >= first_gap:
-            out = f_gap_down[r]
-            np.add(w_gap_down[r], f_bid_down[r], out=out)
-            _chain_scan(np.logaddexp, below_top[r - first_gap], prefix[r - first_gap], out, out)
-        np.logaddexp(f_low[r], f_gap[r], out=f_low[r + 1])
-        np.add(w_low[r + 1], f_low[r + 1], out=f_low[r + 1])
+    w_bid, w_gap = state.w_rev
+    f_bid, f_gap = state.f_rev
+    rows = (2 * state.graph.k - 1 - dirty_row) // 2
+    _suffix_scan(np.logaddexp, w_bid, w_gap, f_bid, rows)
+    f_gap[:rows] = f_bid[:rows, :-1]
     return state
+
+
+#: Largest gap between log Gamma_0 and the same total from the last bid row:
+#: an error d in a log is a relative error of about d in every probability
+#: read.  Runs in float range stay below 1e-13; weights past it, far above 1.
+_END_GAP = 1e-6
 
 
 def ensure_passes(state: WeightState) -> WeightState:
     """Bring Gamma, F and log Gamma_0 up to date with ``log_w``: run both
-    passes on the dirty rows, then mark the state clean."""
+    passes on the dirty rows, then mark the state clean.  A state whose
+    weights overflow stays dirty, so every later call raises again."""
     if state.dirty_lo <= state.dirty_hi:
         row = state.graph.row
         backward_pass(state, int(row[state.dirty_hi]))
         forward_pass(state, int(row[state.dirty_lo]))
+        log_g0 = state.log_gamma0
+        if not math.isfinite(log_g0):
+            raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update")
+        log_end = _logsumexp(state.w_rev[0][0] + state.f_rev[0][0])
+        if not abs(log_end - log_g0) <= _END_GAP:
+            raise WeightOverflow(
+                f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last"
+            )
         state.dirty_lo, state.dirty_hi = state.graph.n_nodes, -1
-        if not math.isfinite(state.log_gamma0):
-            raise WeightOverflow(f"log Gamma_0 is {state.log_gamma0} after the weight update")
     return state
 
 
 def marginals(state: WeightState) -> np.ndarray:
     """Inclusion probability of every node under the current distribution:
-    P(h in sampled path) = F(h) Gamma(h) / Gamma_0."""
+    P(h in sampled path) = W(h) F(h) Gamma(h) / Gamma_0, capped at 1."""
     ensure_passes(state)
-    out = np.add(state.forward, state.backward)
-    np.subtract(out, state.log_gamma0, out=out)
+    out = np.add(state.log_w, state.forward)
+    out += state.backward
+    out -= state.log_gamma0
     np.exp(out, out=out)
-    np.maximum(out, 0.0, out=out)
     return np.minimum(out, 1.0, out=out)
-
-
-def node_marginal(state: WeightState, i: int) -> float:
-    """Inclusion probability of node id ``i``."""
-    ensure_passes(state)
-    v = math.exp(state.forward[i] + state.backward[i] - state.log_gamma0)
-    return min(max(v, 0.0), 1.0)
 
 
 def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw one action with probability (prod of its node weights) / Gamma_0
-    and return its K bid levels (``encode`` gives its nodes).
+    and return its K bid levels (``encode`` gives its nodes), by inverse
+    CDF on exactly ``rng.random(K)``.
 
-    The start level j of bid row 1 is drawn with probability
-    W(h) Gamma(h) / Gamma_0.  Should rounding leave u at or above the
+    u[0] picks the start level j of bid row 1, drawn with probability
+    W(h) Gamma(h) / Gamma_0.  Should rounding leave u[0] at or above the
     summed probabilities, the draw falls back to the highest start level
-    of positive probability.  Then each row walks down its gap levels,
-    taking each step with probability W(gap) Gamma(gap) / Gamma(bid); bid
-    and gap nodes at the same (k, j) share both successors and Gamma, so
-    the walk only tracks the level.  Level 0 consumes no randomness.
+    of positive probability.  Then row r walks down its gap levels, each
+    step taken with probability W(gap) Gamma(gap) / Gamma(bid): it takes n
+    steps iff u[r] is below the product of its first n step probabilities.
+    Bid and gap nodes at the same (k, j) share both successors and Gamma,
+    so the walk only tracks the level.
     """
     ensure_passes(state)
     w_bid, w_gap = state.w_rows
     b_bid, b_gap = state.b_rows
+    u = rng.random(state.graph.k).tolist()
     probs = np.exp(w_bid[0] + b_bid[0] - state.log_gamma0)
     cum = probs.cumsum()
-    j = int(cum.searchsorted(rng.random(), side="right"))
+    j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):
         j = int(np.flatnonzero(probs)[-1])
     levels = [j]
     # log of each gap step's probability, gap level j - 1 from bid level j
     steps = (w_gap + b_gap - b_bid[:-1, 1:]).tolist()
     try:
-        for row in steps:
+        for row, x in zip(steps, u[1:]):
+            p = 1.0
             while j > 0:
-                if rng.random() >= math.exp(row[j - 1]):
+                p *= math.exp(row[j - 1])
+                if x >= p:
                     break
                 j -= 1
             levels.append(j)
@@ -332,20 +321,21 @@ def full_info_signal(events: Events, utilities: np.ndarray) -> EstimateVector:
 
 
 def bandit_signal(
-    levels: Sequence[int], feedback, state: WeightState, values: Valuation
+    levels: Sequence[int], feedback, state: WeightState, values: Valuation, marg: np.ndarray
 ) -> EstimateVector:
     """Single-entry estimate (w - K) / P(node played) at the played node
     whose event is realized.
 
     ``levels`` are the played action's K bid levels (``sample_path``'s
-    output); ``feedback`` needs only ``allocation`` and ``price``.  A won
-    allocation x >= 1 realizes the fired node, with w the utility of x
-    items at the price: the bid node at the learner's x-th bid if the price
-    equals it, else the row x+1/2 gap node in the band below the first
-    level at or above the price (``firing_set``'s rule).  A zero allocation
-    realizes the zero-allocation event of the played top-bid node (1, j),
-    with w = 0, so the entry is -K / P((1, j)).  Every action holds exactly
-    one realized event, so the expected estimate of every action is its
+    output); ``feedback`` needs only ``allocation`` and ``price``; ``marg``
+    is ``marginals(state)``.  A won allocation x >= 1 realizes the fired
+    node, with w the utility of x items at the price: the bid node at the
+    learner's x-th bid if the price equals it, else the row x+1/2 gap node
+    in the band below the first level at or above the price
+    (``firing_set``'s rule).  A zero allocation realizes the
+    zero-allocation event of the played top-bid node (1, j), with w = 0,
+    so the entry is -K / P((1, j)).  Every action holds exactly one
+    realized event, so the expected estimate of every action is its
     utility minus K.  The constant -K shift keeps every entry non-positive,
     which controls the estimator's range; the bias is the same for all
     actions and cancels in the regret.
@@ -361,7 +351,7 @@ def bandit_signal(
         else:
             i = int(g.gap_ids(x)[g.levels.searchsorted(p) - 1])
         w = utility_sum(values.values, x, p)
-    p_node = node_marginal(state, i)
+    p_node = float(marg[i])
     if p_node <= 0.0:
         raise ZeroMarginal(f"played node {g.label(i)} has zero inclusion probability")
     return {i: (w - g.k) / p_node}

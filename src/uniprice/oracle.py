@@ -200,7 +200,7 @@ def _estimates(
         fb = make_feedback(mode, outcome, adversary)
         if mode is FeedbackMode.BANDIT:
             bid_nodes = [i for i in sampled if g.row[i] % 2 == 0]
-            signal = bandit_signal(g.level[bid_nodes].tolist(), fb, state, values)
+            signal = bandit_signal(g.level[bid_nodes].tolist(), fb, state, values, marg)
         elif mode is FeedbackMode.ALL_WINNER:
             fired = _revealed_events(fb, g)[1]
             signal = allwinner_signal(fb, fired, event_utilities(fired, values), state, marg)

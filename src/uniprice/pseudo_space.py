@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .auction_core import BidProfile, Valuation, utility_sum
 from .errors import MalformedPath, OffGrid, TooLarge, WrongLength
@@ -86,16 +87,19 @@ class PseudoGraph:
         return self._row_ids[2 * kk - 1]
 
     def rows(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the C-contiguous per-node array ``a``, shaped (..., n):
-        the bid rows as a (..., K, M+1) array and the gap rows as a
-        (..., K-1, M) array, both with row stride 2M+1 ids.  Leading axes
-        are kept.  Writes go through to ``a``."""
+        """Views of the per-node array ``a``, shaped (..., n): the bid rows
+        as a (..., K, M+1) array and the gap rows as a (..., K-1, M) array,
+        both with row stride 2M+1 ids.  Leading axes are kept; writes go
+        through to ``a``, whatever its strides.  Id i -> n-1-i maps the
+        graph onto itself with every edge reversed (bid (k, j) to
+        (K+1-k, M-j), gap (k+1/2, j) to (K-k+1/2, M-1-j)), so
+        ``rows(a[..., ::-1])`` reads ``a`` on the reversed graph."""
         m = self.inv_epsilon
         lead, step = a.shape[:-1], a.strides[-1]
         strides = a.strides[:-1] + (step * (2 * m + 1), step)
         return (
-            np.ndarray(lead + (self.k, m + 1), a.dtype, a, 0, strides),
-            np.ndarray(lead + (self.k - 1, m), a.dtype, a, step * (m + 1), strides),
+            as_strided(a, lead + (self.k, m + 1), strides),
+            as_strided(a[..., m + 1 :], lead + (self.k - 1, m), strides),
         )
 
     def label(self, i: int) -> str:

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from uniprice import FeedbackMode, RunConfig, TieMode
@@ -338,18 +340,21 @@ class TestMain:
         ],
         ids=lambda extra: " ".join(extra),
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the way there
     def test_overflowing_weights_exit_2_naming_eta_and_write_no_csv(
         self, extra, tmp_path, capsys
     ):
         # a huge finite eta drives the log weights out of floating-point
-        # range: log Gamma_0 turns non-finite, or a walk step's exp overflows
+        # range: log Gamma_0 turns non-finite, or it and the total from the
+        # last bid row disagree; stderr holds the error line and no warning
         out = tmp_path / "run.csv"
         argv = [
             "--units", "2", "--horizon", "100", "--values", "1,0.5",
             "--adversary", "iid", "--seed", "1", "--out", str(out),
         ] + extra
-        err = self.assert_one_line_error(argv, capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self.assert_one_line_error(argv, capsys)
+        assert [str(w.message) for w in caught] == []
         assert f"eta={float(extra[-1]):g}" in err
         assert not out.exists()
 

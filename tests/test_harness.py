@@ -549,12 +549,13 @@ class TestPerfbenchHooks:
 
 
 class TestGoldenDigests:
-    """sha256 of ``csv_bytes`` for fixed runs, as the code gave them before
-    the row-view passes, the level walk and the vectorised sub-utilities:
-    a change meant to keep the output bytes must keep these.  The three
-    perturb-mode values date from the cap of the market price at 1 in
-    ``event_utilities``, which moved only their expected-utility and regret
-    columns."""
+    """sha256 of ``csv_bytes`` for fixed runs: a change meant to keep the
+    output bytes must keep these.  They date from the walk on exactly K
+    uniforms a round, the forward pass as the backward recursion on the
+    reversed graph (marginals exp(log W + F + Gamma - log Gamma_0)) and the
+    bandit estimate's division by the round's marginals;
+    ``test_reference.py`` recomputes every column of such runs
+    independently."""
 
     K2 = ["--units", "2", "--values", "1.0,0.5", "--horizon", "300", "--reps", "2",
           "--adversary", "iid", "--seed", "5"]
@@ -565,17 +566,17 @@ class TestGoldenDigests:
         "argv, digest",
         [
             (K2 + ["--feedback", "full"],
-             "15b7da366fe4c020b7f81fedacb601215de0db87af3b33ec70eb8c201eb9f925"),
+             "6cdd859eac3b093dce348716619a2f29271ab08fda6017c314e53c7295620a9f"),
             (K2 + ["--feedback", "bandit"],
-             "0465580867e7a8f200a6073dbc217163d200cf56a78acc41c0bc90f6909e8a3e"),
+             "4f051b4a8cbae7fa137840323aa2953a3c65c5b198fcee2eee07652ad3d68cd7"),
             (K2 + ["--feedback", "allwinner"],
-             "29660b378f0cee2697f0ec586dc09fdb09b28a6c378bf50d7d747489faea1ca9"),
+             "efd15fa648bbc2f5e9a447f2a364f8b547769a826e2a98a5c7db06373eec6097"),
             (K3_PERTURB + ["--feedback", "full"],
-             "45a2bbed6023bea55436babbec26ccd1cc0ccd2ce01659914c0a40f1188656f7"),
+             "721ecb8f8021cde9ff47a94280952480a3c512558491a109cd3c59597fcdaaee"),
             (K3_PERTURB + ["--feedback", "bandit"],
-             "28ceee003c74ba0d8a6f2e0ac930cbeed72e9f5bee759818bd005d9a0cb2cb96"),
+             "d954b83c26934617fa12106913c48a4e623846b3be1b3875b4d61fe6d9d9b43c"),
             (K3_PERTURB + ["--feedback", "allwinner"],
-             "299c81bd4c35ae11f12ef8766b7c4c8c9cf82a704bf324b822d0f185391820f7"),
+             "9e7ee4c3c9732877bfbc7f5af13cd370d2b615758ca8ce1e784ff344922d6441"),
         ],
         ids=["k2-full", "k2-bandit", "k2-allwinner",
              "k3-perturb-full", "k3-perturb-bandit", "k3-perturb-allwinner"],

@@ -25,7 +25,6 @@ from uniprice import (
     init_state,
     marginals,
     node_fires,
-    node_marginal,
     observed_set_membership,
     path_log_probability,
     path_utility,
@@ -35,7 +34,7 @@ from uniprice import (
     zero_event_set,
 )
 from uniprice.auction_core import on_grid
-from uniprice.errors import HorizonTooShort, ZeroMarginal
+from uniprice.errors import HorizonTooShort, WeightOverflow, ZeroMarginal
 from uniprice.feedback import AllWinnerFeedback, BanditFeedback, make_feedback
 from uniprice.learner import _logsumexp, _observed_events, allwinner_signal, ensure_passes
 from uniprice.pseudo_space import event_utilities
@@ -131,9 +130,9 @@ class TestPasses:
         s = init_state(g)
         ensure_passes(s)
         assert math.exp(s.forward[bid(g, 2, 0)]) == pytest.approx(2.0)
-        # start nodes carry their own weight
+        # start nodes have no predecessors, and F leaves out their own weight
         for j in (0, 1):
-            assert s.forward[bid(g, 1, j)] == s.log_w[bid(g, 1, j)]
+            assert s.forward[bid(g, 1, j)] == 0.0
 
     def test_flow_conservation(self):
         rng = np.random.default_rng(1)
@@ -142,9 +141,8 @@ class TestPasses:
             s = random_state(g, rng)
             ensure_passes(s)
             last = g.bid_ids(k)
-            assert _logsumexp(s.forward[last] + s.backward[last]) == pytest.approx(
-                s.log_gamma0, abs=1e-10
-            )
+            total = s.log_w[last] + s.forward[last] + s.backward[last]
+            assert _logsumexp(total) == pytest.approx(s.log_gamma0, abs=1e-10)
 
 
 class TestMarginals:
@@ -152,9 +150,10 @@ class TestMarginals:
         g = build_graph(2, 2)
         s = init_state(g)
         paths = list(enumerate_paths(g))
+        marg = marginals(s)
         for node in range(g.n_nodes):
             frac = sum(1 for p in paths if node in p) / len(paths)
-            assert node_marginal(s, node) == pytest.approx(frac, abs=1e-12)
+            assert marg[node] == pytest.approx(frac, abs=1e-12)
 
     def test_bid_rows_normalize(self):
         rng = np.random.default_rng(2)
@@ -220,8 +219,8 @@ class TestSampler:
         assert start[2] == 0.0 and start.cumsum()[-1] < top_draw
 
         class TopDraw:
-            def random(self):
-                return top_draw
+            def random(self, size):
+                return np.full(size, top_draw)
 
         levels = sample_path(s, TopDraw())
         assert levels[0] == 1
@@ -229,7 +228,7 @@ class TestSampler:
         for beta in (BidProfile((0.8, 0.3)), BidProfile((0.9, 0.7))):
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-            (estimate,) = bandit_signal(levels, fb, s, v).values()
+            (estimate,) = bandit_signal(levels, fb, s, v, marginals(s)).values()
             assert math.isfinite(estimate)
 
     def test_one_full_info_update_tilts_by_utility(self):
@@ -267,7 +266,7 @@ class TestUpdate:
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-            for val in bandit_signal(levels, fb, s, v).values():
+            for val in bandit_signal(levels, fb, s, v, marginals(s)).values():
                 assert val <= 0.0
 
     def test_cumulative_identity_full_info(self):
@@ -313,10 +312,11 @@ class TestSignals:
         path = encode(BidProfile((1.0, 0.5)), g)
         o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-        sig = bandit_signal(levels_of(g, path), fb, s, v)
+        marg = marginals(s)
+        sig = bandit_signal(levels_of(g, path), fb, s, v, marg)
         fired = gap(g, 1, 3)
         assert set(sig) == {fired}
-        expected = (o.utility - 2) / node_marginal(s, fired)
+        expected = (o.utility - 2) / marg[fired]
         assert sig[fired] == pytest.approx(expected, rel=1e-12)
 
     def test_bandit_zero_allocation_empty(self):
@@ -326,10 +326,11 @@ class TestSignals:
         s = random_state(g, np.random.default_rng(15))
         fb = BanditFeedback(0, None)
         path = encode(BidProfile((0.25, 0.0)), g)
-        sig = bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)))
+        marg = marginals(s)
+        sig = bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marg)
         top = bid(g, 1, 1)
         assert set(sig) == {top}
-        assert sig[top] == pytest.approx(-2 / node_marginal(s, top), rel=1e-12)
+        assert sig[top] == pytest.approx(-2 / marg[top], rel=1e-12)
 
     def test_bandit_zero_marginal_error(self):
         g = build_graph(2, 4)
@@ -338,7 +339,7 @@ class TestSignals:
         path = encode(BidProfile((1.0, 0.5)), g)
         fb = BanditFeedback(1, 0.8)
         with pytest.raises(ZeroMarginal):
-            bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)))
+            bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marginals(s))
 
     def test_allwinner_superset_of_bandit(self):
         rng = np.random.default_rng(9)
@@ -351,7 +352,7 @@ class TestSignals:
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb_b = make_feedback(FeedbackMode.BANDIT, o, beta)
             fb_a = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig_b = bandit_signal(levels, fb_b, s, v)
+            sig_b = bandit_signal(levels, fb_b, s, v, marginals(s))
             sig_a = allwinner_signal(fb_a, *revealed(fb_a, s.graph, v), s, marginals(s))
             assert set(sig_b) <= set(sig_a)
             for val in sig_a.values():
@@ -386,11 +387,12 @@ class TestSignals:
                 s = random_state(g, rng)
                 beta = off_grid_profile(rng, k, m)
                 events = firing_set(beta.bids, g) + zero_event_set(beta.bids[-1], g)
+                marg = marginals(s)
                 for node in events.ids.tolist():
                     fast = observation_probability(node, s, beta)
                     brute = brute_observation_probability(node, s, beta)
                     assert fast == pytest.approx(brute, abs=1e-12)
-                    assert fast >= node_marginal(s, node) - 1e-12
+                    assert fast >= marg[node] - 1e-12
 
     def test_allwinner_x0_reveals_all_firing_nodes(self):
         g = build_graph(2, 4)
@@ -407,7 +409,7 @@ class TestSignals:
         zero_events = {bid(g, 1, 0), bid(g, 1, 1)}
         assert set(zero_event_set(beta.bids[-1], g).ids.tolist()) == zero_events
         assert set(sig) == set(firing_set(beta.bids, g).ids.tolist()) | zero_events
-        p_zero = sum(node_marginal(s, n) for n in zero_events)
+        p_zero = sum(marginals(s)[n] for n in zero_events)
         for node in zero_events:
             assert sig[node] == pytest.approx(-2 / p_zero, rel=1e-12)
 
@@ -552,7 +554,8 @@ class TestBandEdges:
         o = clear_auction(bids, beta, PricingRule.LAB, v)
         assert (o.allocation, o.price) == (1, beta.bids[0])
         fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-        sig = bandit_signal((5, 2), fb, init_state(g), v)
+        s = init_state(g)
+        sig = bandit_signal((5, 2), fb, s, v, marginals(s))
         assert set(sig) == {gap(g, 1, 4)}
         assert gap(g, 1, 4) in encode(bids, g)  # on the played path
 
@@ -673,6 +676,85 @@ class TestRowKernelProperties:
         assert best_fixed_total(totals, g) == pytest.approx(dp_total, abs=1e-9)
 
 
+class Uniforms:
+    """A stand-in rng whose ``random(size)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return np.array(self.u)
+
+
+def inverted_levels(dist, g, u, margin=1e-9):
+    """The K levels that inverting the exact conditionals of ``dist`` with
+    the uniforms ``u`` gives, or None when some u lies within ``margin``
+    of a boundary.  u[0] takes the first start level, ascending, whose
+    cumulative probability exceeds it; u[r] takes n gap steps down from
+    bid level j, where n is the most steps whose conditional probability
+    P(next level <= j - n | levels so far) exceeds u[r]."""
+    mass = Counter()
+    for path, p in dist.items():
+        mass[levels_of(g, path)] += p
+    levels = ()
+    for x in u:
+        cond = Counter()
+        for lv, p in mass.items():
+            if lv[: len(levels)] == levels:
+                cond[lv[len(levels)]] += p
+        total = sum(cond.values())
+        if not levels:
+            cum = np.cumsum([cond[j] / total for j in range(g.inv_epsilon + 1)])
+            bounds, j = cum, int(np.argmax(cum > x))
+        else:
+            top = levels[-1]
+            # bounds[n - 1]: the probability of at least n steps
+            bounds = [sum(cond[j] for j in range(top - n + 1)) / total for n in range(1, top + 1)]
+            j = top - sum(x < b for b in bounds)
+        if any(abs(x - b) < margin for b in bounds):
+            return None
+        levels += (j,)
+    return levels
+
+
+class TestWalk:
+    """``sample_path`` is an inverse-CDF walk on exactly K uniforms a call."""
+
+    @given(weighted_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_walk_inverts_the_exact_conditionals(self, instance, data):
+        # one drawn u, edge values included, and 20 Philox draws for spread
+        g, log_w = instance
+        assume(math.isfinite(best_path_weight(g, log_w)))
+        s = init_state(g)
+        s.log_w[:] = log_w
+        dist = exact_path_distribution(s)
+        uniform = st.floats(0.0, 1.0, exclude_max=True)
+        drawn = [data.draw(st.lists(uniform, min_size=g.k, max_size=g.k))]
+        drawn += rng_from(data.draw(st.integers(0, 2**32 - 1))).random((20, g.k)).tolist()
+        for u in drawn:
+            expected = inverted_levels(dist, g, u)
+            if expected is not None:  # u is not within 1e-9 of a boundary
+                # a level no action reaches has Gamma = -inf and a nan step
+                with np.errstate(invalid="ignore"):
+                    assert sample_path(s, Uniforms(u)) == expected
+
+    def test_a_walk_advances_philox_as_random_k_does(self):
+        for k, m in [(1, 0), (1, 3), (2, 5), (4, 2)]:
+            g = build_graph(k, m)
+            s = random_state(g, np.random.default_rng(k + m))
+            walked, drawn = rng_from(k + m), rng_from(k + m)
+            for _ in range(20):
+                sample_path(s, walked)
+                drawn.random(k)
+            assert walked.random(8).tobytes() == drawn.random(8).tobytes()
+            # so T walks' uniforms are one (T, K) draw
+            block = rng_from(7).random((20, k))
+            one = rng_from(7)
+            assert block.tobytes() == np.array([one.random(k) for _ in range(20)]).tobytes()
+
+
 @st.composite
 def blocks(draw):
     """K in 1..4, M in 0..8 and a (B, K) block of 1 to 6 off-grid
@@ -790,7 +872,7 @@ class TestExpectedUtility:
         v = Valuation((1.0, 1.0))
         fired = set(firing_set(beta.bids, g).ids.tolist())
         assert fired == {bid(g, 2, 2), gap(g, 1, 1)}
-        expect = node_marginal(s, gap(g, 1, 1)) * (1.0 - 0.999)
+        expect = marginals(s)[gap(g, 1, 1)] * (1.0 - 0.999)
         assert expected_utility(s, beta, v) == pytest.approx(expect, abs=1e-15)
 
     def test_degenerate_single_path(self):
@@ -888,6 +970,15 @@ class TestEdgeCases:
         assert np.all((marg >= 0) & (marg <= 1))
         for kk in (1, 2):
             assert marg[g.bid_ids(kk)].sum() == pytest.approx(1.0, rel=1e-9)
+
+    def test_overflowed_weights_keep_raising(self):
+        g = build_graph(2, 2)
+        s = init_state(g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            update_weights(s, {bid(g, 1, 0): 1e308, gap(g, 1, 1): 1e308}, 10.0)
+            for _ in range(2):
+                with pytest.raises(WeightOverflow):
+                    marginals(s)
 
     def test_bandit_signal_perturbed_frame_consistency(self):
         # shifted-adversary frame: negative node-space bids never fire
