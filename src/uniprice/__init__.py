@@ -4,6 +4,8 @@ Submodules:
 
 * ``auction_core``: single-shot clearing, dominance clipping, tie offsets.
 * ``pseudo_space``: the bid/bid-gap action graph and utility decomposition.
+* ``feedback``: one record per round; the modes differ only in the
+  adversary bids it reveals.
 * ``learner``: exponential weights with weight-pushing sampling and the
   bandit / all-winner sub-utility estimators.
 * ``adversaries``: opposing-bid generators, including the first-price
@@ -27,12 +29,7 @@ from .adversaries import (
     next_bids,
     reduction_consistency_check,
 )
-from .feedback import (
-    AllWinnerFeedback,
-    BanditFeedback,
-    FullInfoFeedback,
-    make_feedback,
-)
+from .feedback import Feedback, FeedbackMode, make_feedback
 from .harness import (
     PlotScale,
     RegretTrace,
@@ -44,7 +41,6 @@ from .harness import (
     write_svg,
 )
 from .learner import (
-    FeedbackMode,
     WeightState,
     allwinner_signal,
     bandit_signal,

@@ -21,8 +21,8 @@ import numpy as np
 from .adversaries import AdversaryKind, AdversarySpec
 from .auction_core import PricingRule
 from .errors import AuctionError, ConfigError
+from .feedback import FeedbackMode
 from .harness import PlotScale, RunConfig, TieMode, run_experiment, write_csv, write_svg
-from .learner import FeedbackMode
 
 _REQUIRED = ("units", "horizon", "feedback", "values", "adversary")
 
@@ -66,7 +66,7 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
     if name == "fixed":
         profile = _parse_values(params)
         return AdversarySpec(AdversaryKind.FIXED, k, fixed_profile=profile)
-    if name in ("iid", "iiduniform"):
+    if name == "iid":
         bounds = _parse_values(params, 2) if params else (0.0, 1.0)
         return AdversarySpec(AdversaryKind.IID_UNIFORM, k, bounds=bounds)
     if name == "schedule":
@@ -83,10 +83,12 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
     if name == "firstprice":
         if not params:
             return AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, k)
-        head, _, rest = params.partition(":")
+        head, sep, rest = params.partition(":")
         if head == "uniform":
             bounds = _parse_values(rest, 2) if rest else (0.0, 1.0)
             return AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, k, bounds=bounds)
+        if sep:
+            raise ConfigError(f"cannot parse adversary {text!r}: firstprice:H takes one number")
         (h_value,) = _parse_values(head, 1)
         return AdversarySpec(AdversaryKind.FIRST_PRICE_REDUCTION, k, h_value=h_value)
     raise ConfigError(f"unknown adversary kind {name!r}")

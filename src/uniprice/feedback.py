@@ -1,55 +1,46 @@
-"""Feedback views: the auction information each mode shows the learner.
+"""Feedback: the auction information each mode shows the learner.
+
+Every mode shows the allocation x and the LAB price p; the modes differ
+only in the adversary bids they reveal, highest first: none under bandit,
+the K - x winning bids under all-winner, all K under full information.  So
+all-winner interpolates between the other two with the auction's result,
+a side-observation model.  Bandit also hides the price when x = 0.
 
 All-winner also reads the round's events, computed from the raw profile;
-that ``_observed`` hides what this view hides is a proven and tested
+that ``_observed`` hides what this record hides is a proven and tested
 property (``learner.allwinner_signal``), not a structural one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional
 
 from .auction_core import AuctionOutcome, BidProfile
-from .learner import FeedbackMode
+
+
+class FeedbackMode(Enum):
+    FULL_INFORMATION = "full"
+    BANDIT = "bandit"
+    ALL_WINNER = "allwinner"
 
 
 @dataclass(frozen=True)
-class BanditFeedback:
-    """Allocation always; price only when something was won."""
+class Feedback:
+    """Allocation, price (None under bandit when nothing was won) and the
+    revealed adversary bids, highest first."""
 
     allocation: int
     price: Optional[float]
-
-
-@dataclass(frozen=True)
-class AllWinnerFeedback:
-    """Allocation, price, and every winning adversary bid (the top K - x)."""
-
-    allocation: int
-    price: float
-    adversary_winning_bids: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class FullInfoFeedback:
-    """The entire adversary profile."""
-
-    allocation: int
-    price: float
-    adversary_bids: tuple[float, ...]
+    revealed: tuple[float, ...]
 
 
 def make_feedback(mode: FeedbackMode, outcome: AuctionOutcome, adversary: BidProfile):
-    """Narrow a clearing result to what the feedback model reveals."""
+    """Narrow a clearing result to the mode's ``Feedback``."""
+    x, p, bids = outcome.allocation, outcome.price, adversary.bids
     if mode is FeedbackMode.BANDIT:
-        price = outcome.price if outcome.allocation > 0 else None
-        return BanditFeedback(outcome.allocation, price)
+        return Feedback(x, p if x > 0 else None, ())
     if mode is FeedbackMode.ALL_WINNER:
-        n_reveal = len(adversary.bids) - outcome.allocation
-        return AllWinnerFeedback(
-            outcome.allocation,
-            outcome.price,
-            tuple(adversary.bids[:n_reveal]),
-        )
-    return FullInfoFeedback(outcome.allocation, outcome.price, adversary.bids)
+        return Feedback(x, p, bids[: len(bids) - x])
+    return Feedback(x, p, bids)

@@ -27,9 +27,8 @@ from .auction_core import (
     utility_sum,  # noqa: F401  perfbench/tracing.py wraps harness.utility_sum by name
 )
 from .errors import ConfigError, WeightOverflow
-from .feedback import make_feedback
+from .feedback import FeedbackMode, make_feedback
 from .learner import (
-    FeedbackMode,
     allwinner_signal,
     bandit_signal,
     default_parameters,

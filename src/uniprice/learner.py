@@ -15,17 +15,18 @@ pass; a log weight that leaves floating-point range raises
 
 Signals are keyed by node id: each maps the ids of a round's realized
 events (``pseudo_space.Events``) to their estimates, and ``update_weights``
-scatter-adds eta times them into the log weights.  All-winner reads the
-round's events, computed from the raw profile; the proven and tested
-``_observed`` filter hides the rest.  Everything runs in the log domain;
-the raw accumulators overflow after a few thousand rounds.
+scatter-adds eta times them into the log weights.  The partial-feedback
+signals read only the allocation and price of the round's
+``feedback.Feedback``.  All-winner reads the round's events, computed from
+the raw profile; the proven and tested ``_observed`` filter hides what its
+revealed bids do not decide.  Everything runs in the log domain; the raw
+accumulators overflow after a few thousand rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +38,8 @@ from .errors import (
     ZeroMarginal,
     ZeroObservationProbability,
 )
+from .feedback import FeedbackMode
 from .pseudo_space import Events, PseudoGraph, PseudoPath, _observed, zero_event_set
-
-
-class FeedbackMode(Enum):
-    FULL_INFORMATION = "full"
-    BANDIT = "bandit"
-    ALL_WINNER = "allwinner"
 
 
 #: Sparse per-node signal fed to the weight update: node id -> value.
@@ -327,8 +323,8 @@ def bandit_signal(
     whose event is realized.
 
     ``levels`` are the played action's K bid levels (``sample_path``'s
-    output); ``feedback`` needs only ``allocation`` and ``price``; ``marg``
-    is ``marginals(state)``.  A won allocation x >= 1 realizes the fired
+    output); ``feedback`` is the round's bandit ``Feedback``; ``marg`` is
+    ``marginals(state)``.  A won allocation x >= 1 realizes the fired
     node, with w the utility of x items at the price: the bid node at the
     learner's x-th bid if the price equals it, else the row x+1/2 gap node
     in the band below the first level at or above the price
@@ -380,17 +376,18 @@ def allwinner_signal(
     the proof).  Zero-allocation events carry w = 0 and the denominator
     P(x = 0), so every action's expected estimate is its utility minus K.
     P(observed) is one minus the mass of the realized events after the
-    event's run of equal (allocation, price) pairs, in which order they
-    ascend: the outcomes that hide it, all of which the feedback reveals.
+    event, in which order their (allocation, price) pairs ascend: the
+    outcomes that hide it, all of which the feedback reveals.  The pairs
+    ascend strictly, except that the zero events, present at x = 0 only,
+    lead and share one pair, so they share the last one's q.
     """
     g = state.graph
     seen, w = _observed_events(feedback, events, utilities, g)
-    ids, alloc, price = seen.ids, seen.alloc, seen.price
-    above = np.concatenate((np.cumsum(marg[ids][::-1])[::-1], [0.0]))
-    n = len(ids)
-    # the index where each run of equal pairs after the first starts
-    runs = np.flatnonzero((alloc[1:] != alloc[:-1]) | (price[1:] != price[:-1])) + 1
-    q = 1.0 - above[np.append(runs, n)[runs.searchsorted(np.arange(n), side="right")]]
+    ids = seen.ids
+    q = 1.0 - np.append(np.cumsum(marg[ids][::-1])[::-1], 0.0)[1:]
+    n_zero = int(np.count_nonzero(seen.alloc == 0))
+    if n_zero:
+        q[:n_zero] = q[n_zero - 1]
     if np.any(q <= 0.0):
         i = int(ids[np.argmax(q <= 0.0)])
         raise ZeroObservationProbability(f"node {g.label(i)} has zero observation probability")

@@ -24,9 +24,8 @@ import numpy as np
 
 from .auction_core import BidProfile, PricingRule, Valuation, clear_auction, utility_sum
 from .errors import TooLarge
-from .feedback import make_feedback
+from .feedback import FeedbackMode, make_feedback
 from .learner import (
-    FeedbackMode,
     WeightState,
     _suffix_scan,
     allwinner_signal,
@@ -276,7 +275,7 @@ def _revealed_events(feedback, graph: PseudoGraph) -> tuple[Events, Events]:
     ``_BETA_LOW``.  Joined, they are what ``allwinner_signal`` must keep of
     the round's events; it can take the firing part in their place."""
     x, p = feedback.allocation, feedback.price
-    revealed = feedback.adversary_winning_bids + (_BETA_LOW,) * x
+    revealed = feedback.revealed + (_BETA_LOW,) * x
     zero, fired = zero_event_set(revealed[-1], graph), firing_set(revealed, graph)
     return tuple(e[_observed(x, p, e.alloc, e.price)] for e in (zero, fired))
 

@@ -165,9 +165,10 @@ class TestParseAdversary:
         spec = parse_adversary(f"schedule:{path}", 2)
         assert spec.schedule == ((0.83, 0.31), (0.61, 0.11))
 
-    def test_unknown_kind(self):
+    @pytest.mark.parametrize("text", ["mystery:1", "iiduniform"])
+    def test_unknown_kind(self, text):
         with pytest.raises(ConfigError):
-            parse_adversary("mystery:1", 2)
+            parse_adversary(text, 2)
 
 
 class TestMain:
@@ -283,6 +284,17 @@ class TestMain:
             "--epsilon", "0.25", "--seed", "1",
         ]
         self.assert_one_line_error(argv, capsys)
+
+    def test_firstprice_trailing_text_exits_2_before_any_round(self, capsys, monkeypatch):
+        from uniprice import harness
+
+        def no_rounds(config, rep):
+            raise AssertionError("a round ran before the check")
+
+        monkeypatch.setattr(harness, "_run_replication", no_rounds)
+        i = MINIMAL.index("--adversary")
+        argv = MINIMAL[: i + 1] + ["firstprice:0.3:junk"] + MINIMAL[i + 2 :]
+        assert "'firstprice:0.3:junk'" in self.assert_one_line_error(argv, capsys)
 
     def test_malformed_adversary_bounds_exit_2(self, capsys):
         i = MINIMAL.index("--adversary")

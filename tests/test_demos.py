@@ -1,6 +1,6 @@
 """Smoke test: the demo scripts run to completion against the package in
-``src/``.  Demo 05 is left out: it writes into ``demos/output/``, and the
-harness tests cover its code path."""
+``src/``, with a RuntimeWarning an error.  Demo 05 is left out: it writes
+into ``demos/output/``, and the harness tests cover its code path."""
 
 import os
 import subprocess
@@ -26,7 +26,7 @@ def test_demo_exits_0(script):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uniprice import (
     AdversaryKind,
@@ -40,12 +42,7 @@ from uniprice.errors import (
     TieDetected,
     WrongLength,
 )
-from uniprice.feedback import (
-    AllWinnerFeedback,
-    BanditFeedback,
-    FullInfoFeedback,
-    make_feedback,
-)
+from uniprice.feedback import Feedback, make_feedback
 from uniprice.harness import CSV_HEADER, csv_bytes, resolve_parameters, svg_bytes
 from uniprice.learner import default_parameters
 
@@ -67,7 +64,37 @@ def small_config(**kw):
     return RunConfig(**base)
 
 
+@st.composite
+def cleared_rounds(draw):
+    """K in 1..4, a learner and an adversary profile with no bid in
+    common, so that LAB clears them without a tie."""
+    k = draw(st.integers(1, 4))
+    bid = st.floats(0.0, 1.0)
+    learner = sorted(draw(st.lists(bid, min_size=k, max_size=k)), reverse=True)
+    beta = draw(st.lists(bid.filter(lambda b: b not in learner), min_size=k, max_size=k))
+    return BidProfile(tuple(learner)), BidProfile(tuple(sorted(beta, reverse=True)))
+
+
 class TestFeedbackViews:
+    @given(cleared_rounds(), st.sampled_from(list(FeedbackMode)))
+    @settings(max_examples=300, deadline=None)
+    def test_each_mode_reveals_the_top_adversary_bids(self, profiles, mode):
+        # none, the K - x winning bids or all K, highest first
+        learner, beta = profiles
+        k = beta.k
+        o = clear_auction(learner, beta, PricingRule.LAB, Valuation((0.5,) * k))
+        fb = make_feedback(mode, o, beta)
+        x = o.allocation
+        shown = {
+            FeedbackMode.BANDIT: 0,
+            FeedbackMode.ALL_WINNER: k - x,
+            FeedbackMode.FULL_INFORMATION: k,
+        }[mode]
+        assert fb.revealed == tuple(sorted(beta.bids, reverse=True)[:shown])
+        assert fb.allocation == x
+        assert (fb.price is None) == (mode is FeedbackMode.BANDIT and x == 0)
+        assert fb.price in (None, o.price)
+
     def test_bandit_hides_price_on_loss(self):
         from uniprice import clear_auction
 
@@ -76,7 +103,7 @@ class TestFeedbackViews:
             Valuation((1.0, 0.5)),
         )
         fb = make_feedback(FeedbackMode.BANDIT, o, BidProfile((0.8, 0.3)))
-        assert fb == BanditFeedback(0, None)
+        assert fb == Feedback(0, None, ())
 
     def test_allwinner_reveals_only_winning_bids(self):
         from uniprice import clear_auction
@@ -86,7 +113,7 @@ class TestFeedbackViews:
             BidProfile((1.0, 0.5)), beta, PricingRule.LAB, Valuation((1.0, 0.5))
         )
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-        assert fb == AllWinnerFeedback(1, 0.8, (0.8,))
+        assert fb == Feedback(1, 0.8, (0.8,))
 
     def test_full_info_reveals_profile(self):
         from uniprice import clear_auction
@@ -96,7 +123,7 @@ class TestFeedbackViews:
             BidProfile((1.0, 0.5)), beta, PricingRule.LAB, Valuation((1.0, 0.5))
         )
         fb = make_feedback(FeedbackMode.FULL_INFORMATION, o, beta)
-        assert fb.adversary_bids == (0.8, 0.3)
+        assert fb == Feedback(1, 0.8, (0.8, 0.3))
 
 
 class TestConfigValidation:

@@ -35,7 +35,7 @@ from uniprice import (
 )
 from uniprice.auction_core import on_grid
 from uniprice.errors import HorizonTooShort, WeightOverflow, ZeroMarginal
-from uniprice.feedback import AllWinnerFeedback, BanditFeedback, make_feedback
+from uniprice.feedback import Feedback, make_feedback
 from uniprice.learner import _logsumexp, _observed_events, allwinner_signal, ensure_passes
 from uniprice.pseudo_space import event_utilities
 from uniprice.oracle import (
@@ -324,7 +324,7 @@ class TestSignals:
         # top-bid node: a single -K / P entry there, no utility to credit
         g = build_graph(2, 4)
         s = random_state(g, np.random.default_rng(15))
-        fb = BanditFeedback(0, None)
+        fb = Feedback(0, None, ())
         path = encode(BidProfile((0.25, 0.0)), g)
         marg = marginals(s)
         sig = bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marg)
@@ -337,7 +337,7 @@ class TestSignals:
         s = init_state(g)
         s.log_w[gap(g, 1, 3)] = -800.0  # weight underflows to zero
         path = encode(BidProfile((1.0, 0.5)), g)
-        fb = BanditFeedback(1, 0.8)
+        fb = Feedback(1, 0.8, ())
         with pytest.raises(ZeroMarginal):
             bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marginals(s))
 
@@ -403,7 +403,7 @@ class TestSignals:
         o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-        assert fb.adversary_winning_bids == beta.bids
+        assert fb.revealed == beta.bids
         sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
         # levels 0 and 0.25 lie below 0.3
         zero_events = {bid(g, 1, 0), bid(g, 1, 1)}
@@ -485,13 +485,19 @@ class TestEventProperties:
             assert val == pytest.approx((w - g.k) / q, rel=1e-9)
 
     @given(instances())
+    @example((build_graph(3, 4), BidProfile((0.7, 0.7, 0.2)), None))  # an adversary self-tie
     @settings(max_examples=300, deadline=None)
     def test_events_ascend_by_allocation_then_price(self, instance):
-        # the order allwinner_signal reads its observation probabilities in
+        # the order allwinner_signal reads its observation probabilities in:
+        # the zero events share one pair, and the pairs after them ascend
+        # strictly, so no two firing events share a q
         g, beta, _ = instance
-        events = zero_event_set(beta.bids[-1], g) + firing_set(beta.bids, g)
+        zero = zero_event_set(beta.bids[-1], g)
+        events = zero + firing_set(beta.bids, g)
         pairs = list(zip(events.alloc.tolist(), events.price.tolist()))
-        assert pairs == sorted(pairs)
+        assert set(pairs[: len(zero)]) <= {(0, beta.bids[-1])}
+        rest = pairs[max(len(zero) - 1, 0) :]
+        assert all(a < b for a, b in zip(rest, rest[1:]))
 
 
 class TestAllWinnerEvents:
@@ -946,14 +952,14 @@ class TestEdgeCases:
         beta = BidProfile((0.8, 0.3))
         # a zero-allocation view claims every node is observable, which is
         # inconsistent with the concentrated state
-        fb = AllWinnerFeedback(0, 0.3, beta.bids)
+        fb = Feedback(0, 0.3, beta.bids)
         with pytest.raises(ZeroObservationProbability):
             allwinner_signal(fb, *revealed(fb, g, Valuation((1.0, 0.5))), s, marginals(s))
 
     def test_allwinner_one_level_grid(self):
         # M = 0: the single level 0 lies below the adversary's bid, so winning
         # nothing reveals its zero-allocation event, observed with certainty
-        fb = AllWinnerFeedback(0, 0.4, (0.4,))
+        fb = Feedback(0, 0.4, (0.4,))
         s = init_state(build_graph(1, 0))
         sig = allwinner_signal(fb, *revealed(fb, s.graph, Valuation((0.9,))), s, marginals(s))
         assert sig == {0: -1.0}
