@@ -63,6 +63,8 @@ def parse_adversary(text: str, k: int) -> AdversarySpec:
     """
     name, _, params = text.partition(":")
     name = name.strip().lower()
+    if text.endswith(":"):
+        raise ConfigError(f"cannot parse adversary {text!r}: nothing after the last ':'")
     if name == "fixed":
         profile = _parse_values(params)
         return AdversarySpec(AdversaryKind.FIXED, k, fixed_profile=profile)

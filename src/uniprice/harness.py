@@ -276,8 +276,7 @@ CSV_HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_CSV_CHUNK = 1024
 
 
 def csv_bytes(traces: Sequence[RegretTrace]) -> bytes:
@@ -285,12 +284,17 @@ def csv_bytes(traces: Sequence[RegretTrace]) -> bytes:
         raise ValueError("no traces to write")
     lines = [CSV_HEADER]
     for tr in traces:
-        for i in range(len(tr.realized_utility)):
-            lines.append(
-                f"{tr.run},{i + 1},{_fmt(tr.realized_utility[i])},"
-                f"{_fmt(tr.expected_utility[i])},{_fmt(tr.cum_expected_regret[i])},"
-                f"{_fmt(tr.discretization_bound[i])},{_fmt(tr.price[i])},"
-                f"{int(tr.allocation[i])}"
+        columns = (
+            tr.realized_utility, tr.expected_utility, tr.cum_expected_regret,
+            tr.discretization_bound, tr.price, tr.allocation,
+        )
+        run = tr.run
+        # converted a chunk of rows at a time, which bounds the float objects alive
+        for a in range(0, len(tr.realized_utility), _CSV_CHUNK):
+            rows = zip(*(col[a : a + _CSV_CHUNK].tolist() for col in columns))
+            lines.extend(
+                f"{run},{t},{r:.12g},{e:.12g},{c:.12g},{d:.12g},{p:.12g},{int(x)}"
+                for t, (r, e, c, d, p, x) in enumerate(rows, a + 1)
             )
     return ("\n".join(lines) + "\n").encode("ascii")
 

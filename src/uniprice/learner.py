@@ -8,9 +8,10 @@ probabilities W(h') Gamma(h') / Gamma(h) reproduce path probabilities
 proportional to the product of node weights.  The forward accumulator F is
 the same recursion on the reversed graph, and W F Gamma / Gamma_0 gives
 exact node inclusion probabilities, which the partial-feedback estimators
-divide by.  Both passes recompute only the rows that the updates since the
-last pass reached (``WeightState``'s dirty range), with the bits of a full
-pass; a log weight that leaves floating-point range raises
+divide by.  The two passes run as one suffix scan over a (2, n) stack of
+the graph and its reverse, and recompute only the rows that the updates
+since the last pass reached (``WeightState``'s dirty range), with the bits
+of a full pass; a log weight that leaves floating-point range raises
 ``WeightOverflow``.
 
 Signals are keyed by node id: each maps the ids of a round's realized
@@ -48,12 +49,17 @@ EstimateVector = dict[int, float]
 
 @dataclass
 class WeightState:
-    """Log-domain node weights plus the backward/forward accumulators.
+    """Log-domain node weights plus the backward/forward accumulators,
+    stacked for one pass over the graph and its reverse (id i -> n-1-i,
+    see ``PseudoGraph.rows``).
 
-    ``w_rows`` and ``b_rows`` are the (bid, gap) row views of ``log_w`` and
-    ``backward`` (see ``PseudoGraph.rows``), ``w_rev`` and ``f_rev`` those
-    of ``log_w[::-1]`` and ``forward[::-1]``, the reversed graph's; all are
-    built once, and the arrays are updated in place, never replaced.
+    ``w2`` is (2, n): ``log_w`` in row 0 and the same weights reversed in
+    row 1, which each pass refreshes from row 0.  ``acc`` is (2, n): Gamma
+    (``backward``) in row 0 and F reversed in row 1, so ``forward`` is the
+    view ``acc[1, ::-1]``.  ``log_w``, ``backward`` and ``forward`` are
+    views, ``rows`` holds the (bid, gap) row views of ``w2`` and ``acc``,
+    and ``scan`` the split views ``_suffix_scan`` reads; all are built
+    once, and the arrays are updated in place, never replaced.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -63,23 +69,21 @@ class WeightState:
     """
 
     graph: PseudoGraph
-    log_w: np.ndarray
-    backward: np.ndarray
-    forward: np.ndarray
+    w2: np.ndarray
+    acc: np.ndarray
     log_gamma0: float = math.nan
+    log_w: np.ndarray = field(init=False)
+    backward: np.ndarray = field(init=False)
+    forward: np.ndarray = field(init=False)
     dirty_lo: int = field(init=False)
     dirty_hi: int = field(init=False)
-    w_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    b_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    w_rev: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    f_rev: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    scan: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = self.graph.rows
-        self.w_rows = rows(self.log_w)
-        self.b_rows = rows(self.backward)
-        self.w_rev = rows(self.log_w[::-1])
-        self.f_rev = rows(self.forward[::-1])
+        self.log_w, self.backward, self.forward = self.w2[0], self.acc[0], self.acc[1, ::-1]
+        self.rows = self.graph.rows(self.w2) + self.graph.rows(self.acc)
+        self.scan = _scan_views(self.rows[0], self.rows[1], self.rows[2])
         self.mark_all_dirty()
 
     def mark_all_dirty(self) -> None:
@@ -90,12 +94,7 @@ class WeightState:
 def init_state(graph: PseudoGraph) -> WeightState:
     """All weights start at 1 (log 0)."""
     n = graph.n_nodes
-    return WeightState(
-        graph=graph,
-        log_w=np.zeros(n),
-        backward=np.full(n, -np.inf),
-        forward=np.full(n, -np.inf),
-    )
+    return WeightState(graph=graph, w2=np.zeros((2, n)), acc=np.full((2, n), -np.inf))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -120,12 +119,6 @@ def _chain_scan(
     chain takes its form from its own prefix, whatever the others hold.
     ``out`` may be ``add``.
     """
-    # math.isfinite keeps the passes' one-chain calls cheap
-    if math.isfinite(prefix[-1]) if prefix.ndim == 1 else np.isfinite(prefix[..., -1]).all():
-        np.subtract(add, prefix, out=out)
-        op.accumulate(out, axis=-1, out=out)
-        np.add(out, prefix, out=out)
-        return
     # a 0-d mask indexes one chain as a (1, n) stack
     finite = np.isfinite(prefix[..., -1])
     cut = ~finite
@@ -139,65 +132,54 @@ def _chain_scan(
     out[cut] = a
 
 
-def _suffix_scan(
-    op: np.ufunc, w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray, rows: int | None = None
-) -> None:
-    """Fill ``out``, shaped like the bid rows ``w_bid`` (..., K, M+1), with
-    the suffix recursion on a node array's row views: 0 on the last bid
-    row, and bid row r the ``op``-scan along gap row r of
+def _scan_views(w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> tuple:
+    """Split once what ``_suffix_scan`` reads, for the bid and gap row
+    views ``w_bid`` (..., K, M+1) and ``w_gap`` (..., K-1, M) of a node
+    array and the bid-row-shaped ``out``: the gap rows, a prefix buffer
+    (..., K-1, M+1) whose column 0 stays 0, ``out``'s last row, and per gap
+    row r the views (w_bid[r+1], out[r+1], w_gap[r], prefix[r], out[r])."""
+    prefix = np.zeros(w_gap.shape[:-1] + (w_gap.shape[-1] + 1,))
+    steps = [
+        (w_bid[..., r + 1, :], out[..., r + 1, :], w_gap[..., r, :], prefix[..., r, :],
+         out[..., r, :])
+        for r in range(w_gap.shape[-2])
+    ]
+    return w_gap, prefix, out[..., -1, :], steps
+
+
+def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
+    """Fill ``out`` of ``views = _scan_views(w_bid, w_gap, out)`` with the
+    suffix recursion on a node array's row views: 0 on the last bid row,
+    and bid row r the ``op``-scan along gap row r of
     ``w_bid[r+1] + out[r+1]``; leading axes are independent node arrays.
-    ``np.logaddexp`` gives the backward pass, ``np.maximum`` the best path
-    suffix.  Bid and gap nodes at the same (k, j) share successors, so gap
-    row r's value is bid row r's first M entries.  One cumsum gives every
-    gap row's prefix sums.
+    ``np.logaddexp`` gives the weight-pushing passes, ``np.maximum`` the
+    best path suffix.  Bid and gap nodes at the same (k, j) share
+    successors, so gap row r's value is bid row r's first M entries.
+
+    One cumsum gives every gap row's prefix sums and one ``isfinite`` every
+    row's "all chains finite" flag.  A row whose chains are all finite
+    runs the prefix form of ``_chain_scan`` inline; any other goes to
+    ``_chain_scan``, where each chain takes its own form.
 
     Only bid rows 0..``rows``-1 (default: all) are recomputed; the rest
     keep their values, except that the last row's 0 is always written.
     """
+    w_gap, prefix, last, steps = views
     if rows is None:
-        rows = w_gap.shape[-2]
-    prefix = np.zeros(w_gap.shape[:-2] + (rows, w_gap.shape[-1] + 1))
-    w_gap[..., :rows, :].cumsum(axis=-1, out=prefix[..., 1:])
-    out[..., -1, :] = 0.0
+        rows = len(steps)
+    w_gap[..., :rows, :].cumsum(axis=-1, out=prefix[..., :rows, 1:])
+    lead = tuple(range(prefix.ndim - 2))
+    finite = np.isfinite(prefix[..., :rows, -1]).all(axis=lead).tolist()
+    last[...] = 0.0
     for r in range(rows - 1, -1, -1):
-        row = out[..., r, :]
-        np.add(w_bid[..., r + 1, :], out[..., r + 1, :], out=row)
-        _chain_scan(op, w_gap[..., r, :], prefix[..., r, :], row, row)
-
-
-def backward_pass(state: WeightState, dirty_row: int) -> WeightState:
-    """Fill Gamma: suffix weight products.  Gamma = 1 on the last bid row;
-    elsewhere Gamma(h) = sum over successors h' of W(h') Gamma(h'), which
-    ``_suffix_scan`` computes in the log domain.
-
-    Bid row k's Gamma reads only the weights of the rows after it, so only
-    the bid rows above ``dirty_row`` (the highest ``graph.row`` whose
-    weights changed) are recomputed; log Gamma_0 always is.
-    """
-    w_bid, w_gap = state.w_rows
-    b_bid, b_gap = state.b_rows
-    rows = (dirty_row + 1) // 2  # bid row r sits at graph row 2r
-    _suffix_scan(np.logaddexp, w_bid, w_gap, b_bid, rows)
-    b_gap[:rows] = b_bid[:rows, :-1]  # gap (k, j) shares bid (k, j)'s successors
-    state.log_gamma0 = _logsumexp(w_bid[0] + b_bid[0])
-    return state
-
-
-def forward_pass(state: WeightState, dirty_row: int) -> WeightState:
-    """Fill F: prefix weight products, without the node's own weight as
-    Gamma leaves it out.  F = 1 on the first bid row; elsewhere F(h) = sum
-    over predecessors h' of W(h') F(h').  Predecessors are the reversed
-    graph's successors (see ``PseudoGraph.rows``), so F is Gamma of the
-    reversed graph, ``_suffix_scan`` on ``w_rev``.  Graph row ``dirty_row``
-    (the lowest whose weights changed) is reversed row 2K-2-``dirty_row``;
-    the bid rows above it there are recomputed.
-    """
-    w_bid, w_gap = state.w_rev
-    f_bid, f_gap = state.f_rev
-    rows = (2 * state.graph.k - 1 - dirty_row) // 2
-    _suffix_scan(np.logaddexp, w_bid, w_gap, f_bid, rows)
-    f_gap[:rows] = f_bid[:rows, :-1]
-    return state
+        w_next, out_next, mult, pre, row = steps[r]
+        np.add(w_next, out_next, out=row)
+        if finite[r]:
+            np.subtract(row, pre, out=row)
+            op.accumulate(row, axis=-1, out=row)
+            np.add(row, pre, out=row)
+        else:
+            _chain_scan(op, mult, pre, row, row)
 
 
 #: Largest gap between log Gamma_0 and the same total from the last bid row:
@@ -206,22 +188,52 @@ def forward_pass(state: WeightState, dirty_row: int) -> WeightState:
 _END_GAP = 1e-6
 
 
+def backward_pass(state: WeightState, rows: int) -> WeightState:
+    """Fill Gamma and F, bid rows 0..``rows``-1 of each, in one
+    ``_suffix_scan`` over the (2, n) stacks.
+
+    Gamma, in row 0, holds suffix weight products: Gamma = 1 on the last
+    bid row; elsewhere Gamma(h) = sum over successors h' of W(h') Gamma(h').
+    F holds prefix weight products, without the node's own weight as Gamma
+    leaves it out: F = 1 on the first bid row; elsewhere F(h) = sum over
+    predecessors h' of W(h') F(h').  Predecessors are the reversed graph's
+    successors, so F is Gamma of the reversed graph, kept reversed in row
+    1.  Then log Gamma_0 = logsumexp over the first bid row of W + Gamma.
+    The same (2, M+1) sum gives, in row 1, the last bid row's W + F, whose
+    total must match: ``WeightOverflow`` when log Gamma_0 is not finite or
+    the two differ by more than ``_END_GAP``.
+    """
+    w_bid, _, a_bid, a_gap = state.rows
+    state.w2[1] = state.log_w[::-1]
+    _suffix_scan(np.logaddexp, state.scan, rows)
+    a_gap[:, :rows] = a_bid[:, :rows, :-1]  # gap (k, j) shares bid (k, j)'s successors
+    ends = w_bid[:, 0] + a_bid[:, 0]
+    state.log_gamma0 = log_g0 = _logsumexp(ends[0])
+    if not math.isfinite(log_g0):
+        raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update")
+    log_end = float(np.logaddexp.reduce(ends[1]))
+    if not abs(log_end - log_g0) <= _END_GAP:
+        raise WeightOverflow(
+            f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last"
+        )
+    return state
+
+
 def ensure_passes(state: WeightState) -> WeightState:
-    """Bring Gamma, F and log Gamma_0 up to date with ``log_w``: run both
-    passes on the dirty rows, then mark the state clean.  A state whose
-    weights overflow stays dirty, so every later call raises again."""
+    """Bring Gamma, F and log Gamma_0 up to date with ``log_w``: one
+    ``backward_pass`` on the dirty rows, then mark the state clean.
+
+    Gamma's bid row k reads only the weights of the rows after it, and F's
+    only those before it.  So the graph's bid rows above the highest dirty
+    ``graph.row`` h, (h+1)//2 of them, and the reversed graph's above the
+    lowest l, (2K-1-l)//2, need recomputing; the stacked scan recomputes
+    the larger count in both, and the extra rows come out bit for bit as
+    they were.  A state whose weights overflow stays dirty, so every later
+    call raises again."""
     if state.dirty_lo <= state.dirty_hi:
         row = state.graph.row
-        backward_pass(state, int(row[state.dirty_hi]))
-        forward_pass(state, int(row[state.dirty_lo]))
-        log_g0 = state.log_gamma0
-        if not math.isfinite(log_g0):
-            raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update")
-        log_end = _logsumexp(state.w_rev[0][0] + state.f_rev[0][0])
-        if not abs(log_end - log_g0) <= _END_GAP:
-            raise WeightOverflow(
-                f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last"
-            )
+        hi, lo = int(row[state.dirty_hi]), int(row[state.dirty_lo])
+        backward_pass(state, max((hi + 1) // 2, (2 * state.graph.k - 1 - lo) // 2))
         state.dirty_lo, state.dirty_hi = state.graph.n_nodes, -1
     return state
 
@@ -249,25 +261,26 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     step taken with probability W(gap) Gamma(gap) / Gamma(bid): it takes n
     steps iff u[r] is below the product of its first n step probabilities.
     Bid and gap nodes at the same (k, j) share both successors and Gamma,
-    so the walk only tracks the level.
+    so the walk only tracks the level and reads Gamma(gap) from the bid
+    row.
     """
     ensure_passes(state)
-    w_bid, w_gap = state.w_rows
-    b_bid, b_gap = state.b_rows
+    w_bid, w_gap, b_bid, _ = state.rows  # row 0 of each stack is the graph's
     u = rng.random(state.graph.k).tolist()
-    probs = np.exp(w_bid[0] + b_bid[0] - state.log_gamma0)
+    probs = np.exp(w_bid[0, 0] + b_bid[0, 0] - state.log_gamma0)
     cum = probs.cumsum()
     j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):
         j = int(np.flatnonzero(probs)[-1])
     levels = [j]
-    # log of each gap step's probability, gap level j - 1 from bid level j
-    steps = (w_gap + b_gap - b_bid[:-1, 1:]).tolist()
+    # only the steps the walk reads: a level it cannot reach has Gamma
+    # -inf, and its step would be -inf - (-inf)
     try:
-        for row, x in zip(steps, u[1:]):
+        for w_row, g_row, x in zip(w_gap[0].tolist(), b_bid[0, :-1].tolist(), u[1:]):
             p = 1.0
             while j > 0:
-                p *= math.exp(row[j - 1])
+                # log probability of gap level j - 1 from bid level j
+                p *= math.exp(w_row[j - 1] + g_row[j - 1] - g_row[j])
                 if x >= p:
                     break
                 j -= 1
@@ -290,15 +303,20 @@ def path_log_probability(state: WeightState, path: PseudoPath) -> float:
 
 def update_weights(state: WeightState, signal: EstimateVector, eta: float) -> WeightState:
     """Multiply each signalled node's weight by exp(eta * signal): a
-    scatter-add into the log weights, which widens the dirty range to the
-    signalled ids."""
+    scatter-add into the log weights (a scalar add for bandit's one
+    entry), which widens the dirty range to the signalled ids."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     n = len(signal)
-    ids = np.fromiter(signal, dtype=np.intp, count=n)
-    state.log_w[ids] += eta * np.fromiter(signal.values(), dtype=float, count=n)
-    if n:
+    if n == 1:
+        ((i, v),) = signal.items()
+        state.log_w[i] += eta * v
+        ends = [i]
+    else:
+        ids = np.fromiter(signal, dtype=np.intp, count=n)
+        state.log_w[ids] += eta * np.fromiter(signal.values(), dtype=float, count=n)
         ends = sorted(signal)  # faster than min and max on int keys
+    if n:
         if ends[0] < state.dirty_lo:
             state.dirty_lo = ends[0]
         if ends[-1] > state.dirty_hi:

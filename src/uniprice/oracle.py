@@ -27,6 +27,7 @@ from .errors import TooLarge
 from .feedback import FeedbackMode, make_feedback
 from .learner import (
     WeightState,
+    _scan_views,
     _suffix_scan,
     allwinner_signal,
     bandit_signal,
@@ -94,7 +95,7 @@ def best_fixed_total(node_totals: np.ndarray, graph: PseudoGraph) -> np.ndarray:
     each is bitwise the value of its own one-row call."""
     t_bid, t_gap = graph.rows(node_totals)
     best_after = np.empty(t_bid.shape)
-    _suffix_scan(np.maximum, t_bid, t_gap, best_after)
+    _suffix_scan(np.maximum, _scan_views(t_bid, t_gap, best_after))
     return np.maximum.reduce(t_bid[..., 0, :] + best_after[..., 0, :], axis=-1)
 
 

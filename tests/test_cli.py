@@ -296,6 +296,18 @@ class TestMain:
         argv = MINIMAL[: i + 1] + ["firstprice:0.3:junk"] + MINIMAL[i + 2 :]
         assert "'firstprice:0.3:junk'" in self.assert_one_line_error(argv, capsys)
 
+    @pytest.mark.parametrize("text", ["iid:", "firstprice:", "firstprice:uniform:", "fixed:"])
+    def test_empty_adversary_parameter_exits_2_before_any_round(self, text, capsys, monkeypatch):
+        from uniprice import harness
+
+        def no_rounds(config, rep):
+            raise AssertionError("a round ran before the check")
+
+        monkeypatch.setattr(harness, "_run_replication", no_rounds)
+        i = MINIMAL.index("--adversary")
+        argv = MINIMAL[: i + 1] + [text] + MINIMAL[i + 2 :]
+        assert f"'{text}'" in self.assert_one_line_error(argv, capsys)
+
     def test_malformed_adversary_bounds_exit_2(self, capsys):
         i = MINIMAL.index("--adversary")
         argv = MINIMAL[: i + 1] + ["iid:0.5"] + MINIMAL[i + 2 :]

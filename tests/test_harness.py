@@ -453,19 +453,19 @@ class TestDirtyRows:
     row."""
 
     @staticmethod
-    def pass_scans(config, monkeypatch):
+    def pass_rows(config, monkeypatch):
+        """Total bid rows the stacked passes recompute over a run."""
         from uniprice import learner
 
-        scan, calls = learner._chain_scan, []
+        passes, rows = learner.backward_pass, []
 
-        def counted(op, *args):
-            if op is np.logaddexp:  # the passes; best_fixed_total scans in (max, +)
-                calls.append(1)
-            return scan(op, *args)
+        def counted(state, n_rows):
+            rows.append(n_rows)
+            return passes(state, n_rows)
 
-        monkeypatch.setattr(learner, "_chain_scan", counted)
+        monkeypatch.setattr(learner, "backward_pass", counted)
         run_experiment(config)
-        return len(calls)
+        return sum(rows)
 
     @staticmethod
     def config(k, feedback):
@@ -477,13 +477,12 @@ class TestDirtyRows:
 
     def test_bandit_k8_scans_fewer_rows_than_full_passes(self, monkeypatch):
         config = self.config(8, FeedbackMode.BANDIT)
-        full = 2 * (config.k - 1) * config.horizon  # one pass pair a round
-        assert self.pass_scans(config, monkeypatch) < full
+        full = (config.k - 1) * config.horizon  # every row, one pass a round
+        assert self.pass_rows(config, monkeypatch) < full
 
     def test_full_information_scans_every_row(self, monkeypatch):
         config = self.config(3, FeedbackMode.FULL_INFORMATION)
-        full = 2 * (config.k - 1) * config.horizon
-        assert self.pass_scans(config, monkeypatch) == full
+        assert self.pass_rows(config, monkeypatch) == (config.k - 1) * config.horizon
 
 
 class TestBenchmarkContract:

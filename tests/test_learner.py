@@ -36,7 +36,14 @@ from uniprice import (
 from uniprice.auction_core import on_grid
 from uniprice.errors import HorizonTooShort, WeightOverflow, ZeroMarginal
 from uniprice.feedback import Feedback, make_feedback
-from uniprice.learner import _logsumexp, _observed_events, allwinner_signal, ensure_passes
+from uniprice.learner import (
+    _logsumexp,
+    _observed_events,
+    _scan_views,
+    _suffix_scan,
+    allwinner_signal,
+    ensure_passes,
+)
 from uniprice.pseudo_space import event_utilities
 from uniprice.oracle import (
     _revealed_events,
@@ -659,6 +666,38 @@ class TestDirtyRows:
         assert_full_pass_bits(s)
 
 
+def _cut_in_gap_row_1_5():
+    """K = 3, M = 4, a -inf in gap row 1.5, which the reversed graph holds
+    in gap row 2.5: each stacked row has one cut chain and one finite
+    chain.  The other log weights are unequal, so the prefix and step
+    forms round differently."""
+    g = build_graph(3, 4)
+    log_w = np.linspace(-1.0, 1.0, g.n_nodes)
+    log_w[gap(g, 1, 2)] = -math.inf
+    return g, log_w
+
+
+class TestStackedPasses:
+    @given(weighted_graphs())
+    @example(_cut_in_gap_row_1_5())
+    @settings(max_examples=300, deadline=None)
+    def test_stack_equals_single_array_scans_bitwise(self, instance):
+        g, log_w = instance
+        assume(math.isfinite(best_path_weight(g, log_w)))
+        s = init_state(g)
+        s.log_w[:] = log_w
+        ensure_passes(s)
+        gamma, f_rev = np.empty(g.n_nodes), np.empty(g.n_nodes)
+        for w, out in ((log_w, gamma), (log_w[::-1], f_rev)):
+            (w_bid, w_gap), (o_bid, o_gap) = g.rows(w), g.rows(out)
+            _suffix_scan(np.logaddexp, _scan_views(w_bid, w_gap, o_bid))
+            o_gap[...] = o_bid[:-1, :-1]
+        log_g0 = _logsumexp(g.rows(log_w)[0][0] + g.rows(gamma)[0][0])
+        assert s.backward.tobytes() == gamma.tobytes()
+        assert s.forward.tobytes() == f_rev[::-1].tobytes()
+        assert np.float64(s.log_gamma0).tobytes() == np.float64(log_g0).tobytes()
+
+
 class TestRowKernelProperties:
     @given(weighted_graphs())
     @settings(max_examples=300, deadline=None)
@@ -742,9 +781,7 @@ class TestWalk:
         for u in drawn:
             expected = inverted_levels(dist, g, u)
             if expected is not None:  # u is not within 1e-9 of a boundary
-                # a level no action reaches has Gamma = -inf and a nan step
-                with np.errstate(invalid="ignore"):
-                    assert sample_path(s, Uniforms(u)) == expected
+                assert sample_path(s, Uniforms(u)) == expected
 
     def test_a_walk_advances_philox_as_random_k_does(self):
         for k, m in [(1, 0), (1, 3), (2, 5), (4, 2)]:
