@@ -43,13 +43,15 @@ class TooLarge(AuctionError):
 
 
 class ZeroMarginal(AuctionError):
-    """The sampled action contains a node with zero inclusion probability;
-    indicates an inconsistency between sampler and marginals."""
+    """The sampled action contains a node with zero inclusion probability:
+    an inconsistency between sampler and marginals, or weights too peaked
+    for float range (``run_experiment`` then names the learning rate)."""
 
 
 class ZeroObservationProbability(AuctionError):
-    """An observable node has zero observation probability; indicates an
-    inconsistency in the all-winner estimator."""
+    """An observable node has zero observation probability: an
+    inconsistency in the all-winner estimator, or weights too peaked for
+    float range (``run_experiment`` then names the learning rate)."""
 
 
 class GridCollision(AuctionError):

@@ -26,7 +26,7 @@ from .auction_core import (
     clear_auction,
     utility_sum,  # noqa: F401  perfbench/tracing.py wraps harness.utility_sum by name
 )
-from .errors import ConfigError, WeightOverflow
+from .errors import ConfigError, WeightOverflow, ZeroMarginal, ZeroObservationProbability
 from .feedback import FeedbackMode, make_feedback
 from .learner import (
     allwinner_signal,
@@ -180,7 +180,8 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         w_node = event_utilities(events, values)
         w_market = event_utilities(events, values, offset) if perturb else w_node
         starts = events.starts.tolist()
-        totals = np.zeros((len(block), graph.n_nodes))
+        # node-major, so the comparator scan's row views are contiguous blocks
+        totals = np.zeros((graph.n_nodes, len(block))).T
         totals[0] = node_totals
         totals[np.repeat(np.arange(len(block)), np.diff(events.starts)), events.ids] += w_market
         np.cumsum(totals, axis=0, out=totals)
@@ -261,9 +262,10 @@ def run_experiment(config: RunConfig) -> list[RegretTrace]:
                 traces = list(pool.map(_run_replication, [config] * config.replications, reps))
         else:
             traces = [_run_replication(config, rep) for rep in reps]
-    except WeightOverflow as exc:
+    except (WeightOverflow, ZeroMarginal, ZeroObservationProbability) as exc:
+        # a huge eta ends a run in any of these, none of which names it
         eta = resolve_parameters(config)[1]
-        raise WeightOverflow(f"eta={eta:g} is too large: {exc}") from None
+        raise type(exc)(f"eta={eta:g} is too large: {exc}") from None
     traces.sort(key=lambda tr: tr.run)
     return traces
 

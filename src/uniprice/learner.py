@@ -60,6 +60,8 @@ class WeightState:
     views, ``rows`` holds the (bid, gap) row views of ``w2`` and ``acc``,
     and ``scan`` the split views ``_suffix_scan`` reads; all are built
     once, and the arrays are updated in place, never replaced.
+    ``init_state`` stores both stacks node-major, for speed (see there);
+    any memory order gives the same bits.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -92,9 +94,12 @@ class WeightState:
 
 
 def init_state(graph: PseudoGraph) -> WeightState:
-    """All weights start at 1 (log 0)."""
+    """All weights start at 1 (log 0).  The (2, n) stacks are stored
+    node-major, as the transposes of (n, 2) arrays: each (2, M+1) row view
+    the passes read or write is then one contiguous block, on which numpy
+    runs its 1-D loop instead of a 2-D strided one."""
     n = graph.n_nodes
-    return WeightState(graph=graph, w2=np.zeros((2, n)), acc=np.full((2, n), -np.inf))
+    return WeightState(graph=graph, w2=np.zeros((n, 2)).T, acc=np.full((n, 2), -np.inf).T)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -135,16 +140,20 @@ def _chain_scan(
 def _scan_views(w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> tuple:
     """Split once what ``_suffix_scan`` reads, for the bid and gap row
     views ``w_bid`` (..., K, M+1) and ``w_gap`` (..., K-1, M) of a node
-    array and the bid-row-shaped ``out``: the gap rows, a prefix buffer
-    (..., K-1, M+1) whose column 0 stays 0, ``out``'s last row, and per gap
-    row r the views (w_bid[r+1], out[r+1], w_gap[r], prefix[r], out[r])."""
-    prefix = np.zeros(w_gap.shape[:-1] + (w_gap.shape[-1] + 1,))
+    array and the bid-row-shaped ``out``, and write 0 on ``out``'s last
+    row, which no scan writes again: the gap rows, a prefix buffer
+    (..., K-1, M+1) whose column 0 stays 0, and per gap row r the views
+    (w_bid[r+1], out[r+1], w_gap[r], prefix[r], out[r]).  The prefix
+    buffer takes ``out``'s memory order, so on node-major stacks its row
+    views are contiguous blocks too."""
+    out[..., -1, :] = 0.0
+    prefix = np.zeros_like(out[..., :-1, :], order="K")
     steps = [
         (w_bid[..., r + 1, :], out[..., r + 1, :], w_gap[..., r, :], prefix[..., r, :],
          out[..., r, :])
         for r in range(w_gap.shape[-2])
     ]
-    return w_gap, prefix, out[..., -1, :], steps
+    return w_gap, prefix, steps
 
 
 def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
@@ -156,21 +165,25 @@ def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
     best path suffix.  Bid and gap nodes at the same (k, j) share
     successors, so gap row r's value is bid row r's first M entries.
 
-    One cumsum gives every gap row's prefix sums and one ``isfinite`` every
-    row's "all chains finite" flag.  A row whose chains are all finite
-    runs the prefix form of ``_chain_scan`` inline; any other goes to
-    ``_chain_scan``, where each chain takes its own form.
+    One cumsum gives every gap row's prefix sums, and one sum of their
+    totals shows whether every chain is finite; only when it is not does
+    one ``isfinite`` give each row its "all chains finite" flag.  A row
+    whose chains are all finite runs the prefix form of ``_chain_scan``
+    inline; any other goes to ``_chain_scan``, where each chain takes its
+    own form.
 
-    Only bid rows 0..``rows``-1 (default: all) are recomputed; the rest
-    keep their values, except that the last row's 0 is always written.
+    Only bid rows 0..``rows``-1 (default: all) are recomputed; the rest,
+    and the last row's 0 that ``_scan_views`` wrote, keep their values.
     """
-    w_gap, prefix, last, steps = views
+    w_gap, prefix, steps = views
     if rows is None:
         rows = len(steps)
     w_gap[..., :rows, :].cumsum(axis=-1, out=prefix[..., :rows, 1:])
-    lead = tuple(range(prefix.ndim - 2))
-    finite = np.isfinite(prefix[..., :rows, -1]).all(axis=lead).tolist()
-    last[...] = 0.0
+    totals = prefix[..., :rows, -1]
+    if math.isfinite(totals.sum()):  # a finite sum has finite terms
+        finite = [True] * rows
+    else:
+        finite = np.isfinite(totals).all(axis=tuple(range(totals.ndim - 1))).tolist()
     for r in range(rows - 1, -1, -1):
         w_next, out_next, mult, pre, row = steps[r]
         np.add(w_next, out_next, out=row)

@@ -91,10 +91,13 @@ def best_fixed_total(node_totals: np.ndarray, graph: PseudoGraph) -> np.ndarray:
     """Value of the max-weight source-to-sink path, without backtracking:
     the backward pass's suffix recursion (``learner._suffix_scan``) in
     (max, +) on the row views of ``node_totals``, then the best start.
-    Maps a C-contiguous (..., n) stack of node totals to its (...) values;
-    each is bitwise the value of its own one-row call."""
+    Maps a (..., n) stack of node totals to its (...) values; each is
+    bitwise the value of its own one-row call.  Any memory order works,
+    and the scan's buffers take the stack's; a node-major stack (the
+    transpose of an (n, ...) array) makes every row view one contiguous
+    block, which numpy scans fastest."""
     t_bid, t_gap = graph.rows(node_totals)
-    best_after = np.empty(t_bid.shape)
+    best_after = np.empty_like(t_bid, order="K")
     _suffix_scan(np.maximum, _scan_views(t_bid, t_gap, best_after))
     return np.maximum.reduce(t_bid[..., 0, :] + best_after[..., 0, :], axis=-1)
 

@@ -382,6 +382,39 @@ class TestMain:
         assert f"eta={float(extra[-1]):g}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eta", ["1e20", "1e300"])
+    def test_vanishing_observation_probability_exits_2_naming_eta(
+        self, eta, tmp_path, capsys
+    ):
+        # at these etas the all-winner weights turn so peaked that a node's
+        # observation probability rounds to 0 before any weight overflows
+        out = tmp_path / "run.csv"
+        argv = [
+            "--units", "2", "--horizon", "300", "--values", "1,0.5",
+            "--adversary", "iid", "--seed", "1", "--feedback", "allwinner",
+            "--eta", eta, "--out", str(out),
+        ]
+        err = self.assert_one_line_error(argv, capsys)
+        assert err == (
+            f"error: eta={float(eta):g} is too large: "
+            "node h(1,5) has zero observation probability\n"
+        )
+        assert not out.exists()
+
+    def test_zero_marginal_exits_2_naming_eta(self, capsys, monkeypatch):
+        # no eta tried reaches bandit's ZeroMarginal; a stand-in signal raises it
+        from uniprice import harness
+        from uniprice.errors import ZeroMarginal
+
+        def vanished(*args):
+            raise ZeroMarginal("played node h(1,0) has zero inclusion probability")
+
+        monkeypatch.setattr(harness, "bandit_signal", vanished)
+        err = self.assert_one_line_error(MINIMAL + ["--eta", "1e9"], capsys)
+        assert err == (
+            "error: eta=1e+09 is too large: played node h(1,0) has zero inclusion probability\n"
+        )
+
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
         from uniprice import cli
 

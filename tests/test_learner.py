@@ -12,6 +12,7 @@ from uniprice import (
     FeedbackMode,
     PricingRule,
     Valuation,
+    WeightState,
     bandit_signal,
     build_graph,
     clear_auction,
@@ -628,22 +629,53 @@ def _edge_updates():
     ]
 
 
-def assert_full_pass_bits(s):
+#: memory orders of a state's (2, n) stacks: node-major, as ``init_state``
+#: stores them, or C order; the bits must not depend on which
+ORDERS = ("node", "C")
+
+
+def new_state(g, order="node"):
+    """A new state on ``g`` whose stacks are stored in ``order``.  Checks
+    that ``init_state``'s are node-major, so that every row view the passes
+    read or write is one contiguous block."""
+    s = init_state(g)
+    assert s.w2.T.flags.c_contiguous and s.acc.T.flags.c_contiguous
+    assert all(v.T.flags.c_contiguous for step in s.scan[-1] for v in step)
+    if order == "C":
+        n = g.n_nodes
+        s = WeightState(graph=g, w2=np.zeros((2, n)), acc=np.full((2, n), -np.inf))
+    return s
+
+
+def assert_same_draws(s, ref):
+    """``marginals`` of ``s`` equal those of ``ref`` byte for byte, and
+    ``sample_path`` gives both the same levels from equal generators."""
+    assert marginals(s).tobytes() == marginals(ref).tobytes()
+    rng_s, rng_ref = rng_from(3), rng_from(3)
+    for _ in range(4):
+        assert sample_path(s, rng_s) == sample_path(ref, rng_ref)
+
+
+def assert_full_pass_bits(s, order="node"):
     """Gamma, F and log Gamma_0 of ``s`` equal, byte for byte, a full pass
-    on a new state holding the same weights."""
-    full = init_state(s.graph)
+    on a new state holding the same weights, its stacks stored in
+    ``order``; so do the marginals and the walk's levels."""
+    full = new_state(s.graph, order)
     full.log_w[:] = s.log_w
     ensure_passes(full)
     assert s.backward.tobytes() == full.backward.tobytes()
     assert s.forward.tobytes() == full.forward.tobytes()
     assert np.float64(s.log_gamma0).tobytes() == np.float64(full.log_gamma0).tobytes()
+    assert_same_draws(s, full)
 
 
 class TestDirtyRows:
-    @given(update_runs())
-    @example(_edge_updates())
+    @given(update_runs(), st.sampled_from(ORDERS))
+    @example(_edge_updates(), "node")
+    @example(_edge_updates(), "C")
     @settings(max_examples=300, deadline=None)
-    def test_dirty_row_passes_equal_full_passes_bitwise(self, run):
+    def test_dirty_row_passes_equal_full_passes_bitwise(self, run, order):
+        # node-major dirty-row passes against full passes on stacks in ``order``
         g, updates = run
         s = init_state(g)
         ensure_passes(s)
@@ -654,7 +686,7 @@ class TestDirtyRows:
             if not math.isfinite(best_path_weight(g, s.log_w)):
                 break  # every action has weight 0 from here on
             ensure_passes(s)
-            assert_full_pass_bits(s)
+            assert_full_pass_bits(s, order)
 
     def test_a_direct_write_after_a_pass_needs_mark_all_dirty(self):
         g = build_graph(2, 3)
@@ -678,13 +710,14 @@ def _cut_in_gap_row_1_5():
 
 
 class TestStackedPasses:
-    @given(weighted_graphs())
-    @example(_cut_in_gap_row_1_5())
+    @given(weighted_graphs(), st.sampled_from(ORDERS))
+    @example(_cut_in_gap_row_1_5(), "node")
+    @example(_cut_in_gap_row_1_5(), "C")
     @settings(max_examples=300, deadline=None)
-    def test_stack_equals_single_array_scans_bitwise(self, instance):
+    def test_stack_equals_single_array_scans_bitwise(self, instance, order):
         g, log_w = instance
         assume(math.isfinite(best_path_weight(g, log_w)))
-        s = init_state(g)
+        s = new_state(g, order)
         s.log_w[:] = log_w
         ensure_passes(s)
         gamma, f_rev = np.empty(g.n_nodes), np.empty(g.n_nodes)
@@ -696,6 +729,9 @@ class TestStackedPasses:
         assert s.backward.tobytes() == gamma.tobytes()
         assert s.forward.tobytes() == f_rev[::-1].tobytes()
         assert np.float64(s.log_gamma0).tobytes() == np.float64(log_g0).tobytes()
+        ref = init_state(g)
+        ref.log_w[:] = log_w
+        assert_same_draws(s, ref)
 
 
 class TestRowKernelProperties:
@@ -878,11 +914,14 @@ class TestBlockProperties:
         ]
         assert event_utilities(events, v, offset).tobytes() == np.concatenate(per_round).tobytes()
 
-    @given(weighted_stacks())
-    @example(_mixed_chain_stack())
+    @given(weighted_stacks(), st.sampled_from(ORDERS))
+    @example(_mixed_chain_stack(), "node")
+    @example(_mixed_chain_stack(), "C")
     @settings(max_examples=200, deadline=None)
-    def test_stacked_best_fixed_total_is_the_one_row_calls(self, instance):
+    def test_stacked_best_fixed_total_is_the_one_row_calls(self, instance, order):
         g, stack = instance
+        if order == "node":  # as the harness stores its blocks
+            stack = np.asfortranarray(stack)
         totals = best_fixed_total(stack, g)
         assert totals.shape == stack.shape[:1]
         one_row = np.array([best_fixed_total(row.copy(), g) for row in stack])
