@@ -64,9 +64,8 @@ def run(horizon, seed, zero_event):
         outcome = clear_auction(bids, beta, PricingRule.LAB, values)
         fb = make_feedback(FeedbackMode.BANDIT, outcome, beta)
         signal = bandit_signal(levels, fb, state, values, marginals(state))
-        if not zero_event and outcome.allocation == 0:
-            signal = {}  # before: winning nothing gave no signal
-        update_weights(state, signal, eta)
+        if zero_event or outcome.allocation > 0:  # before: winning nothing gave no signal
+            update_weights(state, signal, eta)
         if t in (1, horizon // 8, horizon // 2, horizon):
             checkpoints[t] = (
                 math.exp(path_log_probability(state, zero_path)),

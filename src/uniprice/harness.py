@@ -212,12 +212,13 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
             # exact expected utility, in market terms
             marg = marginals(state)
             a, b = starts[i], starts[i + 1]
-            exp_market = expectation(marg[events.ids[a:b]], w_market[a:b])
+            ids = events.ids[a:b]
+            exp_market = expectation(marg[ids], w_market[a:b])
             cum_expected += exp_market
 
             fb = make_feedback(config.feedback, outcome_node, beta_node)
             if config.feedback is FeedbackMode.FULL_INFORMATION:
-                signal = full_info_signal(events[a:b], w_node[a:b])
+                signal = full_info_signal(ids, w_node[a:b])
             elif config.feedback is FeedbackMode.BANDIT:
                 signal = bandit_signal(levels, fb, state, values, marg)
             else:

@@ -14,9 +14,10 @@ since the last pass reached (``WeightState``'s dirty range), with the bits
 of a full pass; a log weight that leaves floating-point range raises
 ``WeightOverflow``.
 
-Signals are keyed by node id: each maps the ids of a round's realized
-events (``pseudo_space.Events``) to their estimates, and ``update_weights``
-scatter-adds eta times them into the log weights.  The partial-feedback
+A round's signal is an ``EstimateVector``: the strictly ascending ids of
+the nodes whose realized events (``pseudo_space.Events``) it credits, and
+their estimates, as two arrays; ``update_weights`` scatter-adds eta times
+the estimates into the log weights.  The partial-feedback
 signals read only the allocation and price of the round's
 ``feedback.Feedback``.  All-winner reads the round's events, computed from
 the raw profile; the proven and tested ``_observed`` filter hides what its
@@ -43,8 +44,19 @@ from .feedback import FeedbackMode
 from .pseudo_space import Events, PseudoGraph, PseudoPath, _observed, zero_event_set
 
 
-#: Sparse per-node signal fed to the weight update: node id -> value.
-EstimateVector = dict[int, float]
+@dataclass(slots=True, eq=False)  # arrays compare elementwise: compare records by identity
+class EstimateVector:
+    """A round's signal: node ``ids`` in strictly ascending order and their
+    estimates ``values``, two equal-length arrays; every other node's
+    estimate is zero.  ``len`` counts the entries.  An id must not repeat:
+    the scatter-add in ``update_weights`` would keep only one of its
+    terms."""
+
+    ids: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -315,43 +327,46 @@ def path_log_probability(state: WeightState, path: PseudoPath) -> float:
 
 
 def update_weights(state: WeightState, signal: EstimateVector, eta: float) -> WeightState:
-    """Multiply each signalled node's weight by exp(eta * signal): a
+    """Multiply each signalled node's weight by exp(eta * estimate): a
     scatter-add into the log weights (a scalar add for bandit's one
-    entry), which widens the dirty range to the signalled ids."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    n = len(signal)
+    entry), which widens the dirty range to the signal's first and last
+    id.  ``eta`` must be positive and finite: an infinite one would turn a
+    negative estimate into a -inf log weight."""
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    ids = signal.ids
+    n = len(ids)
     if n == 1:
-        ((i, v),) = signal.items()
-        state.log_w[i] += eta * v
-        ends = [i]
+        lo = hi = ids.item(0)
+        state.log_w[lo] += eta * signal.values.item(0)
+    elif n:
+        state.log_w[ids] += eta * signal.values
+        lo, hi = ids.item(0), ids.item(-1)
     else:
-        ids = np.fromiter(signal, dtype=np.intp, count=n)
-        state.log_w[ids] += eta * np.fromiter(signal.values(), dtype=float, count=n)
-        ends = sorted(signal)  # faster than min and max on int keys
-    if n:
-        if ends[0] < state.dirty_lo:
-            state.dirty_lo = ends[0]
-        if ends[-1] > state.dirty_hi:
-            state.dirty_hi = ends[-1]
+        return state
+    if lo < state.dirty_lo:
+        state.dirty_lo = lo
+    if hi > state.dirty_hi:
+        state.dirty_hi = hi
     return state
 
 
 # --- feedback signals ---------------------------------------------------
 
 
-def full_info_signal(events: Events, utilities: np.ndarray) -> EstimateVector:
-    """True sub-utility of every firing node: ``events`` is the round's
-    ``firing_set`` and ``utilities`` its ``event_utilities``.  All other
-    entries are zero and omitted."""
-    return dict(zip(events.ids.tolist(), utilities.tolist()))
+def full_info_signal(ids: np.ndarray, utilities: np.ndarray) -> EstimateVector:
+    """True sub-utility of every firing node: ``ids`` are the ids of the
+    round's ``firing_set``, ascending, and ``utilities`` their
+    ``event_utilities``.  The record holds the two arrays themselves, so
+    slices of a block's arrays stay views."""
+    return EstimateVector(ids, utilities)
 
 
 def bandit_signal(
     levels: Sequence[int], feedback, state: WeightState, values: Valuation, marg: np.ndarray
 ) -> EstimateVector:
-    """Single-entry estimate (w - K) / P(node played) at the played node
-    whose event is realized.
+    """A one-entry ``EstimateVector``: (w - K) / P(node played) at the
+    played node whose event is realized.
 
     ``levels`` are the played action's K bid levels (``sample_path``'s
     output); ``feedback`` is the round's bandit ``Feedback``; ``marg`` is
@@ -381,7 +396,7 @@ def bandit_signal(
     p_node = float(marg[i])
     if p_node <= 0.0:
         raise ZeroMarginal(f"played node {g.label(i)} has zero inclusion probability")
-    return {i: (w - g.k) / p_node}
+    return EstimateVector(np.array([i]), np.array([(w - g.k) / p_node]))
 
 
 def _observed_events(feedback, events: Events, utilities: np.ndarray, graph: PseudoGraph):
@@ -399,7 +414,8 @@ def _observed_events(feedback, events: Events, utilities: np.ndarray, graph: Pse
 def allwinner_signal(
     feedback, events: Events, utilities: np.ndarray, state: WeightState, marg: np.ndarray
 ) -> EstimateVector:
-    """Estimates at every observed realized event: (w - K) / P(observed).
+    """An ``EstimateVector`` over every observed realized event:
+    (w - K) / P(observed).
 
     ``events`` are the round's firing events, computed from the raw
     profile, with their ``utilities``; ``marg`` is ``marginals(state)``.
@@ -410,7 +426,10 @@ def allwinner_signal(
     event, in which order their (allocation, price) pairs ascend: the
     outcomes that hide it, all of which the feedback reveals.  The pairs
     ascend strictly, except that the zero events, present at x = 0 only,
-    lead and share one pair, so they share the last one's q.
+    lead and share one pair, so they share the last one's q.  The same
+    order is id order: the zero events are the row-1 bid nodes below
+    beta_K, and every firing one lies above them, so the ids ascend
+    strictly.
     """
     g = state.graph
     seen, w = _observed_events(feedback, events, utilities, g)
@@ -422,7 +441,7 @@ def allwinner_signal(
     if np.any(q <= 0.0):
         i = int(ids[np.argmax(q <= 0.0)])
         raise ZeroObservationProbability(f"node {g.label(i)} has zero observation probability")
-    return dict(zip(ids.tolist(), ((w - g.k) / q).tolist()))
+    return EstimateVector(ids, (w - g.k) / q)
 
 
 # --- expectation and parameters ------------------------------------------

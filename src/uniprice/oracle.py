@@ -209,8 +209,11 @@ def _estimates(
             signal = allwinner_signal(fb, fired, event_utilities(fired, values), state, marg)
         else:
             events = firing_set(adversary.bids, g)
-            signal = full_info_signal(events, event_utilities(events, values))
-        yield p_sampled, [sum(signal.get(i, 0.0) for i in path) for path in dist]
+            signal = full_info_signal(events.ids, event_utilities(events, values))
+        est = [0.0] * g.n_nodes
+        for i, v in zip(signal.ids.tolist(), signal.values.tolist()):
+            est[i] += v
+        yield p_sampled, [sum(est[i] for i in path) for path in dist]
 
 
 def exact_estimator_expectation(

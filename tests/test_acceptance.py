@@ -163,7 +163,7 @@ def test_criterion_3_sampler_exactness():
     def updated():
         s = init_state(g)
         events = firing_set(beta.bids, g)
-        update_weights(s, full_info_signal(events, event_utilities(events, v)), 0.8)
+        update_weights(s, full_info_signal(events.ids, event_utilities(events, v)), 0.8)
         return s
 
     n_draws = 100_000

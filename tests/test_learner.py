@@ -38,6 +38,7 @@ from uniprice.auction_core import on_grid
 from uniprice.errors import HorizonTooShort, WeightOverflow, ZeroMarginal
 from uniprice.feedback import Feedback, make_feedback
 from uniprice.learner import (
+    EstimateVector,
     _logsumexp,
     _observed_events,
     _scan_views,
@@ -78,7 +79,19 @@ def off_grid_profile(rng, k, m):
 def full_info(beta, v, g):
     """The full-information signal of adversary ``beta``."""
     events = firing_set(beta.bids, g)
-    return full_info_signal(events, event_utilities(events, v))
+    return full_info_signal(events.ids, event_utilities(events, v))
+
+
+def entries(sig):
+    """The ``EstimateVector`` ``sig`` as a dict, node id -> estimate, in
+    id order."""
+    return dict(zip(sig.ids.tolist(), sig.values.tolist()))
+
+
+def vector(d):
+    """The ``EstimateVector`` of a dict ``d``, node id -> estimate."""
+    ids = sorted(d)
+    return EstimateVector(np.array(ids, dtype=np.intp), np.array([d[i] for i in ids]))
 
 
 def revealed(fb, g, v):
@@ -236,7 +249,7 @@ class TestSampler:
         for beta in (BidProfile((0.8, 0.3)), BidProfile((0.9, 0.7))):
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-            (estimate,) = bandit_signal(levels, fb, s, v, marginals(s)).values()
+            (estimate,) = bandit_signal(levels, fb, s, v, marginals(s)).values
             assert math.isfinite(estimate)
 
     def test_one_full_info_update_tilts_by_utility(self):
@@ -261,8 +274,17 @@ class TestUpdate:
         g = build_graph(2, 2)
         s = init_state(g)
         before = s.log_w.copy()
-        update_weights(s, {}, 0.5)
+        update_weights(s, vector({}), 0.5)
         assert np.array_equal(s.log_w, before)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -1.0])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        # an infinite eta would turn a negative estimate into a -inf log weight
+        g = build_graph(2, 2)
+        s = init_state(g)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            update_weights(s, vector({bid(g, 1, 0): -1.0}), eta)
+        assert not s.log_w.any()
 
     def test_bandit_signals_nonpositive(self):
         rng = np.random.default_rng(6)
@@ -274,7 +296,7 @@ class TestUpdate:
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-            for val in bandit_signal(levels, fb, s, v, marginals(s)).values():
+            for val in bandit_signal(levels, fb, s, v, marginals(s)).values:
                 assert val <= 0.0
 
     def test_cumulative_identity_full_info(self):
@@ -306,7 +328,7 @@ class TestSignals:
             g = build_graph(k, m)
             v = Valuation(tuple(rng.uniform(0, 1, k)))
             beta = off_grid_profile(rng, k, m)
-            sig = full_info(beta, v, g)
+            sig = entries(full_info(beta, v, g))
             assert len(sig) <= 2 * (k * k + m)
             for path in enumerate_paths(g):
                 total = sum(sig.get(n, 0.0) for n in path)
@@ -321,7 +343,7 @@ class TestSignals:
         o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.BANDIT, o, beta)
         marg = marginals(s)
-        sig = bandit_signal(levels_of(g, path), fb, s, v, marg)
+        sig = entries(bandit_signal(levels_of(g, path), fb, s, v, marg))
         fired = gap(g, 1, 3)
         assert set(sig) == {fired}
         expected = (o.utility - 2) / marg[fired]
@@ -335,7 +357,7 @@ class TestSignals:
         fb = Feedback(0, None, ())
         path = encode(BidProfile((0.25, 0.0)), g)
         marg = marginals(s)
-        sig = bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marg)
+        sig = entries(bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marg))
         top = bid(g, 1, 1)
         assert set(sig) == {top}
         assert sig[top] == pytest.approx(-2 / marg[top], rel=1e-12)
@@ -360,8 +382,8 @@ class TestSignals:
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb_b = make_feedback(FeedbackMode.BANDIT, o, beta)
             fb_a = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig_b = bandit_signal(levels, fb_b, s, v, marginals(s))
-            sig_a = allwinner_signal(fb_a, *revealed(fb_a, s.graph, v), s, marginals(s))
+            sig_b = entries(bandit_signal(levels, fb_b, s, v, marginals(s)))
+            sig_a = entries(allwinner_signal(fb_a, *revealed(fb_a, s.graph, v), s, marginals(s)))
             assert set(sig_b) <= set(sig_a)
             for val in sig_a.values():
                 assert val <= 0.0
@@ -376,7 +398,7 @@ class TestSignals:
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
+            sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
             zero_events = set(zero_event_set(beta.bids[-1], g).ids.tolist())
             for node, val in sig.items():
                 if node in zero_events:
@@ -412,7 +434,7 @@ class TestSignals:
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
         assert fb.revealed == beta.bids
-        sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
+        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
         # levels 0 and 0.25 lie below 0.3
         zero_events = {bid(g, 1, 0), bid(g, 1, 1)}
         assert set(zero_event_set(beta.bids[-1], g).ids.tolist()) == zero_events
@@ -475,7 +497,7 @@ class TestEventProperties:
         outcome = clear_auction(bids, beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
         s = init_state(g)
-        sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
+        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
 
         def realized(h):
             zero_event = g.row[h] == 0 and g.levels[g.level[h]] < beta.bids[-1]
@@ -546,10 +568,59 @@ class TestAllWinnerEvents:
             assert seen.alloc.tolist() == ref.alloc.tolist()
             assert seen.price.tobytes() == ref.price.tobytes()
             assert w.tobytes() == event_utilities(ref, v).tobytes()
-            fast = allwinner_signal(fb, events, utilities, s, marg)
-            slow = allwinner_signal(fb, fired, event_utilities(fired, v), s, marg)
+            fast = entries(allwinner_signal(fb, events, utilities, s, marg))
+            slow = entries(allwinner_signal(fb, fired, event_utilities(fired, v), s, marg))
             assert list(fast) == list(slow)
             assert np.array(list(fast.values())).tobytes() == np.array(list(slow.values())).tobytes()
+
+
+def _allwinner_x0():
+    """K = 2, M = 4, the learner bidding (0, 0) against (0.8, 0.3): it wins
+    nothing, and all-winner's zero events at levels 0 and 0.25 come before
+    the firing events."""
+    return build_graph(2, 4), BidProfile((0.8, 0.3)), BidProfile((0.0, 0.0))
+
+
+class TestSignalContract:
+    """Every signal is an ``EstimateVector`` whose ids ascend strictly, so
+    ``update_weights``' scatter-add drops no repeated id."""
+
+    @given(instances(), st.floats(1e-3, 1e3))
+    @example(_allwinner_x0(), 0.7)
+    @settings(max_examples=300, deadline=None)
+    def test_signals_ascend_and_scatter_add_like_a_scalar_loop(self, instance, eta):
+        # each mode's signal on the round the learner plays ``bids``
+        # against ``beta``, computed as the harness does
+        g, beta, bids = instance
+        v = Valuation(tuple(np.linspace(1.0, 0.3, g.k).tolist()))
+        s = random_state(g, np.random.default_rng(0))
+        marg = marginals(s)
+        events = firing_set(beta.bids, g)
+        utilities = event_utilities(events, v)
+        outcome = clear_auction(bids, beta, PricingRule.LAB, v)
+        levels = levels_of(g, encode(bids, g))
+        fb_b = make_feedback(FeedbackMode.BANDIT, outcome, beta)
+        fb_a = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
+        for sig in (
+            full_info_signal(events.ids, utilities),
+            bandit_signal(levels, fb_b, s, v, marg),
+            allwinner_signal(fb_a, events, utilities, s, marg),
+        ):
+            ids = sig.ids.tolist()
+            assert len(sig) == len(ids) == len(sig.values)
+            assert all(0 <= i < g.n_nodes for i in ids)
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            ensure_passes(s)  # clean, so the update alone sets the dirty range
+            expected = s.log_w.copy()
+            for i, val in zip(ids, sig.values.tolist()):
+                expected[i] += eta * val
+            before = s.log_w.copy()
+            update_weights(s, sig, eta)
+            assert s.log_w.tobytes() == expected.tobytes()
+            ends = (min(ids), max(ids)) if ids else (g.n_nodes, -1)
+            assert (s.dirty_lo, s.dirty_hi) == ends
+            s.log_w[:] = before
+            s.mark_all_dirty()
 
 
 class TestBandEdges:
@@ -569,7 +640,7 @@ class TestBandEdges:
         assert (o.allocation, o.price) == (1, beta.bids[0])
         fb = make_feedback(FeedbackMode.BANDIT, o, beta)
         s = init_state(g)
-        sig = bandit_signal((5, 2), fb, s, v, marginals(s))
+        sig = entries(bandit_signal((5, 2), fb, s, v, marginals(s)))
         assert set(sig) == {gap(g, 1, 4)}
         assert gap(g, 1, 4) in encode(bids, g)  # on the played path
 
@@ -583,7 +654,7 @@ class TestBandEdges:
         o = clear_auction(BidProfile((0.0, 0.0)), beta, PricingRule.LAB, v)
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-        sig = allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s))
+        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
         q = brute_observation_probability(bid(g, 1, 3), s, beta)
         assert sig[bid(g, 1, 3)] == pytest.approx(-2 / q, rel=1e-12)
 
@@ -680,7 +751,7 @@ class TestDirtyRows:
         s = init_state(g)
         ensure_passes(s)
         for n, (signal, passes) in enumerate(updates, 1):
-            update_weights(s, signal, 1.0)
+            update_weights(s, vector(signal), 1.0)
             if not (passes or n == len(updates)):
                 continue
             if not math.isfinite(best_path_weight(g, s.log_w)):
@@ -1037,7 +1108,8 @@ class TestEdgeCases:
         # nothing reveals its zero-allocation event, observed with certainty
         fb = Feedback(0, 0.4, (0.4,))
         s = init_state(build_graph(1, 0))
-        sig = allwinner_signal(fb, *revealed(fb, s.graph, Valuation((0.9,))), s, marginals(s))
+        events = revealed(fb, s.graph, Valuation((0.9,)))
+        sig = entries(allwinner_signal(fb, *events, s, marginals(s)))
         assert sig == {0: -1.0}
 
     def test_passes_stable_at_extreme_weights(self):
@@ -1057,7 +1129,7 @@ class TestEdgeCases:
         g = build_graph(2, 2)
         s = init_state(g)
         with np.errstate(over="ignore", invalid="ignore"):
-            update_weights(s, {bid(g, 1, 0): 1e308, gap(g, 1, 1): 1e308}, 10.0)
+            update_weights(s, vector({bid(g, 1, 0): 1e308, gap(g, 1, 1): 1e308}), 10.0)
             for _ in range(2):
                 with pytest.raises(WeightOverflow):
                     marginals(s)
