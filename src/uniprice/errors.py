@@ -67,5 +67,5 @@ class ConfigError(AuctionError):
 
 
 class WeightOverflow(AuctionError):
-    """The log weights left floating-point range: the learning rate is too
-    large for the run."""
+    """A log weight is not finite, or the passes' sums left floating-point
+    range: the learning rate is too large for the run."""

@@ -11,8 +11,7 @@ exact node inclusion probabilities, which the partial-feedback estimators
 divide by.  The two passes run as one suffix scan over a (2, n) stack of
 the graph and its reverse, and recompute only the rows that the updates
 since the last pass reached (``WeightState``'s dirty range), with the bits
-of a full pass; a log weight that leaves floating-point range raises
-``WeightOverflow``.
+of a full pass; a log weight that is not finite raises ``WeightOverflow``.
 
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
@@ -121,48 +120,19 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.add.reduce(np.exp(a - m))))
 
 
-def _chain_scan(
-    op: np.ufunc, mult: np.ndarray, prefix: np.ndarray, add: np.ndarray, out: np.ndarray
-) -> None:
-    """out[0] = add[0], out[i] = op(mult[i-1] + out[i-1], add[i]) along the
-    last axis, for the associative ``op`` ``np.logaddexp`` or
-    ``np.maximum``; leading axes are independent chains.
-
-    ``prefix`` holds 0 and the running sums of ``mult``, so that
-    out[i] = prefix[i] + op-accumulate over i' <= i of (add[i'] - prefix[i'])
-    and numpy does the scan.  A -inf in ``mult`` cuts the chain, which the
-    prefix form cannot express (it would subtract -inf); such chains run
-    the recursion step by step.  The two forms round differently, so each
-    chain takes its form from its own prefix, whatever the others hold.
-    ``out`` may be ``add``.
-    """
-    # a 0-d mask indexes one chain as a (1, n) stack
-    finite = np.isfinite(prefix[..., -1])
-    cut = ~finite
-    if finite.any():
-        scan = add[finite] - prefix[finite]
-        op.accumulate(scan, axis=-1, out=scan)
-        out[finite] = scan + prefix[finite]
-    a, mu = add[cut], mult[cut]
-    for i in range(1, a.shape[-1]):
-        a[:, i] = op(mu[:, i - 1] + a[:, i - 1], a[:, i])
-    out[cut] = a
-
-
 def _scan_views(w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> tuple:
     """Split once what ``_suffix_scan`` reads, for the bid and gap row
     views ``w_bid`` (..., K, M+1) and ``w_gap`` (..., K-1, M) of a node
     array and the bid-row-shaped ``out``, and write 0 on ``out``'s last
     row, which no scan writes again: the gap rows, a prefix buffer
     (..., K-1, M+1) whose column 0 stays 0, and per gap row r the views
-    (w_bid[r+1], out[r+1], w_gap[r], prefix[r], out[r]).  The prefix
-    buffer takes ``out``'s memory order, so on node-major stacks its row
-    views are contiguous blocks too."""
+    (w_bid[r+1], out[r+1], prefix[r], out[r]).  The prefix buffer takes
+    ``out``'s memory order, so on node-major stacks its row views are
+    contiguous blocks too."""
     out[..., -1, :] = 0.0
     prefix = np.zeros_like(out[..., :-1, :], order="K")
     steps = [
-        (w_bid[..., r + 1, :], out[..., r + 1, :], w_gap[..., r, :], prefix[..., r, :],
-         out[..., r, :])
+        (w_bid[..., r + 1, :], out[..., r + 1, :], prefix[..., r, :], out[..., r, :])
         for r in range(w_gap.shape[-2])
     ]
     return w_gap, prefix, steps
@@ -177,12 +147,9 @@ def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
     best path suffix.  Bid and gap nodes at the same (k, j) share
     successors, so gap row r's value is bid row r's first M entries.
 
-    One cumsum gives every gap row's prefix sums, and one sum of their
-    totals shows whether every chain is finite; only when it is not does
-    one ``isfinite`` give each row its "all chains finite" flag.  A row
-    whose chains are all finite runs the prefix form of ``_chain_scan``
-    inline; any other goes to ``_chain_scan``, where each chain takes its
-    own form.
+    One cumsum gives every gap row's prefix sums; row r is then prefix +
+    op-accumulate(w_bid[r+1] + out[r+1] - prefix), so the weights must be
+    finite (``ensure_passes`` checks the log weights).
 
     Only bid rows 0..``rows``-1 (default: all) are recomputed; the rest,
     and the last row's 0 that ``_scan_views`` wrote, keep their values.
@@ -191,20 +158,11 @@ def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
     if rows is None:
         rows = len(steps)
     w_gap[..., :rows, :].cumsum(axis=-1, out=prefix[..., :rows, 1:])
-    totals = prefix[..., :rows, -1]
-    if math.isfinite(totals.sum()):  # a finite sum has finite terms
-        finite = [True] * rows
-    else:
-        finite = np.isfinite(totals).all(axis=tuple(range(totals.ndim - 1))).tolist()
-    for r in range(rows - 1, -1, -1):
-        w_next, out_next, mult, pre, row = steps[r]
+    for w_next, out_next, pre, row in reversed(steps[:rows]):
         np.add(w_next, out_next, out=row)
-        if finite[r]:
-            np.subtract(row, pre, out=row)
-            op.accumulate(row, axis=-1, out=row)
-            np.add(row, pre, out=row)
-        else:
-            _chain_scan(op, mult, pre, row, row)
+        np.subtract(row, pre, out=row)
+        op.accumulate(row, axis=-1, out=row)
+        np.add(row, pre, out=row)
 
 
 #: Largest gap between log Gamma_0 and the same total from the last bid row:
@@ -253,13 +211,21 @@ def ensure_passes(state: WeightState) -> WeightState:
     ``graph.row`` h, (h+1)//2 of them, and the reversed graph's above the
     lowest l, (2K-1-l)//2, need recomputing; the stacked scan recomputes
     the larger count in both, and the extra rows come out bit for bit as
-    they were.  A state whose weights overflow stays dirty, so every later
-    call raises again."""
-    if state.dirty_lo <= state.dirty_hi:
-        row = state.graph.row
-        hi, lo = int(row[state.dirty_hi]), int(row[state.dirty_lo])
-        backward_pass(state, max((hi + 1) // 2, (2 * state.graph.k - 1 - lo) // 2))
-        state.dirty_lo, state.dirty_hi = state.graph.n_nodes, -1
+    they were.  Log weights must be finite: one sum over the dirty range
+    checks them first, and ``WeightOverflow`` names a node that is -inf,
+    +inf or nan.  A state that raises stays dirty, so every later call
+    raises again."""
+    g, lo, hi = state.graph, state.dirty_lo, state.dirty_hi
+    if lo <= hi:
+        changed = state.log_w[lo : hi + 1]
+        if not math.isfinite(np.add.reduce(changed)):  # a finite sum has finite terms
+            bad = np.flatnonzero(~np.isfinite(changed))  # none if finite terms overflow
+            if len(bad):
+                i = int(bad[0])
+                raise WeightOverflow(f"node {g.label(lo + i)} has log weight {changed[i]}")
+        hi, lo = int(g.row[hi]), int(g.row[lo])
+        backward_pass(state, max((hi + 1) // 2, (2 * g.k - 1 - lo) // 2))
+        state.dirty_lo, state.dirty_hi = g.n_nodes, -1
     return state
 
 
@@ -298,8 +264,8 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     if j == len(cum):
         j = int(np.flatnonzero(probs)[-1])
     levels = [j]
-    # only the steps the walk reads: a level it cannot reach has Gamma
-    # -inf, and its step would be -inf - (-inf)
+    # only the steps the walk reads, which are few: a walk stops at its
+    # first failed step
     try:
         for w_row, g_row, x in zip(w_gap[0].tolist(), b_bid[0, :-1].tolist(), u[1:]):
             p = 1.0

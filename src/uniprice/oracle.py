@@ -12,7 +12,7 @@ weight-pushing recursions.  Actions are paths of node ids
 computed from the marginals rather than by enumeration; ``_revealed_events``
 is the all-winner reference on the revealed bids alone.
 ``best_fixed_total``, the harness's per-round comparator, is not an oracle:
-it runs the backward pass's stage loop, and ``best_fixed_action_dp`` checks it.
+it runs the passes' ``learner._suffix_scan``; ``best_fixed_action_dp`` checks it.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def best_fixed_total(node_totals: np.ndarray, graph: PseudoGraph) -> np.ndarray:
     """Value of the max-weight source-to-sink path, without backtracking:
     the backward pass's suffix recursion (``learner._suffix_scan``) in
     (max, +) on the row views of ``node_totals``, then the best start.
+    The totals must be finite, as sums of finite utilities are.
     Maps a (..., n) stack of node totals to its (...) values; each is
     bitwise the value of its own one-row call.  Any memory order works,
     and the scan's buffers take the stack's; a node-major stack (the
