@@ -25,11 +25,9 @@ from uniprice import (
     AdversarySpec,
     BidProfile,
     FeedbackMode,
-    PricingRule,
     Valuation,
     bandit_signal,
     build_graph,
-    clear_auction,
     default_parameters,
     encode,
     expected_utility,
@@ -40,7 +38,8 @@ from uniprice import (
     update_weights,
 )
 from uniprice.adversaries import next_bids
-from uniprice.feedback import make_feedback
+from uniprice.auction_core import utility_sum
+from uniprice.pseudo_space import realized_event
 
 
 def run(horizon, seed, zero_event):
@@ -58,13 +57,13 @@ def run(horizon, seed, zero_event):
     checkpoints = {}
     adversary_bids = next_bids(spec, horizon, rng_adv, eps)
     for t in range(1, horizon + 1):
-        beta = BidProfile(tuple(adversary_bids[t - 1].tolist()))
+        beta = adversary_bids[t - 1].tolist()
         levels = sample_path(state, rng)
-        bids = BidProfile(tuple(float(graph.levels[j]) for j in levels))
-        outcome = clear_auction(bids, beta, PricingRule.LAB, values)
-        fb = make_feedback(FeedbackMode.BANDIT, outcome, beta)
-        signal = bandit_signal(levels, fb, state, values, marginals(state))
-        if zero_event or outcome.allocation > 0:  # before: winning nothing gave no signal
+        bids = [float(graph.levels[j]) for j in levels]
+        node, x, price = realized_event(levels, bids, beta, graph)
+        utility = utility_sum(values.values, x, price)
+        signal = bandit_signal(node, utility, state, marginals(state))
+        if zero_event or x > 0:  # before: winning nothing gave no signal
             update_weights(state, signal, eta)
         if t in (1, horizon // 8, horizon // 2, horizon):
             checkpoints[t] = (

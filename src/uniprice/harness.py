@@ -18,14 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adversaries import AdversarySpec, check_adversary, next_bids
-from .auction_core import (
-    BidProfile,
-    PricingRule,
-    Valuation,
-    apply_tie_offset,
-    clear_auction,
-    utility_sum,  # noqa: F401  perfbench/tracing.py wraps harness.utility_sum by name
-)
+from .auction_core import AuctionOutcome, BidProfile, Valuation, utility_sum
+# unused here, but perfbench/tracing.py's HARNESS_SPANS patches them by name
+from .auction_core import apply_tie_offset, clear_auction  # noqa: F401
 from .errors import ConfigError, WeightOverflow, ZeroMarginal, ZeroObservationProbability
 from .feedback import FeedbackMode, make_feedback
 from .learner import (
@@ -40,7 +35,7 @@ from .learner import (
     update_weights,
 )
 from .oracle import best_fixed_total
-from .pseudo_space import build_graph, event_utilities, firing_set
+from .pseudo_space import build_graph, event_utilities, firing_set, realized_event
 
 
 class TieMode(enum.Enum):
@@ -140,8 +135,10 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     firing events, their sub-utilities, the node totals and the hindsight
     comparator depend only on the adversary's (T, K) block, so they are
     computed a block of rounds at a time, before those rounds run; the
-    learner's loop then reads each round's slice of them.  numpy's overflow
-    and invalid-value warnings are off: ``WeightOverflow`` reports those."""
+    learner's loop then reads each round's slice of them, and takes the
+    round's outcome and bandit's node from ``realized_event`` on the
+    played levels, with no clearing.  numpy's overflow and invalid-value
+    warnings are off: ``WeightOverflow`` reports those."""
     t_start = time.perf_counter()
     root = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     seed_learn, seed_adv, seed_tie = root.spawn(3)
@@ -188,26 +185,21 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         node_totals = totals[-1].copy()
         comparator = best_fixed_total(totals, graph)
 
-        # learner half
+        # learner half: the played action's realized event gives the outcome
         market_rows = block.tolist()
         node_rows = node_block.tolist() if perturb else market_rows
         for i in range(len(block)):
-            beta_market = BidProfile(tuple(market_rows[i]))
-            beta_node = BidProfile(tuple(node_rows[i])) if perturb else beta_market
-
             levels = sample_path(state, rng_learn)
-            grid_bids = BidProfile(tuple(level_prices[j] for j in levels))
+            bids = [level_prices[j] for j in levels]
+            node, x, price = realized_event(levels, bids, node_rows[i], graph)
+            utility = utility_sum(values.values, x, price)
+            market_price, market_utility = price, utility
             if perturb:
-                market_bids = apply_tie_offset(grid_bids, offset, epsilon)
-                outcome_market = clear_auction(
-                    market_bids, beta_market, PricingRule.LAB, values
-                )
-                outcome_node = clear_auction(grid_bids, beta_node, PricingRule.LAB, values)
-            else:
-                outcome_market = clear_auction(
-                    grid_bids, beta_market, PricingRule.LAB, values
-                )
-                outcome_node = outcome_market
+                # the learner's bids sit offset higher, capped at 1; an adversary's
+                # price is its raw bid, never (beta - offset) + offset
+                learner_sets = x and graph.row[node] % 2 == 0
+                market_price = min(price + offset, 1.0) if learner_sets else market_rows[i][-1 - x]
+                market_utility = utility_sum(values.values, x, market_price)
 
             # exact expected utility, in market terms
             marg = marginals(state)
@@ -216,21 +208,22 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
             exp_market = expectation(marg[ids], w_market[a:b])
             cum_expected += exp_market
 
-            fb = make_feedback(config.feedback, outcome_node, beta_node)
+            beta = BidProfile(tuple(node_rows[i]))
+            fb = make_feedback(config.feedback, AuctionOutcome(price, x, utility), beta)
             if config.feedback is FeedbackMode.FULL_INFORMATION:
                 signal = full_info_signal(ids, w_node[a:b])
             elif config.feedback is FeedbackMode.BANDIT:
-                signal = bandit_signal(levels, fb, state, values, marg)
+                signal = bandit_signal(node, utility, state, marg)
             else:
                 signal = allwinner_signal(fb, events[a:b], w_node[a:b], state, marg)
             update_weights(state, signal, eta)
 
             t = t0 + i
-            realized[t] = outcome_market.utility
+            realized[t] = market_utility
             expected[t] = exp_market
             cum_regret[t] = comparator[i] - cum_expected
-            prices[t] = outcome_market.price
-            allocations[t] = outcome_market.allocation
+            prices[t] = market_price
+            allocations[t] = x
 
     return RegretTrace(
         run=rep,

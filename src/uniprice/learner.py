@@ -16,23 +16,21 @@ of a full pass; a log weight that is not finite raises ``WeightOverflow``.
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
 their estimates, as two arrays; ``update_weights`` scatter-adds eta times
-the estimates into the log weights.  The partial-feedback
-signals read only the allocation and price of the round's
-``feedback.Feedback``.  All-winner reads the round's events, computed from
-the raw profile; the proven and tested ``_observed`` filter hides what its
-revealed bids do not decide.  Everything runs in the log domain; the raw
-accumulators overflow after a few thousand rounds.
+the estimates into the log weights.  Bandit reads the played action's
+realized event (``pseudo_space.realized_event``) and its utility.
+All-winner reads the round's ``feedback.Feedback`` and events, computed
+from the raw profile; the proven and tested ``_observed`` filter hides
+what its revealed bids do not decide.  Everything runs in the log domain;
+the raw accumulators overflow after a few thousand rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .auction_core import Valuation, utility_sum
 from .errors import (
     HorizonTooShort,
     WeightOverflow,
@@ -329,40 +327,22 @@ def full_info_signal(ids: np.ndarray, utilities: np.ndarray) -> EstimateVector:
 
 
 def bandit_signal(
-    levels: Sequence[int], feedback, state: WeightState, values: Valuation, marg: np.ndarray
+    node: int, utility: float, state: WeightState, marg: np.ndarray
 ) -> EstimateVector:
-    """A one-entry ``EstimateVector``: (w - K) / P(node played) at the
-    played node whose event is realized.
-
-    ``levels`` are the played action's K bid levels (``sample_path``'s
-    output); ``feedback`` is the round's bandit ``Feedback``; ``marg`` is
-    ``marginals(state)``.  A won allocation x >= 1 realizes the fired
-    node, with w the utility of x items at the price: the bid node at the
-    learner's x-th bid if the price equals it, else the row x+1/2 gap node
-    in the band below the first level at or above the price
-    (``firing_set``'s rule).  A zero allocation realizes the
-    zero-allocation event of the played top-bid node (1, j), with w = 0,
-    so the entry is -K / P((1, j)).  Every action holds exactly one
-    realized event, so the expected estimate of every action is its
-    utility minus K.  The constant -K shift keeps every entry non-positive,
-    which controls the estimator's range; the bias is the same for all
-    actions and cancels in the regret.
+    """A one-entry ``EstimateVector``: (w - K) / P(node) at the played
+    action's realized event ``node`` of utility w = ``utility``
+    (``pseudo_space.realized_event``: the zero event, w = 0, when nothing
+    is won); ``marg`` is ``marginals(state)``.  Every action holds exactly
+    one realized event, so its expected estimate is its utility minus K.
+    The constant -K shift keeps every entry non-positive, which controls
+    the estimator's range; the bias is the same for all actions and
+    cancels in the regret.
     """
-    x, p = feedback.allocation, feedback.price
     g = state.graph
-    if x == 0:
-        i, w = int(g.bid_ids(1)[levels[0]]), 0.0
-    else:
-        j = levels[x - 1]
-        if p == g.levels[j]:
-            i = int(g.bid_ids(x)[j])
-        else:
-            i = int(g.gap_ids(x)[g.levels.searchsorted(p) - 1])
-        w = utility_sum(values.values, x, p)
-    p_node = float(marg[i])
+    p_node = float(marg[node])
     if p_node <= 0.0:
-        raise ZeroMarginal(f"played node {g.label(i)} has zero inclusion probability")
-    return EstimateVector(np.array([i]), np.array([(w - g.k) / p_node]))
+        raise ZeroMarginal(f"played node {g.label(node)} has zero inclusion probability")
+    return EstimateVector(np.array([node]), np.array([(utility - g.k) / p_node]))
 
 
 def _observed_events(feedback, events: Events, utilities: np.ndarray, graph: PseudoGraph):

@@ -44,6 +44,7 @@ from .pseudo_space import (
     decode,
     enumerate_paths,
     event_utilities,
+    firing_node,
     firing_set,
     observed_set_membership,
     zero_event_set,
@@ -191,8 +192,8 @@ def _estimates(
     ``dist``'s order.
 
     Clears the sampled action against ``adversary``, narrows the outcome
-    with ``make_feedback`` and runs the mode's signal code on it, as the
-    harness does in a round.
+    with ``make_feedback`` and runs the mode's signal code on it; bandit's
+    node is the scalar ``firing_node``'s, or ``sampled[0]`` when none fires.
     """
     g = state.graph
     marg = marginals(state)
@@ -203,8 +204,9 @@ def _estimates(
         outcome = clear_auction(bids, adversary, PricingRule.LAB, values)
         fb = make_feedback(mode, outcome, adversary)
         if mode is FeedbackMode.BANDIT:
-            bid_nodes = [i for i in sampled if g.row[i] % 2 == 0]
-            signal = bandit_signal(g.level[bid_nodes].tolist(), fb, state, values, marg)
+            node = firing_node(sampled, adversary, g)
+            node = sampled[0] if node is None else node
+            signal = bandit_signal(node, outcome.utility, state, marg)
         elif mode is FeedbackMode.ALL_WINNER:
             fired = _revealed_events(fb, g)[1]
             signal = allwinner_signal(fb, fired, event_utilities(fired, values), state, marg)

@@ -24,8 +24,10 @@ references for a single node.  Events are node-id arrays: ``firing_set``
 equal-length arrays of node id, allocation and price, which the
 accounting, the signals and the weight update consume; ``event_utilities``
 gives all their sub-utilities at once, and ``_observed`` is the one
-statement of which events all-winner feedback reveals.  Per-node arrays,
-and stacks of them, are read row by row through ``PseudoGraph.rows``.
+statement of which events all-winner feedback reveals.  ``realized_event``
+gives the played action's one realized event, and so the round's outcome,
+from its levels alone.  Per-node arrays, and stacks of them, are read row
+by row through ``PseudoGraph.rows``.
 """
 
 from __future__ import annotations
@@ -378,6 +380,29 @@ def zero_event_set(beta_k: float, graph: PseudoGraph) -> Events:
     """
     n = int(np.searchsorted(graph.levels, beta_k, side="left"))
     return Events(graph.bid_ids(1)[:n], np.zeros(n, dtype=int), np.full(n, beta_k))
+
+
+def realized_event(levels, bids, beta, graph: PseudoGraph) -> tuple[int, int, float]:
+    """The one realized event of the grid action with bid ``levels``,
+    priced ``bids``, against K off-grid non-increasing bids ``beta``: its
+    node id, allocation x and price, bitwise the LAB clearing's.
+
+    x = #{k : b_k > beta_{K+1-k}}, the first k where the test fails, as
+    b_k - beta_{K+1-k} falls with k; bids tied at b_x count up to x, LAB's
+    cap.  x = 0 gives the zero event of (1, levels[0]) at beta_K.  Else,
+    with beta_0 = +inf, bid node (x, levels[x-1]) fires at b_x if
+    b_x < beta_{K-x}, and otherwise gap node x+1/2 in beta_{K-x}'s band,
+    at beta_{K-x} (``node_fires``)."""
+    k = graph.k
+    x = 0
+    while x < k and bids[x] > beta[-1 - x]:
+        x += 1
+    if x == 0:
+        return int(graph.bid_ids(1)[levels[0]]), 0, beta[-1]
+    if x == k or bids[x - 1] < beta[-1 - x]:
+        return int(graph.bid_ids(x)[levels[x - 1]]), x, bids[x - 1]
+    p = beta[-1 - x]
+    return int(graph.gap_ids(x)[graph.levels.searchsorted(p) - 1]), x, p
 
 
 def firing_set(bids, graph: PseudoGraph) -> Events:

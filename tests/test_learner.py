@@ -35,7 +35,7 @@ from uniprice import (
     update_weights,
     zero_event_set,
 )
-from uniprice.auction_core import on_grid
+from uniprice.auction_core import on_grid, utility_sum
 from uniprice.errors import HorizonTooShort, WeightOverflow, ZeroMarginal
 from uniprice.feedback import Feedback, make_feedback
 from uniprice.learner import (
@@ -47,7 +47,7 @@ from uniprice.learner import (
     allwinner_signal,
     ensure_passes,
 )
-from uniprice.pseudo_space import event_utilities
+from uniprice.pseudo_space import event_utilities, realized_event
 from uniprice.oracle import (
     _revealed_events,
     best_fixed_action_dp,
@@ -109,6 +109,14 @@ def as_path(g, levels):
 
 def levels_of(g, path):
     return tuple(int(g.level[n]) for n in path if g.row[n] % 2 == 0)
+
+
+def played(g, levels, beta, v):
+    """The realized node and utility of the action with bid ``levels``
+    against ``beta``, as the harness takes them from ``realized_event``."""
+    bids = [float(g.levels[j]) for j in levels]
+    node, x, price = realized_event(levels, bids, beta.bids, g)
+    return node, utility_sum(v.values, x, price)
 
 
 def random_state(graph, rng, scale=1.0):
@@ -249,9 +257,7 @@ class TestSampler:
         assert levels[0] == 1
         v = Valuation((1.0, 0.5))
         for beta in (BidProfile((0.8, 0.3)), BidProfile((0.9, 0.7))):
-            o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
-            fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-            (estimate,) = bandit_signal(levels, fb, s, v, marginals(s)).values
+            (estimate,) = bandit_signal(*played(g, levels, beta, v), s, marginals(s)).values
             assert math.isfinite(estimate)
 
     def test_one_full_info_update_tilts_by_utility(self):
@@ -296,9 +302,7 @@ class TestUpdate:
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
-            fb = make_feedback(FeedbackMode.BANDIT, o, beta)
-            for val in bandit_signal(levels, fb, s, v, marginals(s)).values:
+            for val in bandit_signal(*played(g, levels, beta, v), s, marginals(s)).values:
                 assert val <= 0.0
 
     def test_cumulative_identity_full_info(self):
@@ -343,9 +347,8 @@ class TestSignals:
         beta = BidProfile((0.8, 0.3))
         path = encode(BidProfile((1.0, 0.5)), g)
         o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
-        fb = make_feedback(FeedbackMode.BANDIT, o, beta)
         marg = marginals(s)
-        sig = entries(bandit_signal(levels_of(g, path), fb, s, v, marg))
+        sig = entries(bandit_signal(*played(g, levels_of(g, path), beta, v), s, marg))
         fired = gap(g, 1, 3)
         assert set(sig) == {fired}
         expected = (o.utility - 2) / marg[fired]
@@ -356,10 +359,12 @@ class TestSignals:
         # top-bid node: a single -K / P entry there, no utility to credit
         g = build_graph(2, 4)
         s = random_state(g, np.random.default_rng(15))
-        fb = Feedback(0, None, ())
+        beta = BidProfile((0.8, 0.3))  # above both bids
         path = encode(BidProfile((0.25, 0.0)), g)
         marg = marginals(s)
-        sig = entries(bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marg))
+        node, w = played(g, levels_of(g, path), beta, Valuation((1.0, 0.5)))
+        assert w == 0.0
+        sig = entries(bandit_signal(node, w, s, marg))
         top = bid(g, 1, 1)
         assert set(sig) == {top}
         assert sig[top] == pytest.approx(-2 / marg[top], rel=1e-12)
@@ -369,9 +374,9 @@ class TestSignals:
         s = init_state(g)
         s.log_w[gap(g, 1, 3)] = -800.0  # weight underflows to zero
         path = encode(BidProfile((1.0, 0.5)), g)
-        fb = Feedback(1, 0.8, ())
+        node, w = played(g, levels_of(g, path), BidProfile((0.8, 0.3)), Valuation((1.0, 0.5)))
         with pytest.raises(ZeroMarginal):
-            bandit_signal(levels_of(g, path), fb, s, Valuation((1.0, 0.5)), marginals(s))
+            bandit_signal(node, w, s, marginals(s))
 
     def test_allwinner_superset_of_bandit(self):
         rng = np.random.default_rng(9)
@@ -382,9 +387,8 @@ class TestSignals:
             beta = off_grid_profile(rng, 2, 4)
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
-            fb_b = make_feedback(FeedbackMode.BANDIT, o, beta)
             fb_a = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig_b = entries(bandit_signal(levels, fb_b, s, v, marginals(s)))
+            sig_b = entries(bandit_signal(*played(g, levels, beta, v), s, marginals(s)))
             sig_a = entries(allwinner_signal(fb_a, *revealed(fb_a, s.graph, v), s, marginals(s)))
             assert set(sig_b) <= set(sig_a)
             for val in sig_a.values():
@@ -601,11 +605,10 @@ class TestSignalContract:
         utilities = event_utilities(events, v)
         outcome = clear_auction(bids, beta, PricingRule.LAB, v)
         levels = levels_of(g, encode(bids, g))
-        fb_b = make_feedback(FeedbackMode.BANDIT, outcome, beta)
         fb_a = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
         for sig in (
             full_info_signal(events.ids, utilities),
-            bandit_signal(levels, fb_b, s, v, marg),
+            bandit_signal(*played(g, levels, beta, v), s, marg),
             allwinner_signal(fb_a, events, utilities, s, marg),
         ):
             ids = sig.ids.tolist()
@@ -640,9 +643,8 @@ class TestBandEdges:
         v = Valuation((1.0, 0.5))
         o = clear_auction(bids, beta, PricingRule.LAB, v)
         assert (o.allocation, o.price) == (1, beta.bids[0])
-        fb = make_feedback(FeedbackMode.BANDIT, o, beta)
         s = init_state(g)
-        sig = entries(bandit_signal((5, 2), fb, s, v, marginals(s)))
+        sig = entries(bandit_signal(*played(g, (5, 2), beta, v), s, marginals(s)))
         assert set(sig) == {gap(g, 1, 4)}
         assert gap(g, 1, 4) in encode(bids, g)  # on the played path
 

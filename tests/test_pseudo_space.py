@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniprice import (
@@ -24,8 +24,9 @@ from uniprice import (
     sub_utility,
     zero_event_set,
 )
+from uniprice.auction_core import on_grid
 from uniprice.errors import MalformedPath, OffGrid, TooLarge, WrongLength
-from uniprice.pseudo_space import event_utilities
+from uniprice.pseudo_space import event_utilities, realized_event
 
 
 def bid(g, k, j):
@@ -310,6 +311,48 @@ class TestObservedSet:
         assert not observed_set_membership(bid(g, 2, 1), o, g)
         assert not observed_set_membership(bid(g, 1, 4), o, g)
         assert not observed_set_membership(gap(g, 1, 3), o, g)
+
+
+@st.composite
+def played_rounds(draw):
+    """K in 1..8, M in 1..12, K off-grid adversary bids in (0, 1), some one
+    ulp either side of a level, and K non-increasing learner levels,
+    repeats allowed."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    g = build_graph(k, m)
+    near_level = st.builds(
+        math.nextafter, st.sampled_from(g.levels.tolist()), st.sampled_from([-1.0, 2.0])
+    )
+    off_grid = (
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | near_level
+    ).filter(lambda b: 0.0 < b < 1.0 and not on_grid(b, g.epsilon))
+    beta = sorted(draw(st.lists(off_grid, min_size=k, max_size=k)), reverse=True)
+    levels = sorted(draw(st.lists(st.integers(0, m), min_size=k, max_size=k)), reverse=True)
+    return g, BidProfile(tuple(beta)), tuple(levels)
+
+
+class TestRealizedEvent:
+    """``realized_event`` against its references: the LAB clearing for the
+    outcome, ``firing_node`` and ``zero_event_set`` for the node."""
+
+    @given(played_rounds())
+    # the learner ties itself: b = (0.5, 0.5) against (0.7, 0.3), both bids
+    # at the price, and LAB caps x at the one item the adversary leaves
+    @example((build_graph(2, 4), BidProfile((0.7, 0.3)), (2, 2)))
+    @settings(max_examples=500, deadline=None)
+    def test_rule_is_the_clearing_and_the_path_event(self, instance):
+        g, beta, levels = instance
+        bids = [float(g.levels[j]) for j in levels]
+        node, x, price = realized_event(levels, bids, beta.bids, g)
+        grid = BidProfile(tuple(bids))
+        o = clear_auction(grid, beta, PricingRule.LAB, Valuation((0.5,) * g.k))
+        assert (x, price.hex()) == (o.allocation, o.price.hex())
+        path = encode(grid, g)
+        fired = firing_node(path, beta, g)
+        assert node == (path[0] if fired is None else fired)
+        if fired is None:
+            assert node in zero_event_set(beta.bids[-1], g).ids.tolist()
 
 
 @st.composite
