@@ -24,14 +24,15 @@ from .auction_core import apply_tie_offset, clear_auction  # noqa: F401
 from .errors import ConfigError, WeightOverflow, ZeroMarginal, ZeroObservationProbability
 from .feedback import FeedbackMode, make_feedback
 from .learner import (
+    WeightState,
     allwinner_signal,
     bandit_signal,
     default_parameters,
     expectation,
-    full_info_signal,
     init_state,
     marginals,
     sample_path,
+    sample_paths,
     update_weights,
 )
 from .oracle import best_fixed_total
@@ -128,16 +129,64 @@ def resolve_parameters(config: RunConfig) -> tuple[float, float]:
 #: per block of the adversary-only half.  The output does not depend on it.
 _BLOCK_BYTES = 512 * 1024
 
+#: Bytes of one (B, n_nodes) float array of full information's learner
+#: tables: the rounds per learner block.  The output does not depend on it.
+_LEARNER_BYTES = 64 * 1024
+
+
+def _full_information(batch, log_w, events, w_node, w_market, s0, s1, eta, rng):
+    """Full information's learner half for rounds ``s0``..``s1``-1 of an
+    adversary block: their sampled levels, their expected utilities in
+    market terms, and the log weights after their updates.
+
+    Each round's log weights are the previous round's plus eta times its
+    true sub-utilities: one scatter into a delta table and one cumsum down
+    the rounds, seeded with ``log_w``, make the float additions of the
+    per-round ``update_weights``.  The rounds then run as one ``batch`` of
+    learner states (its first rows for a short block), with one (B, K)
+    draw of ``rng``.  When a round fails its passes, the walks before it
+    run first: the error is the earliest failing round's."""
+    g = batch.graph
+    b = s1 - s0
+    if b < len(batch.log_w):
+        batch = WeightState(g, batch.w2[:b], batch.acc[:b])
+    u = rng.random((b, g.k))
+    a, z = events.starts[s0], events.starts[s1]
+    ids = events.ids[a:z]
+    counts = np.diff(events.starts[s0 : s1 + 1])
+    rounds = np.repeat(np.arange(b), counts)
+    table = np.zeros((b + 1, g.n_nodes))
+    table[0] = log_w
+    table[rounds + 1, ids] = eta * w_node[a:z]
+    np.cumsum(table, axis=0, out=table)
+    batch.log_w[...] = table[:b]
+    batch.mark_all_dirty()
+    try:
+        marg = marginals(batch)
+    except WeightOverflow as exc:
+        if exc.row:
+            sample_paths(WeightState(g, batch.w2[: exc.row], batch.acc[: exc.row]), u[: exc.row])
+        raise
+    # each round's events in a row of its own, padded with zeros
+    pos = np.arange(z - a) - np.repeat(events.starts[s0:s1] - a, counts)
+    p, w = np.zeros((2, b, int(counts.max())))
+    p[rounds, pos] = marg[rounds, ids]
+    w[rounds, pos] = w_market[a:z]
+    return sample_paths(batch, u), expectation(p, w).tolist(), table[b]
+
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     """One replication in two halves.  Against an oblivious adversary the
     firing events, their sub-utilities, the node totals and the hindsight
     comparator depend only on the adversary's (T, K) block, so they are
-    computed a block of rounds at a time, before those rounds run; the
-    learner's loop then reads each round's slice of them, and takes the
-    round's outcome and bandit's node from ``realized_event`` on the
-    played levels, with no clearing.  numpy's overflow and invalid-value
+    computed a block of rounds at a time, before those rounds run; under
+    full information so are the learner's weights, passes, marginals and
+    expected utilities (``_full_information``).  The learner's loop then
+    reads each round's slice of them, and takes the round's outcome and
+    bandit's node from ``realized_event`` on the played levels, with no
+    clearing; bandit and all-winner, whose weights depend on the play,
+    sample and update round by round.  numpy's overflow and invalid-value
     warnings are off: ``WeightOverflow`` reports those."""
     t_start = time.perf_counter()
     root = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
@@ -153,6 +202,10 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     values = Valuation(config.values)
     horizon = config.horizon
     perturb = config.tie_mode is TieMode.PERTURB
+    full = config.feedback is FeedbackMode.FULL_INFORMATION
+    if full:
+        steps = max(1, _LEARNER_BYTES // (8 * graph.n_nodes))
+        batch = init_state(graph, steps)
     offset = float(rng_tie.uniform(0.0, epsilon / 100.0)) if perturb else 0.0
 
     level_prices = graph.levels.tolist()
@@ -184,12 +237,21 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         np.cumsum(totals, axis=0, out=totals)
         node_totals = totals[-1].copy()
         comparator = best_fixed_total(totals, graph)
+        del totals  # the largest table, freed before the next block allocates its own
 
         # learner half: the played action's realized event gives the outcome
         market_rows = block.tolist()
         node_rows = node_block.tolist() if perturb else market_rows
         for i in range(len(block)):
-            levels = sample_path(state, rng_learn)
+            if full:
+                if i % steps == 0:
+                    paths, exps, state.log_w[:] = _full_information(
+                        batch, state.log_w, events, w_node, w_market,
+                        i, min(i + steps, len(block)), eta, rng_learn,
+                    )
+                levels, exp_market = paths[i % steps], exps[i % steps]
+            else:
+                levels = sample_path(state, rng_learn)
             bids = [level_prices[j] for j in levels]
             node, x, price = realized_event(levels, bids, node_rows[i], graph)
             utility = utility_sum(values.values, x, price)
@@ -201,23 +263,21 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
                 market_price = min(price + offset, 1.0) if learner_sets else market_rows[i][-1 - x]
                 market_utility = utility_sum(values.values, x, market_price)
 
-            # exact expected utility, in market terms
-            marg = marginals(state)
-            a, b = starts[i], starts[i + 1]
-            ids = events.ids[a:b]
-            exp_market = expectation(marg[ids], w_market[a:b])
+            if not full:
+                # exact expected utility, in market terms
+                marg = marginals(state)
+                a, b = starts[i], starts[i + 1]
+                exp_market = expectation(marg[events.ids[a:b]], w_market[a:b])
+
+                beta = BidProfile(tuple(node_rows[i]))
+                fb = make_feedback(config.feedback, AuctionOutcome(price, x, utility), beta)
+                if config.feedback is FeedbackMode.BANDIT:
+                    signal = bandit_signal(node, utility, state, marg)
+                else:
+                    signal = allwinner_signal(fb, events[a:b], w_node[a:b], state, marg)
+                update_weights(state, signal, eta)
+
             cum_expected += exp_market
-
-            beta = BidProfile(tuple(node_rows[i]))
-            fb = make_feedback(config.feedback, AuctionOutcome(price, x, utility), beta)
-            if config.feedback is FeedbackMode.FULL_INFORMATION:
-                signal = full_info_signal(ids, w_node[a:b])
-            elif config.feedback is FeedbackMode.BANDIT:
-                signal = bandit_signal(node, utility, state, marg)
-            else:
-                signal = allwinner_signal(fb, events[a:b], w_node[a:b], state, marg)
-            update_weights(state, signal, eta)
-
             t = t0 + i
             realized[t] = market_utility
             expected[t] = exp_market

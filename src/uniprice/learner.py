@@ -12,6 +12,10 @@ divide by.  The two passes run as one suffix scan over a (2, n) stack of
 the graph and its reverse, and recompute only the rows that the updates
 since the last pass reached (``WeightState``'s dirty range), with the bits
 of a full pass; a log weight that is not finite raises ``WeightOverflow``.
+A batch of B states along a leading rounds axis runs the passes, the
+marginals and the walks' start draws once, each round with the bits of
+its own call; full information's weights do not depend on the play, so
+the harness runs its learner that way.
 
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
@@ -70,7 +74,8 @@ class WeightState:
     and ``scan`` the split views ``_suffix_scan`` reads; all are built
     once, and the arrays are updated in place, never replaced.
     ``init_state`` stores both stacks node-major, for speed (see there);
-    any memory order gives the same bits.
+    any memory order gives the same bits.  A batch of B states, one per
+    round, has (B, 2, n) stacks, (B, n) views and a (B, 1) ``log_gamma0``.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -92,7 +97,8 @@ class WeightState:
     scan: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.log_w, self.backward, self.forward = self.w2[0], self.acc[0], self.acc[1, ::-1]
+        self.log_w, self.backward = self.w2[..., 0, :], self.acc[..., 0, :]
+        self.forward = self.acc[..., 1, ::-1]
         self.rows = self.graph.rows(self.w2) + self.graph.rows(self.acc)
         self.scan = _scan_views(self.rows[0], self.rows[1], self.rows[2])
         self.mark_all_dirty()
@@ -102,20 +108,36 @@ class WeightState:
         self.dirty_lo, self.dirty_hi = 0, self.graph.n_nodes - 1
 
 
-def init_state(graph: PseudoGraph) -> WeightState:
-    """All weights start at 1 (log 0).  The (2, n) stacks are stored
-    node-major, as the transposes of (n, 2) arrays: each (2, M+1) row view
+def init_state(graph: PseudoGraph, rounds: int | None = None) -> WeightState:
+    """All weights start at 1 (log 0); a batch of ``rounds`` states when
+    given.  The (2, n) stacks are stored node-major, as the transposes of
+    (n, 2) arrays (of (n, 2, B) ones for a batch): each (2, M+1) row view
     the passes read or write is then one contiguous block, on which numpy
     runs its 1-D loop instead of a 2-D strided one."""
-    n = graph.n_nodes
-    return WeightState(graph=graph, w2=np.zeros((n, 2)).T, acc=np.full((n, 2), -np.inf).T)
+    shape = (graph.n_nodes, 2) + (() if rounds is None else (rounds,))
+    return WeightState(graph=graph, w2=np.zeros(shape).T, acc=np.full(shape, -np.inf).T)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.maximum.reduce(a))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.add.reduce(np.exp(a - m))))
+def _logsumexp(a: np.ndarray):
+    """log(sum(exp(a))) along the last axis, a float for a 1-D ``a``; a
+    row whose maximum is not finite gives that maximum.  A batch's rows go
+    through a C-order array, which numpy sums row by row pairwise, as a
+    1-D array, whatever ``a``'s memory order: the bits of one-row calls."""
+    if a.ndim == 1:
+        m = float(np.maximum.reduce(a))
+        if not math.isfinite(m):
+            return m
+        return m + math.log(float(np.add.reduce(np.exp(a - m))))
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
+    finite = np.isfinite(m)
+    e = np.zeros(a.shape)
+    np.subtract(a, m, out=e, where=finite)  # rows of a non-finite maximum stay 0
+    np.exp(e, out=e)
+    sums = np.add.reduce(e, axis=-1).tolist()
+    return np.array([
+        top + math.log(total) if ok else top
+        for top, total, ok in zip(m[..., 0].tolist(), sums, finite[..., 0].tolist())
+    ])
 
 
 def _scan_views(w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> tuple:
@@ -171,7 +193,7 @@ _END_GAP = 1e-6
 
 def backward_pass(state: WeightState, rows: int) -> WeightState:
     """Fill Gamma and F, bid rows 0..``rows``-1 of each, in one
-    ``_suffix_scan`` over the (2, n) stacks.
+    ``_suffix_scan`` over the (2, n) stacks (over every round of a batch).
 
     Gamma, in row 0, holds suffix weight products: Gamma = 1 on the last
     bid row; elsewhere Gamma(h) = sum over successors h' of W(h') Gamma(h').
@@ -182,22 +204,39 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
     1.  Then log Gamma_0 = logsumexp over the first bid row of W + Gamma.
     The same (2, M+1) sum gives, in row 1, the last bid row's W + F, whose
     total must match: ``WeightOverflow`` when log Gamma_0 is not finite or
-    the two differ by more than ``_END_GAP``.
+    the two differ by more than ``_END_GAP``.  A batch raises for its
+    earliest failing round, whose index the error's ``row`` gives.
     """
     w_bid, _, a_bid, a_gap = state.rows
-    state.w2[1] = state.log_w[::-1]
+    state.w2[..., 1, :] = state.log_w[..., ::-1]
     _suffix_scan(np.logaddexp, state.scan, rows)
-    a_gap[:, :rows] = a_bid[:, :rows, :-1]  # gap (k, j) shares bid (k, j)'s successors
-    ends = w_bid[:, 0] + a_bid[:, 0]
-    state.log_gamma0 = log_g0 = _logsumexp(ends[0])
+    a_gap[..., :rows, :] = a_bid[..., :rows, :-1]  # gap (k, j) shares bid (k, j)'s successors
+    ends = w_bid[..., 0, :] + a_bid[..., 0, :]
+    log_g0 = _logsumexp(ends[..., 0, :])
+    log_end = np.logaddexp.reduce(ends[..., 1, :], axis=-1)
+    if log_end.ndim:  # a batch
+        state.log_gamma0 = log_g0[:, None]
+        with np.errstate(invalid="ignore"):  # inf - inf in a failing round
+            failed = np.flatnonzero(~(np.abs(log_end - log_g0) <= _END_GAP))
+        if len(failed):
+            row = int(failed[0])
+            _check_ends(float(log_g0[row]), float(log_end[row]), row)
+    else:
+        state.log_gamma0 = log_g0
+        _check_ends(log_g0, float(log_end))
+    return state
+
+
+def _check_ends(log_g0: float, log_end: float, row: int | None = None) -> None:
+    """``WeightOverflow`` (of batch round ``row``) when log Gamma_0 is not
+    finite or differs from ``log_end``, the same total from the last bid
+    row, by more than ``_END_GAP``."""
     if not math.isfinite(log_g0):
-        raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update")
-    log_end = float(np.logaddexp.reduce(ends[1]))
+        raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update", row)
     if not abs(log_end - log_g0) <= _END_GAP:
         raise WeightOverflow(
-            f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last"
+            f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last", row
         )
-    return state
 
 
 def ensure_passes(state: WeightState) -> WeightState:
@@ -212,15 +251,23 @@ def ensure_passes(state: WeightState) -> WeightState:
     they were.  Log weights must be finite: one sum over the dirty range
     checks them first, and ``WeightOverflow`` names a node that is -inf,
     +inf or nan.  A state that raises stays dirty, so every later call
-    raises again."""
+    raises again.  A batch raises the error of its earliest failing round,
+    as that round's own call would, with the round's index as the error's
+    ``row``; the passes of the rounds before a non-finite one are checked
+    first."""
     g, lo, hi = state.graph, state.dirty_lo, state.dirty_hi
     if lo <= hi:
-        changed = state.log_w[lo : hi + 1]
-        if not math.isfinite(np.add.reduce(changed)):  # a finite sum has finite terms
+        changed = state.log_w[..., lo : hi + 1]
+        if not math.isfinite(np.add.reduce(changed, axis=None)):  # a finite sum has finite terms
             bad = np.flatnonzero(~np.isfinite(changed))  # none if finite terms overflow
             if len(bad):
-                i = int(bad[0])
-                raise WeightOverflow(f"node {g.label(lo + i)} has log weight {changed[i]}")
+                row, i = divmod(int(bad[0]), hi + 1 - lo)
+                message = f"node {g.label(lo + i)} has log weight {changed.flat[bad[0]]}"
+                if changed.ndim == 1:
+                    raise WeightOverflow(message)
+                if row:
+                    ensure_passes(WeightState(g, state.w2[:row], state.acc[:row]))
+                raise WeightOverflow(message, row)
         hi, lo = int(g.row[hi]), int(g.row[lo])
         backward_pass(state, max((hi + 1) // 2, (2 * g.k - 1 - lo) // 2))
         state.dirty_lo, state.dirty_hi = g.n_nodes, -1
@@ -229,13 +276,38 @@ def ensure_passes(state: WeightState) -> WeightState:
 
 def marginals(state: WeightState) -> np.ndarray:
     """Inclusion probability of every node under the current distribution:
-    P(h in sampled path) = W(h) F(h) Gamma(h) / Gamma_0, capped at 1."""
+    P(h in sampled path) = W(h) F(h) Gamma(h) / Gamma_0, capped at 1; (B, n)
+    for a batch, each row bitwise its round's own call."""
     ensure_passes(state)
     out = np.add(state.log_w, state.forward)
     out += state.backward
     out -= state.log_gamma0
     np.exp(out, out=out)
     return np.minimum(out, 1.0, out=out)
+
+
+def _walk(j: int, w_gap: list, gamma: list, u: list) -> tuple[int, ...]:
+    """The K levels of the walk from level ``j`` of bid row 1, as
+    ``sample_path`` describes it: bid row r + 2 is reached down gap row
+    r + 1.5, whose log weights ``w_gap[r]`` lists, from bid row r + 1,
+    whose log Gamma ``gamma[r]`` lists (Python floats), on the uniform
+    ``u[r]``."""
+    levels = [j]
+    # only the steps the walk reads, which are few: a walk stops at its
+    # first failed step
+    try:
+        for w_row, g_row, x in zip(w_gap, gamma, u):
+            p = 1.0
+            while j > 0:
+                # log probability of gap level j - 1 from bid level j
+                p *= math.exp(w_row[j - 1] + g_row[j - 1] - g_row[j])
+                if x >= p:
+                    break
+                j -= 1
+            levels.append(j)
+    except OverflowError:
+        raise WeightOverflow("a walk step's log probability overflows") from None
+    return tuple(levels)
 
 
 def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]:
@@ -261,22 +333,26 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):
         j = int(np.flatnonzero(probs)[-1])
-    levels = [j]
-    # only the steps the walk reads, which are few: a walk stops at its
-    # first failed step
-    try:
-        for w_row, g_row, x in zip(w_gap[0].tolist(), b_bid[0, :-1].tolist(), u[1:]):
-            p = 1.0
-            while j > 0:
-                # log probability of gap level j - 1 from bid level j
-                p *= math.exp(w_row[j - 1] + g_row[j - 1] - g_row[j])
-                if x >= p:
-                    break
-                j -= 1
-            levels.append(j)
-    except OverflowError:
-        raise WeightOverflow("a walk step's log probability overflows") from None
-    return tuple(levels)
+    return _walk(j, w_gap[0].tolist(), b_bid[0, :-1].tolist(), u[1:])
+
+
+def sample_paths(state: WeightState, u: np.ndarray) -> list[tuple[int, ...]]:
+    """``sample_path`` on every round of a batch, round i on the uniforms
+    ``u[i]`` of a (B, K) array: the start draws of the whole batch at
+    once, one conversion of its rows to Python floats, then each round's
+    walk.  Philox's ``random((B, K))`` equals B calls of ``random(K)``, so
+    the walks are those of B ``sample_path`` calls; the earliest failing
+    walk raises."""
+    ensure_passes(state)
+    w_bid, w_gap, b_bid, _ = state.rows
+    probs = np.exp(w_bid[:, 0, 0] + b_bid[:, 0, 0] - state.log_gamma0)
+    cum = probs.cumsum(axis=-1)
+    top = cum.shape[-1]
+    starts = (cum <= u[:, :1]).sum(axis=-1)  # each row's searchsorted(u[i, 0], "right")
+    fell = starts == top  # rounding left u at or above the summed probabilities
+    starts[fell] = top - 1 - np.argmax(probs[fell, ::-1] > 0.0, axis=-1)
+    rows = zip(starts.tolist(), w_gap[:, 0].tolist(), b_bid[:, 0, :-1].tolist(), u[:, 1:].tolist())
+    return [_walk(*row) for row in rows]
 
 
 def path_log_probability(state: WeightState, path: PseudoPath) -> float:
@@ -393,12 +469,16 @@ def allwinner_signal(
 # --- expectation and parameters ------------------------------------------
 
 
-def expectation(marg: np.ndarray, utilities: np.ndarray) -> float:
-    """Sum of marg * utilities, added left to right from 0.0."""
-    if not len(marg):
-        return 0.0
+def expectation(marg: np.ndarray, utilities: np.ndarray):
+    """Sum of marg * utilities along the last axis, added left to right
+    from 0.0: a float for 1-D arrays, else an array of the leading shape.
+    Trailing zero terms leave a sum's bits as they are, so the rows of a
+    zero-padded (B, E) table sum as their unpadded 1-D calls do."""
+    if not marg.shape[-1]:
+        return 0.0 if marg.ndim == 1 else np.zeros(marg.shape[:-1])
     # cumsum adds left to right; 0.0 + gives the loop's +0.0 when every term is -0.0
-    return 0.0 + float((marg * utilities).cumsum()[-1])
+    total = (marg * utilities).cumsum(axis=-1)[..., -1]
+    return 0.0 + (float(total) if marg.ndim == 1 else total)
 
 
 def default_parameters(k: int, t: int, mode: FeedbackMode) -> tuple[float, float]:

@@ -382,6 +382,53 @@ class TestMain:
         assert f"eta={float(extra[-1]):g}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "eta, line",
+        [
+            ("1e30", "log Gamma_0 is 3.0437804218090037e+30 from the first bid row "
+                     "but 3.043780421809003e+30 from the last"),
+            ("1e150", "log Gamma_0 is 3.793780421809003e+150 from the first bid row "
+                      "but 3.793780421809004e+150 from the last"),
+            ("1e308", "node h(1,2) has log weight inf"),
+        ],
+    )
+    def test_full_information_overflow_names_its_earliest_failing_round(
+        self, eta, line, capsys
+    ):
+        # full information's learner runs a block of rounds at a time; the
+        # error is still the one its earliest failing round raises (round 9,
+        # 10 and 5 of the block), word for word
+        argv = [
+            "--units", "2", "--horizon", "100", "--values", "1,0.5",
+            "--adversary", "iid", "--seed", "1", "--feedback", "full", "--eta", eta,
+        ]
+        err = self.assert_one_line_error(argv, capsys)
+        assert err == f"error: eta={float(eta):g} is too large: {line}\n"
+
+    def test_an_earlier_rounds_walk_fails_first(self, capsys, monkeypatch):
+        # at eta = 1e30 the passes of round 9 fail; a walk that fails in
+        # round 3 of the same block must raise first, as a per-round loop
+        # would
+        from uniprice import learner
+        from uniprice.errors import WeightOverflow
+
+        walk, walks = learner._walk, []
+
+        def failing(*args):
+            walks.append(args)
+            if len(walks) == 3:
+                raise WeightOverflow("a walk step's log probability overflows")
+            return walk(*args)
+
+        monkeypatch.setattr(learner, "_walk", failing)
+        argv = [
+            "--units", "2", "--horizon", "100", "--values", "1,0.5",
+            "--adversary", "iid", "--seed", "1", "--feedback", "full", "--eta", "1e30",
+        ]
+        err = self.assert_one_line_error(argv, capsys)
+        assert err == "error: eta=1e+30 is too large: a walk step's log probability overflows\n"
+        assert len(walks) == 3
+
     @pytest.mark.parametrize("eta", ["1e20", "1e300"])
     def test_vanishing_observation_probability_exits_2_naming_eta(
         self, eta, tmp_path, capsys

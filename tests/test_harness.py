@@ -422,6 +422,11 @@ class TestBlocks:
             k=3, values=(1.0, 0.7, 0.4), horizon=61, tie_mode=TieMode.PERTURB,
             adversary=AdversarySpec(AdversaryKind.IID_UNIFORM, 3),
         ),
+        "k3-perturb-full": small_config(
+            k=3, values=(1.0, 0.7, 0.4), horizon=61, tie_mode=TieMode.PERTURB,
+            feedback=FeedbackMode.FULL_INFORMATION,
+            adversary=AdversarySpec(AdversaryKind.IID_UNIFORM, 3),
+        ),
     }
 
     @pytest.mark.parametrize("name", list(CONFIGS))
@@ -446,21 +451,51 @@ class TestBlocks:
             assert calls == blocks * config.replications
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("name", ["full", "k3-perturb-full"])
+    def test_bytes_do_not_depend_on_the_rounds_per_learner_block(self, name, monkeypatch):
+        # full information's learner blocks split each adversary block;
+        # 10 adversary rows with 4 learner rows leave a short learner block
+        # at the end of every adversary block
+        from uniprice import harness
+
+        config = self.CONFIGS[name]
+        n = build_graph(config.k, round(1 / resolve_parameters(config)[0])).n_nodes
+        sample_paths, batches = harness.sample_paths, []
+
+        def counted(state, u):
+            batches.append(len(u))
+            return sample_paths(state, u)
+
+        monkeypatch.setattr(harness, "sample_paths", counted)
+        outputs = []
+        for rows, steps in [(None, 1), (None, 7), (None, config.horizon + 5), (10, 4)]:
+            if rows:
+                monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
+            monkeypatch.setattr(harness, "_LEARNER_BYTES", 8 * n * steps)
+            batches.clear()
+            outputs.append(csv_bytes(run_experiment(config)))
+            blocks = [min(rows or config.horizon, config.horizon - t0)
+                      for t0 in range(0, config.horizon, rows or config.horizon)]
+            expected = [min(steps, b - s0) for b in blocks for s0 in range(0, b, steps)]
+            assert batches == expected * config.replications
+        assert outputs[1:] == [outputs[0]] * 3
+
 
 class TestDirtyRows:
     """The passes recompute only the rows an update reaches: bandit's one
-    node a round spares rows, full information's update reaches every
-    row."""
+    node a round spares rows, full information's batched passes compute
+    every row of every round."""
 
     @staticmethod
     def pass_rows(config, monkeypatch):
-        """Total bid rows the stacked passes recompute over a run."""
+        """Total bid rows the stacked passes recompute over a run, once for
+        each round of a batched pass."""
         from uniprice import learner
 
         passes, rows = learner.backward_pass, []
 
         def counted(state, n_rows):
-            rows.append(n_rows)
+            rows.append(n_rows * (len(state.log_w) if state.log_w.ndim > 1 else 1))
             return passes(state, n_rows)
 
         monkeypatch.setattr(learner, "backward_pass", counted)
@@ -488,7 +523,9 @@ class TestDirtyRows:
 class TestBenchmarkContract:
     """perfbench/tracing.py wraps the names harness imports and counts from
     their arguments; these checks fail when harness stops calling them the
-    way the traced benchmark counts."""
+    way the traced benchmark counts.  Full information runs its learner a
+    block of rounds at a time: it calls neither ``make_feedback`` nor
+    ``update_weights``, and its passes run once per learner block."""
 
     @pytest.mark.parametrize("mode", list(FeedbackMode))
     def test_traced_run_counts_rounds_nodes_and_entries(self, mode, monkeypatch):
@@ -530,9 +567,10 @@ class TestBenchmarkContract:
         assert harness.firing_set is spy_firing_set
         n_spans = len(tracer.start)
         calls = tracer.times(0, n_spans).calls
-        assert calls["feedback.make_feedback"] == 64
-        assert calls["learner.update_weights"] == 64
-        assert calls["learner.ensure_passes"] >= 64
+        rounds = 0 if mode is FeedbackMode.FULL_INFORMATION else 64
+        assert calls["feedback.make_feedback"] == rounds
+        assert calls["learner.update_weights"] == rounds
+        assert calls["learner.ensure_passes"] >= max(rounds, 1)
         tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
         assert tracer.counts["pseudo_space.firing_set.nodes"] == expected["nodes"]
         assert tracer.counts["learner.signal.entries"] == expected["entries"]
@@ -543,7 +581,13 @@ class TestPerfbenchHooks:
     ``perfbench/tracing.py`` records by patching names in ``harness``; a
     refactor that drops or renames one breaks the traced benchmark.
     ``auction_core.clear_auction`` is still patched but no round calls it:
-    ``realized_event`` gives the outcome, so its figure reads 0."""
+    ``realized_event`` gives the outcome, so its figure reads 0.  Full
+    information's learner blocks call neither ``sample_path``,
+    ``update_weights`` nor ``make_feedback``; the benchmark needs those two
+    last called equally often, for the signal gap, and ``ensure_passes``
+    called at least once, for the recompute ratio."""
+
+    BLOCKED = {"learner.sample_path", "learner.update_weights", "feedback.make_feedback"}
 
     SPANS = (
         "adversaries.next_bids",
@@ -566,13 +610,15 @@ class TestPerfbenchHooks:
             tracer.remove()
         n_spans = len(tracer.start)
         calls = tracer.times(0, n_spans).calls
-        assert {name: calls.get(name, 0) > 0 for name in self.SPANS} == dict.fromkeys(
-            self.SPANS, True
-        )
+        full = mode is FeedbackMode.FULL_INFORMATION
+        spans = [name for name in self.SPANS if not (full and name in self.BLOCKED)]
+        assert {name: calls.get(name, 0) > 0 for name in spans} == dict.fromkeys(spans, True)
+        if full:
+            assert [calls.get(name, 0) for name in self.BLOCKED] == [0, 0, 0]
         assert calls["adversaries.next_bids"] == 1  # one block per replication
         tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
         assert tracer.counts["learner.backward_pass"] > 0
-        assert tracer.counts["learner.signal.entries"] > 0
+        assert (tracer.counts["learner.signal.entries"] > 0) is not full
 
 
 class TestGoldenDigests:

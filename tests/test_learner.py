@@ -46,6 +46,7 @@ from uniprice.learner import (
     _suffix_scan,
     allwinner_signal,
     ensure_passes,
+    sample_paths,
 )
 from uniprice.pseudo_space import event_utilities, realized_event
 from uniprice.oracle import (
@@ -895,6 +896,148 @@ class TestWalk:
             block = rng_from(7).random((20, k))
             one = rng_from(7)
             assert block.tobytes() == np.array([one.random(k) for _ in range(20)]).tobytes()
+
+
+def new_batch(g, rounds, order="node"):
+    """A batch of ``rounds`` new states on ``g``, its stacks stored in
+    ``order``: node-major, as ``init_state`` stores them, or C order."""
+    if order == "node":
+        return init_state(g, rounds)
+    n = g.n_nodes
+    return WeightState(graph=g, w2=np.zeros((rounds, 2, n)), acc=np.full((rounds, 2, n), -np.inf))
+
+
+def full_info_rounds(instance, rounds, seed, scale):
+    """(B, n) log weights as full information's rounds see them: random
+    weights of spread ``scale``, then each round adds eta times the true
+    sub-utilities of ``instance``'s adversary profile, eta drawn per
+    round."""
+    g, beta, _ = instance
+    rng = rng_from(seed)
+    events = firing_set(beta.bids, g)
+    w = event_utilities(events, Valuation(tuple(np.linspace(1.0, 0.3, g.k).tolist())))
+    table = np.zeros((rounds, g.n_nodes))
+    table[0] = rng.normal(0.0, scale, g.n_nodes)
+    table[1:, events.ids] = rng.uniform(0.0, 2.0, (rounds - 1, 1)) * w
+    return np.cumsum(table, axis=0)
+
+
+def _wide_grid():
+    """K = 2, M = 40: rows of 41 levels, long enough that numpy's pairwise
+    sum and a running sum order their terms differently."""
+    g = build_graph(2, 40)
+    return g, BidProfile((0.61, 0.2049)), BidProfile((float(g.levels[30]), float(g.levels[7])))
+
+
+def _one_unit(m):
+    g = build_graph(1, m)
+    return g, BidProfile((0.3,)), BidProfile((float(g.levels[-1]),))
+
+
+class TestBatchedRounds:
+    """A batch of states along a leading rounds axis, as full information
+    runs its learner a block of rounds at a time, gives every round the
+    bits of its own one-state calls."""
+
+    @given(
+        instances(), st.integers(1, 5), st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 40.0]), st.sampled_from(ORDERS),
+    )
+    @example(_wide_grid(), 4, 11, 40.0, "node")
+    @example(_wide_grid(), 4, 11, 40.0, "C")
+    @example(_one_unit(0), 3, 5, 1.0, "node")
+    @example(_one_unit(1), 3, 5, 1.0, "node")
+    @settings(max_examples=200, deadline=None)
+    def test_batch_is_the_one_state_calls_bitwise(self, instance, rounds, seed, scale, order):
+        g = instance[0]
+        table = full_info_rounds(instance, rounds, seed, scale)
+        batch = new_batch(g, rounds, order)
+        batch.log_w[...] = table
+        marg = marginals(batch)
+        assert batch.log_gamma0.shape == (rounds, 1)
+        walks = sample_paths(batch, rng_from(seed).random((rounds, g.k)))
+        draws = rng_from(seed)  # K uniforms a walk, as one (B, K) draw gives them
+        # u[0] just below 1, at or above the summed start probabilities
+        # about half the time: the fallback to the highest positive level
+        top = rng_from(seed).random((rounds, g.k))
+        top[:, 0] = math.nextafter(1.0, 0.0)
+        top_walks = sample_paths(batch, top)
+        for r in range(rounds):
+            s = init_state(g)
+            s.log_w[:] = table[r]
+            assert marginals(s).tobytes() == marg[r].tobytes()
+            assert s.backward.tobytes() == batch.backward[r].tobytes()
+            assert s.forward.tobytes() == batch.forward[r].tobytes()
+            assert np.float64(s.log_gamma0).tobytes() == batch.log_gamma0[r, 0].tobytes()
+            assert sample_path(s, draws) == walks[r]
+            assert sample_path(s, Uniforms(top[r].tolist())) == top_walks[r]
+
+    @given(instances(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @example(_wide_grid(), 4, 11)
+    @settings(max_examples=100, deadline=None)
+    def test_batched_log_gamma0_is_the_one_row_calls_in_any_order(self, instance, rounds, seed):
+        # the first bid rows' W + Gamma in C order, in node-major order and
+        # reversed: each row's log Gamma_0 is its own 1-D call's
+        g = instance[0]
+        ends = rng_from(seed).normal(0.0, 30.0, (rounds, g.inv_epsilon + 1))
+        one_row = np.array([_logsumexp(row.copy()) for row in ends])
+        for a in (ends, np.asfortranarray(ends), ends[::-1, ::-1].copy()[::-1, ::-1]):
+            assert _logsumexp(a).tobytes() == one_row.tobytes()
+
+    def test_a_batch_falls_back_to_the_highest_positive_level(self):
+        # TestSampler's state, whose top start level has probability 0 and
+        # whose start probabilities sum below the draw, between two others
+        g = build_graph(2, 2)
+        fallback = [
+            1.8267565599574231, -3.0783319101980338, -1000.0, 0.06963722766094482,
+            1.3182500241810684, 0.385629249998389, 1.8272586275861753, 0.0317437591517664,
+        ]
+        table = np.array([np.zeros(g.n_nodes), fallback, np.linspace(-1.0, 1.0, g.n_nodes)])
+        batch = init_state(g, 3)
+        batch.log_w[...] = table
+        u = np.full((3, g.k), 1.0 - 2.0**-53)
+        walks = sample_paths(batch, u)
+        assert walks[1][0] == 1
+        for r in range(3):
+            s = init_state(g)
+            s.log_w[:] = table[r]
+            assert sample_path(s, Uniforms(u[r].tolist())) == walks[r]
+
+    @staticmethod
+    def failing_batch():
+        """K = 2, M = 4, rounds 0 and 1 passing, round 2 failing its end
+        check (log weights of spread 1e12), round 3 holding an infinite
+        log weight."""
+        g = build_graph(2, 4)
+        batch = init_state(g, 4)
+        for r, (seed, scale) in enumerate([(1, 1.0), (1, 1e12), (0, 1e12), (2, 1.0)]):
+            batch.log_w[r] = np.random.default_rng(seed).normal(0.0, scale, g.n_nodes)
+        batch.log_w[3, bid(g, 2, 1)] = math.inf
+        return g, batch
+
+    def test_a_batch_raises_its_earliest_failing_round(self):
+        g, batch = self.failing_batch()
+        one = init_state(g)
+        one.log_w[:] = batch.log_w[2]
+        with pytest.raises(WeightOverflow) as per_round:
+            ensure_passes(one)
+        for rounds, row, message in [
+            (4, 2, str(per_round.value)), (3, 2, str(per_round.value)),
+            (2, None, None),
+        ]:
+            head = WeightState(g, batch.w2[:rounds], batch.acc[:rounds])
+            if row is None:
+                ensure_passes(head)
+                continue
+            with pytest.raises(WeightOverflow) as raised:
+                ensure_passes(head)
+            assert (raised.value.row, str(raised.value)) == (row, message)
+            assert head.dirty_lo <= head.dirty_hi
+        # without the failing end check, the infinite weight is the earliest
+        batch.log_w[2] = batch.log_w[0]
+        with pytest.raises(WeightOverflow, match=r"^node h\(2,1\) has log weight inf$") as raised:
+            marginals(batch)
+        assert raised.value.row == 3
 
 
 @st.composite
