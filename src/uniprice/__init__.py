@@ -45,7 +45,6 @@ from .learner import (
     allwinner_signal,
     bandit_signal,
     default_parameters,
-    full_info_signal,
     init_state,
     marginals,
     path_log_probability,

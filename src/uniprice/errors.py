@@ -67,10 +67,5 @@ class ConfigError(AuctionError):
 
 
 class WeightOverflow(AuctionError):
-    """A log weight is not finite, or the passes' sums left floating-point
-    range: the learning rate is too large for the run.  ``row`` is the
-    failing round's index in a batch of learner states, else None."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """A log weight is not finite, or the passes' sums or a walk step left
+    floating-point range: the learning rate is too large for the run."""

@@ -144,8 +144,9 @@ def _full_information(batch, log_w, events, w_node, w_market, s0, s1, eta, rng):
     the rounds, seeded with ``log_w``, make the float additions of the
     per-round ``update_weights``.  The rounds then run as one ``batch`` of
     learner states (its first rows for a short block), with one (B, K)
-    draw of ``rng``.  When a round fails its passes, the walks before it
-    run first: the error is the earliest failing round's."""
+    draw of ``rng``.  When the batch fails, its rounds are replayed in
+    order as batches of one, passes and walk each, so the error raised is
+    the earliest failing round's own, as a per-round loop would raise."""
     g = batch.graph
     b = s1 - s0
     if b < len(batch.log_w):
@@ -163,9 +164,9 @@ def _full_information(batch, log_w, events, w_node, w_market, s0, s1, eta, rng):
     batch.mark_all_dirty()
     try:
         marg = marginals(batch)
-    except WeightOverflow as exc:
-        if exc.row:
-            sample_paths(WeightState(g, batch.w2[: exc.row], batch.acc[: exc.row]), u[: exc.row])
+    except WeightOverflow:
+        for r in range(b):
+            sample_paths(WeightState(g, batch.w2[r : r + 1], batch.acc[r : r + 1]), u[r : r + 1])
         raise
     # each round's events in a row of its own, padded with zeros
     pos = np.arange(z - a) - np.repeat(events.starts[s0:s1] - a, counts)

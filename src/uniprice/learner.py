@@ -15,7 +15,8 @@ of a full pass; a log weight that is not finite raises ``WeightOverflow``.
 A batch of B states along a leading rounds axis runs the passes, the
 marginals and the walks' start draws once, each round with the bits of
 its own call; full information's weights do not depend on the play, so
-the harness runs its learner that way.
+the harness runs its learner that way.  A batch keeps no record of which
+round failed: the harness replays a failing block round by round.
 
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
@@ -204,8 +205,8 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
     1.  Then log Gamma_0 = logsumexp over the first bid row of W + Gamma.
     The same (2, M+1) sum gives, in row 1, the last bid row's W + F, whose
     total must match: ``WeightOverflow`` when log Gamma_0 is not finite or
-    the two differ by more than ``_END_GAP``.  A batch raises for its
-    earliest failing round, whose index the error's ``row`` gives.
+    the two differ by more than ``_END_GAP``; a batch raises the message of
+    its first failing round.
     """
     w_bid, _, a_bid, a_gap = state.rows
     state.w2[..., 1, :] = state.log_w[..., ::-1]
@@ -219,23 +220,22 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
         with np.errstate(invalid="ignore"):  # inf - inf in a failing round
             failed = np.flatnonzero(~(np.abs(log_end - log_g0) <= _END_GAP))
         if len(failed):
-            row = int(failed[0])
-            _check_ends(float(log_g0[row]), float(log_end[row]), row)
+            _check_ends(float(log_g0[failed[0]]), float(log_end[failed[0]]))
     else:
         state.log_gamma0 = log_g0
         _check_ends(log_g0, float(log_end))
     return state
 
 
-def _check_ends(log_g0: float, log_end: float, row: int | None = None) -> None:
-    """``WeightOverflow`` (of batch round ``row``) when log Gamma_0 is not
-    finite or differs from ``log_end``, the same total from the last bid
-    row, by more than ``_END_GAP``."""
+def _check_ends(log_g0: float, log_end: float) -> None:
+    """``WeightOverflow`` when log Gamma_0 is not finite or differs from
+    ``log_end``, the same total from the last bid row, by more than
+    ``_END_GAP``."""
     if not math.isfinite(log_g0):
-        raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update", row)
+        raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update")
     if not abs(log_end - log_g0) <= _END_GAP:
         raise WeightOverflow(
-            f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last", row
+            f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last"
         )
 
 
@@ -250,24 +250,18 @@ def ensure_passes(state: WeightState) -> WeightState:
     the larger count in both, and the extra rows come out bit for bit as
     they were.  Log weights must be finite: one sum over the dirty range
     checks them first, and ``WeightOverflow`` names a node that is -inf,
-    +inf or nan.  A state that raises stays dirty, so every later call
-    raises again.  A batch raises the error of its earliest failing round,
-    as that round's own call would, with the round's index as the error's
-    ``row``; the passes of the rounds before a non-finite one are checked
-    first."""
+    +inf or nan (in a batch, the first such node of the first such round).
+    A state that raises stays dirty, so every later call raises again.  A
+    batch's error does not say which round failed: the harness replays a
+    failing block round by round (``harness._full_information``)."""
     g, lo, hi = state.graph, state.dirty_lo, state.dirty_hi
     if lo <= hi:
         changed = state.log_w[..., lo : hi + 1]
         if not math.isfinite(np.add.reduce(changed, axis=None)):  # a finite sum has finite terms
-            bad = np.flatnonzero(~np.isfinite(changed))  # none if finite terms overflow
+            bad = np.argwhere(~np.isfinite(changed))  # none if finite terms overflow
             if len(bad):
-                row, i = divmod(int(bad[0]), hi + 1 - lo)
-                message = f"node {g.label(lo + i)} has log weight {changed.flat[bad[0]]}"
-                if changed.ndim == 1:
-                    raise WeightOverflow(message)
-                if row:
-                    ensure_passes(WeightState(g, state.w2[:row], state.acc[:row]))
-                raise WeightOverflow(message, row)
+                at = tuple(bad[0].tolist())  # (i,) for one state, (round, i) for a batch
+                raise WeightOverflow(f"node {g.label(lo + at[-1])} has log weight {changed[at]}")
         hi, lo = int(g.row[hi]), int(g.row[lo])
         backward_pass(state, max((hi + 1) // 2, (2 * g.k - 1 - lo) // 2))
         state.dirty_lo, state.dirty_hi = g.n_nodes, -1
@@ -331,7 +325,7 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     probs = np.exp(w_bid[0, 0] + b_bid[0, 0] - state.log_gamma0)
     cum = probs.cumsum()
     j = int(cum.searchsorted(u[0], side="right"))
-    if j == len(cum):
+    if j == len(cum):  # rounding left u[0] at or above the summed probabilities
         j = int(np.flatnonzero(probs)[-1])
     return _walk(j, w_gap[0].tolist(), b_bid[0, :-1].tolist(), u[1:])
 
@@ -341,18 +335,21 @@ def sample_paths(state: WeightState, u: np.ndarray) -> list[tuple[int, ...]]:
     ``u[i]`` of a (B, K) array: the start draws of the whole batch at
     once, one conversion of its rows to Python floats, then each round's
     walk.  Philox's ``random((B, K))`` equals B calls of ``random(K)``, so
-    the walks are those of B ``sample_path`` calls; the earliest failing
-    walk raises."""
+    the walks are those of B ``sample_path`` calls, start-level fallback
+    included; the earliest failing walk raises."""
     ensure_passes(state)
     w_bid, w_gap, b_bid, _ = state.rows
     probs = np.exp(w_bid[:, 0, 0] + b_bid[:, 0, 0] - state.log_gamma0)
     cum = probs.cumsum(axis=-1)
     top = cum.shape[-1]
     starts = (cum <= u[:, :1]).sum(axis=-1)  # each row's searchsorted(u[i, 0], "right")
-    fell = starts == top  # rounding left u at or above the summed probabilities
-    starts[fell] = top - 1 - np.argmax(probs[fell, ::-1] > 0.0, axis=-1)
     rows = zip(starts.tolist(), w_gap[:, 0].tolist(), b_bid[:, 0, :-1].tolist(), u[:, 1:].tolist())
-    return [_walk(*row) for row in rows]
+    walks = []
+    for i, (j, *row) in enumerate(rows):
+        if j == top:  # sample_path's fallback, on this round's probabilities
+            j = int(np.flatnonzero(probs[i])[-1])
+        walks.append(_walk(j, *row))
+    return walks
 
 
 def path_log_probability(state: WeightState, path: PseudoPath) -> float:
@@ -392,14 +389,6 @@ def update_weights(state: WeightState, signal: EstimateVector, eta: float) -> We
 
 
 # --- feedback signals ---------------------------------------------------
-
-
-def full_info_signal(ids: np.ndarray, utilities: np.ndarray) -> EstimateVector:
-    """True sub-utility of every firing node: ``ids`` are the ids of the
-    round's ``firing_set``, ascending, and ``utilities`` their
-    ``event_utilities``.  The record holds the two arrays themselves, so
-    slices of a block's arrays stay views."""
-    return EstimateVector(ids, utilities)
 
 
 def bandit_signal(

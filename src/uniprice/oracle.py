@@ -26,13 +26,13 @@ from .auction_core import BidProfile, PricingRule, Valuation, clear_auction, uti
 from .errors import TooLarge
 from .feedback import FeedbackMode, make_feedback
 from .learner import (
+    EstimateVector,
     WeightState,
     _scan_views,
     _suffix_scan,
     allwinner_signal,
     bandit_signal,
     expectation,
-    full_info_signal,
     marginals,
 )
 from .pseudo_space import (
@@ -212,7 +212,7 @@ def _estimates(
             signal = allwinner_signal(fb, fired, event_utilities(fired, values), state, marg)
         else:
             events = firing_set(adversary.bids, g)
-            signal = full_info_signal(events.ids, event_utilities(events, values))
+            signal = EstimateVector(events.ids, event_utilities(events, values))
         est = [0.0] * g.n_nodes
         for i, v in zip(signal.ids.tolist(), signal.values.tolist()):
             est[i] += v

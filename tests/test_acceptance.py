@@ -33,7 +33,6 @@ from uniprice import (
     exact_path_distribution,
     exact_second_moment,
     firing_set,
-    full_info_signal,
     init_state,
     node_fires,
     node_totals_from_history,
@@ -45,6 +44,7 @@ from uniprice import (
     update_weights,
 )
 from uniprice.harness import csv_bytes, fit_loglog_slope
+from uniprice.learner import EstimateVector
 from uniprice.pseudo_space import event_utilities
 
 
@@ -163,7 +163,7 @@ def test_criterion_3_sampler_exactness():
     def updated():
         s = init_state(g)
         events = firing_set(beta.bids, g)
-        update_weights(s, full_info_signal(events.ids, event_utilities(events, v)), 0.8)
+        update_weights(s, EstimateVector(events.ids, event_utilities(events, v)), 0.8)
         return s
 
     n_draws = 100_000

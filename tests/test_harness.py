@@ -40,6 +40,7 @@ from uniprice.errors import (
     NotMonotone,
     OutOfRange,
     TieDetected,
+    WeightOverflow,
     WrongLength,
 )
 from uniprice.feedback import Feedback, make_feedback
@@ -479,6 +480,27 @@ class TestBlocks:
             expected = [min(steps, b - s0) for b in blocks for s0 in range(0, b, steps)]
             assert batches == expected * config.replications
         assert outputs[1:] == [outputs[0]] * 3
+
+    @pytest.mark.parametrize("eta", [1e30, 1e150, 1e308])
+    def test_overflow_does_not_depend_on_the_rounds_per_learner_block(self, eta, monkeypatch):
+        # one learner round a block is the per-round loop; longer and short
+        # blocks replay a failing block round by round and raise its line
+        from uniprice import harness
+
+        config = small_config(
+            feedback=FeedbackMode.FULL_INFORMATION, horizon=100, seed=1, replications=1, eta=eta
+        )
+        n = build_graph(config.k, round(1 / resolve_parameters(config)[0])).n_nodes
+        lines = []
+        for rows, steps in [(None, 1), (None, 7), (None, config.horizon + 5), (10, 4)]:
+            if rows:
+                monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
+            monkeypatch.setattr(harness, "_LEARNER_BYTES", 8 * n * steps)
+            with pytest.raises(WeightOverflow) as raised:
+                run_experiment(config)
+            lines.append(str(raised.value))
+        assert lines[0].startswith(f"eta={eta:g} is too large: ")
+        assert lines[1:] == [lines[0]] * 3
 
 
 class TestDirtyRows:

@@ -23,7 +23,6 @@ from uniprice import (
     enumerate_paths,
     expected_utility,
     firing_set,
-    full_info_signal,
     init_state,
     marginals,
     node_fires,
@@ -44,11 +43,12 @@ from uniprice.learner import (
     _observed_events,
     _scan_views,
     _suffix_scan,
+    _walk,
     allwinner_signal,
     ensure_passes,
     sample_paths,
 )
-from uniprice.pseudo_space import event_utilities, realized_event
+from uniprice.pseudo_space import Events, event_utilities, realized_event
 from uniprice.oracle import (
     _revealed_events,
     best_fixed_action_dp,
@@ -81,7 +81,7 @@ def off_grid_profile(rng, k, m):
 def full_info(beta, v, g):
     """The full-information signal of adversary ``beta``."""
     events = firing_set(beta.bids, g)
-    return full_info_signal(events.ids, event_utilities(events, v))
+    return EstimateVector(events.ids, event_utilities(events, v))
 
 
 def entries(sig):
@@ -608,7 +608,7 @@ class TestSignalContract:
         levels = levels_of(g, encode(bids, g))
         fb_a = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
         for sig in (
-            full_info_signal(events.ids, utilities),
+            EstimateVector(events.ids, utilities),
             bandit_signal(*played(g, levels, beta, v), s, marg),
             allwinner_signal(fb_a, events, utilities, s, marg),
         ):
@@ -1015,29 +1015,64 @@ class TestBatchedRounds:
         batch.log_w[3, bid(g, 2, 1)] = math.inf
         return g, batch
 
-    def test_a_batch_raises_its_earliest_failing_round(self):
+    @staticmethod
+    def full_information(g, batch):
+        """``harness._full_information`` on a four-round block whose
+        learner states come out as ``batch``'s log weights, give or take
+        rounding: each round's signal updates every node by the next
+        round's difference, at eta = 1.  ``batch`` then holds the rows the
+        block ran."""
+        from uniprice import harness
+
+        table = batch.log_w.copy()
+        n, rounds = g.n_nodes, len(table)
+        ids = np.tile(np.arange(n), rounds)
+        deltas = np.append(np.diff(table, axis=0), np.zeros(n))
+        starts = np.arange(0, rounds * n + 1, n)
+        events = Events(ids, g.alloc[ids], np.zeros(rounds * n), starts)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _run_replication
+            return harness._full_information(
+                batch, table[0], events, deltas, deltas, 0, rounds, 1.0, rng_from(1)
+            )
+
+    def test_full_information_raises_the_earliest_failing_rounds_error(self):
+        # the block fails as a batch; its replay round by round raises round
+        # 2's own end-check error, ahead of round 3's infinite weight
         g, batch = self.failing_batch()
-        one = init_state(g)
-        one.log_w[:] = batch.log_w[2]
-        with pytest.raises(WeightOverflow) as per_round:
-            ensure_passes(one)
-        for rounds, row, message in [
-            (4, 2, str(per_round.value)), (3, 2, str(per_round.value)),
-            (2, None, None),
-        ]:
-            head = WeightState(g, batch.w2[:rounds], batch.acc[:rounds])
-            if row is None:
-                ensure_passes(head)
-                continue
-            with pytest.raises(WeightOverflow) as raised:
-                ensure_passes(head)
-            assert (raised.value.row, str(raised.value)) == (row, message)
-            assert head.dirty_lo <= head.dirty_hi
-        # without the failing end check, the infinite weight is the earliest
-        batch.log_w[2] = batch.log_w[0]
-        with pytest.raises(WeightOverflow, match=r"^node h\(2,1\) has log weight inf$") as raised:
-            marginals(batch)
-        assert raised.value.row == 3
+        with pytest.raises(WeightOverflow) as raised:
+            self.full_information(g, batch)
+        for r in range(3):  # the rows the block ran, each as its own state
+            s = init_state(g)
+            s.log_w[:] = batch.log_w[r]
+            if r < 2:
+                ensure_passes(s)
+        with pytest.raises(WeightOverflow, match="^log Gamma_0 is ") as per_round:
+            ensure_passes(s)
+        assert str(raised.value) == str(per_round.value)
+
+    def test_full_information_raises_a_later_infinite_weight_once_earlier_rounds_pass(self):
+        g, batch = self.failing_batch()
+        batch.log_w[2] = batch.log_w[0]  # round 2 repaired
+        with pytest.raises(WeightOverflow, match=r"^node h\(2,1\) has log weight inf$"):
+            self.full_information(g, batch)
+
+    def test_full_information_raises_an_earlier_rounds_walk_error_first(self, monkeypatch):
+        # a walk that fails in round 1 comes before round 2's failing passes
+        from uniprice import learner
+
+        g, batch = self.failing_batch()
+        walks = []
+
+        def failing(*args):
+            walks.append(args)
+            if len(walks) == 2:
+                raise WeightOverflow("a walk step's log probability overflows")
+            return _walk(*args)
+
+        monkeypatch.setattr(learner, "_walk", failing)
+        with pytest.raises(WeightOverflow, match="^a walk step's log probability overflows$"):
+            self.full_information(g, batch)
+        assert len(walks) == 2
 
 
 @st.composite
