@@ -32,7 +32,6 @@ from uniprice import (
     encode,
     expected_utility,
     init_state,
-    marginals,
     path_log_probability,
     sample_path,
     update_weights,
@@ -62,7 +61,7 @@ def run(horizon, seed, zero_event):
         bids = [float(graph.levels[j]) for j in levels]
         node, x, price = realized_event(levels, bids, beta, graph)
         utility = utility_sum(values.values, x, price)
-        signal = bandit_signal(node, utility, state, marginals(state))
+        signal = bandit_signal(node, utility, state)
         if zero_event or x > 0:  # before: winning nothing gave no signal
             update_weights(state, signal, eta)
         if t in (1, horizon // 8, horizon // 2, horizon):

@@ -93,6 +93,9 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError("need at least one item")
     if config.horizon < 1:
         raise ConfigError("horizon must be at least 1")
+    # from 2**53 on, float64 skips integers: the K*t*eps column is inexact
+    if config.horizon >= 2**53:
+        raise ConfigError(f"horizon {config.horizon} must be below 2**53")
     if config.replications < 1:
         raise ConfigError("need at least one replication")
     if config.workers < 1:
@@ -106,6 +109,8 @@ def validate_config(config: RunConfig) -> None:
         inv = 1.0 / config.epsilon if 0.0 < config.epsilon <= 1.0 else math.inf
         if not math.isfinite(inv) or abs(round(inv) * config.epsilon - 1.0) > 1e-9:
             raise ConfigError("epsilon must be the inverse of a positive integer")
+        if inv >= 2**53:  # every huge 1/eps passes the test above
+            raise ConfigError(f"epsilon {config.epsilon!r} must exceed 2**-53")
     if config.eta is not None and not (0.0 < config.eta < math.inf):
         raise ConfigError("eta must be positive and finite")
     check_adversary(
@@ -266,16 +271,15 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
 
             if not full:
                 # exact expected utility, in market terms
-                marg = marginals(state)
                 a, b = starts[i], starts[i + 1]
-                exp_market = expectation(marg[events.ids[a:b]], w_market[a:b])
+                exp_market = expectation(marginals(state)[events.ids[a:b]], w_market[a:b])
 
                 beta = BidProfile(tuple(node_rows[i]))
                 fb = make_feedback(config.feedback, AuctionOutcome(price, x, utility), beta)
                 if config.feedback is FeedbackMode.BANDIT:
-                    signal = bandit_signal(node, utility, state, marg)
+                    signal = bandit_signal(node, utility, state)
                 else:
-                    signal = allwinner_signal(fb, events[a:b], w_node[a:b], state, marg)
+                    signal = allwinner_signal(fb, events[a:b], w_node[a:b], state)
                 update_weights(state, signal, eta)
 
             cum_expected += exp_market

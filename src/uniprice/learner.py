@@ -12,11 +12,12 @@ divide by.  The two passes run as one suffix scan over a (2, n) stack of
 the graph and its reverse, and recompute only the rows that the updates
 since the last pass reached (``WeightState``'s dirty range), with the bits
 of a full pass; a log weight that is not finite raises ``WeightOverflow``.
-A batch of B states along a leading rounds axis runs the passes, the
-marginals and the walks' start draws once, each round with the bits of
-its own call; full information's weights do not depend on the play, so
-the harness runs its learner that way.  A batch keeps no record of which
-round failed: the harness replays a failing block round by round.
+Each pass also computes the marginals, which the walks' start draws, the
+signals and ``marginals`` read.  A batch of B states along a leading
+rounds axis runs these once, each round with the bits of its own call;
+full information's weights do not depend on the play, so the harness runs
+its learner that way.  A batch keeps no record of which round failed: the
+harness replays a failing block round by round.
 
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
@@ -75,8 +76,9 @@ class WeightState:
     and ``scan`` the split views ``_suffix_scan`` reads; all are built
     once, and the arrays are updated in place, never replaced.
     ``init_state`` stores both stacks node-major, for speed (see there);
-    any memory order gives the same bits.  A batch of B states, one per
-    round, has (B, 2, n) stacks, (B, n) views and a (B, 1) ``log_gamma0``.
+    any memory order gives the same bits.  Each pass sets ``marg``, the
+    marginals, to a new array.  A batch of B states, one per round, has
+    (B, 2, n) stacks, (B, n) views and ``marg`` and a (B, 1) ``log_gamma0``.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -89,6 +91,7 @@ class WeightState:
     w2: np.ndarray
     acc: np.ndarray
     log_gamma0: float = math.nan
+    marg: np.ndarray = field(init=False, repr=False)
     log_w: np.ndarray = field(init=False)
     backward: np.ndarray = field(init=False)
     forward: np.ndarray = field(init=False)
@@ -240,8 +243,8 @@ def _check_ends(log_g0: float, log_end: float) -> None:
 
 
 def ensure_passes(state: WeightState) -> WeightState:
-    """Bring Gamma, F and log Gamma_0 up to date with ``log_w``: one
-    ``backward_pass`` on the dirty rows, then mark the state clean.
+    """Bring Gamma, F, log Gamma_0 and ``marg`` up to date with ``log_w``:
+    one ``backward_pass`` on the dirty rows, new marginals, then mark clean.
 
     Gamma's bid row k reads only the weights of the rows after it, and F's
     only those before it.  So the graph's bid rows above the highest dirty
@@ -264,6 +267,10 @@ def ensure_passes(state: WeightState) -> WeightState:
                 raise WeightOverflow(f"node {g.label(lo + at[-1])} has log weight {changed[at]}")
         hi, lo = int(g.row[hi]), int(g.row[lo])
         backward_pass(state, max((hi + 1) // 2, (2 * g.k - 1 - lo) // 2))
+        marg = np.add(state.log_w, state.forward)
+        marg += state.backward
+        marg -= state.log_gamma0
+        state.marg = np.minimum(np.exp(marg, out=marg), 1.0, out=marg)
         state.dirty_lo, state.dirty_hi = g.n_nodes, -1
     return state
 
@@ -271,13 +278,9 @@ def ensure_passes(state: WeightState) -> WeightState:
 def marginals(state: WeightState) -> np.ndarray:
     """Inclusion probability of every node under the current distribution:
     P(h in sampled path) = W(h) F(h) Gamma(h) / Gamma_0, capped at 1; (B, n)
-    for a batch, each row bitwise its round's own call."""
-    ensure_passes(state)
-    out = np.add(state.log_w, state.forward)
-    out += state.backward
-    out -= state.log_gamma0
-    np.exp(out, out=out)
-    return np.minimum(out, 1.0, out=out)
+    for a batch, each row bitwise its round's own call.  It is the pass's
+    ``marg``, shared until the next pass: do not write into it."""
+    return ensure_passes(state).marg
 
 
 def _walk(j: int, w_gap: list, gamma: list, u: list) -> tuple[int, ...]:
@@ -309,20 +312,19 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     and return its K bid levels (``encode`` gives its nodes), by inverse
     CDF on exactly ``rng.random(K)``.
 
-    u[0] picks the start level j of bid row 1, drawn with probability
-    W(h) Gamma(h) / Gamma_0.  Should rounding leave u[0] at or above the
-    summed probabilities, the draw falls back to the highest start level
-    of positive probability.  Then row r walks down its gap levels, each
-    step taken with probability W(gap) Gamma(gap) / Gamma(bid): it takes n
-    steps iff u[r] is below the product of its first n step probabilities.
-    Bid and gap nodes at the same (k, j) share both successors and Gamma,
-    so the walk only tracks the level and reads Gamma(gap) from the bid
-    row.
+    u[0] picks the start level j of bid row 1 from its marginals, W(h)
+    Gamma(h) / Gamma_0 as F = 1 there (their cap at 1 moves no draw).
+    Should rounding leave u[0] at or above the summed probabilities, the
+    draw falls back to the highest start level of positive probability.
+    Then row r walks down its gap levels, each step taken with probability
+    W(gap) Gamma(gap) / Gamma(bid): it takes n steps iff u[r] is below the
+    product of its first n step probabilities.  Bid and gap nodes at the
+    same (k, j) share both successors and Gamma, so the walk only tracks
+    the level and reads Gamma(gap) from the bid row.
     """
-    ensure_passes(state)
-    w_bid, w_gap, b_bid, _ = state.rows  # row 0 of each stack is the graph's
+    probs = marginals(state)[: state.graph.inv_epsilon + 1]
+    _, w_gap, b_bid, _ = state.rows  # row 0 of each stack is the graph's
     u = rng.random(state.graph.k).tolist()
-    probs = np.exp(w_bid[0, 0] + b_bid[0, 0] - state.log_gamma0)
     cum = probs.cumsum()
     j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):  # rounding left u[0] at or above the summed probabilities
@@ -333,13 +335,12 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
 def sample_paths(state: WeightState, u: np.ndarray) -> list[tuple[int, ...]]:
     """``sample_path`` on every round of a batch, round i on the uniforms
     ``u[i]`` of a (B, K) array: the start draws of the whole batch at
-    once, one conversion of its rows to Python floats, then each round's
-    walk.  Philox's ``random((B, K))`` equals B calls of ``random(K)``, so
-    the walks are those of B ``sample_path`` calls, start-level fallback
-    included; the earliest failing walk raises."""
-    ensure_passes(state)
-    w_bid, w_gap, b_bid, _ = state.rows
-    probs = np.exp(w_bid[:, 0, 0] + b_bid[:, 0, 0] - state.log_gamma0)
+    once from its marginals, one conversion of its rows to Python floats,
+    then each round's walk.  Philox's ``random((B, K))`` equals B calls of
+    ``random(K)``, so the walks are those of B ``sample_path`` calls,
+    start-level fallback included; the earliest failing walk raises."""
+    probs = marginals(state)[:, : state.graph.inv_epsilon + 1]
+    _, w_gap, b_bid, _ = state.rows
     cum = probs.cumsum(axis=-1)
     top = cum.shape[-1]
     starts = (cum <= u[:, :1]).sum(axis=-1)  # each row's searchsorted(u[i, 0], "right")
@@ -391,20 +392,18 @@ def update_weights(state: WeightState, signal: EstimateVector, eta: float) -> We
 # --- feedback signals ---------------------------------------------------
 
 
-def bandit_signal(
-    node: int, utility: float, state: WeightState, marg: np.ndarray
-) -> EstimateVector:
+def bandit_signal(node: int, utility: float, state: WeightState) -> EstimateVector:
     """A one-entry ``EstimateVector``: (w - K) / P(node) at the played
     action's realized event ``node`` of utility w = ``utility``
     (``pseudo_space.realized_event``: the zero event, w = 0, when nothing
-    is won); ``marg`` is ``marginals(state)``.  Every action holds exactly
+    is won), P from ``marginals(state)``.  Every action holds exactly
     one realized event, so its expected estimate is its utility minus K.
     The constant -K shift keeps every entry non-positive, which controls
     the estimator's range; the bias is the same for all actions and
     cancels in the regret.
     """
     g = state.graph
-    p_node = float(marg[node])
+    p_node = float(marginals(state)[node])
     if p_node <= 0.0:
         raise ZeroMarginal(f"played node {g.label(node)} has zero inclusion probability")
     return EstimateVector(np.array([node]), np.array([(utility - g.k) / p_node]))
@@ -423,13 +422,13 @@ def _observed_events(feedback, events: Events, utilities: np.ndarray, graph: Pse
 
 
 def allwinner_signal(
-    feedback, events: Events, utilities: np.ndarray, state: WeightState, marg: np.ndarray
+    feedback, events: Events, utilities: np.ndarray, state: WeightState
 ) -> EstimateVector:
     """An ``EstimateVector`` over every observed realized event:
     (w - K) / P(observed).
 
     ``events`` are the round's firing events, computed from the raw
-    profile, with their ``utilities``; ``marg`` is ``marginals(state)``.
+    profile, with their ``utilities``; P is read from ``marginals(state)``.
     ``_observed_events`` keeps the ones the feedback reveals (README gives
     the proof).  Zero-allocation events carry w = 0 and the denominator
     P(x = 0), so every action's expected estimate is its utility minus K.
@@ -445,7 +444,7 @@ def allwinner_signal(
     g = state.graph
     seen, w = _observed_events(feedback, events, utilities, g)
     ids = seen.ids
-    q = 1.0 - np.append(np.cumsum(marg[ids][::-1])[::-1], 0.0)[1:]
+    q = 1.0 - np.append(np.cumsum(marginals(state)[ids][::-1])[::-1], 0.0)[1:]
     n_zero = int(np.count_nonzero(seen.alloc == 0))
     if n_zero:
         q[:n_zero] = q[n_zero - 1]

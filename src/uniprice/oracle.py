@@ -192,11 +192,11 @@ def _estimates(
     ``dist``'s order.
 
     Clears the sampled action against ``adversary``, narrows the outcome
-    with ``make_feedback`` and runs the mode's signal code on it; bandit's
-    node is the scalar ``firing_node``'s, or ``sampled[0]`` when none fires.
+    with ``make_feedback`` and runs the mode's signal code, which reads
+    ``state``'s marginals itself, on it; bandit's node is the scalar
+    ``firing_node``'s, or ``sampled[0]`` when none fires.
     """
     g = state.graph
-    marg = marginals(state)
     for sampled, p_sampled in dist.items():
         if p_sampled == 0.0:
             continue
@@ -206,10 +206,10 @@ def _estimates(
         if mode is FeedbackMode.BANDIT:
             node = firing_node(sampled, adversary, g)
             node = sampled[0] if node is None else node
-            signal = bandit_signal(node, outcome.utility, state, marg)
+            signal = bandit_signal(node, outcome.utility, state)
         elif mode is FeedbackMode.ALL_WINNER:
             fired = _revealed_events(fb, g)[1]
-            signal = allwinner_signal(fb, fired, event_utilities(fired, values), state, marg)
+            signal = allwinner_signal(fb, fired, event_utilities(fired, values), state)
         else:
             events = firing_set(adversary.bids, g)
             signal = EstimateVector(events.ids, event_utilities(events, values))

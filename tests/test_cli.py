@@ -339,6 +339,24 @@ class TestMain:
         argv = MINIMAL + [arg.format(tmp=tmp_path) for arg in extra]
         self.assert_one_line_error(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--epsilon", "1e-18"),
+            ("--epsilon", "1e-19"),
+            ("--epsilon", "1e-300"),
+            ("--horizon", "100000000000000000000"),
+        ],
+    )
+    def test_inputs_past_exact_float_integers_exit_2_naming_the_value(
+        self, flag, value, capsys
+    ):
+        # each once ended in a traceback: a graph or a horizon array too big
+        # to describe, or a 1/eps past the integers float64 holds
+        argv = ["--units", "2", "--values", "1,0.5", "--adversary", "iid",
+                "--feedback", "bandit", "--horizon", "5", flag, value]
+        assert value in self.assert_one_line_error(argv, capsys)
+
     def test_loglog_plot_of_zero_regret_exits_2_and_keeps_the_csv(
         self, tmp_path, capsys
     ):

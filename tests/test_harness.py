@@ -139,6 +139,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_experiment(small_config(epsilon=0.3))
 
+    def test_horizon_and_inverse_epsilon_stay_below_2_to_the_53(self):
+        # float64 holds every integer below 2**53: validated, not run
+        from uniprice.harness import validate_config
+
+        validate_config(small_config(horizon=2**53 - 1))
+        validate_config(small_config(epsilon=2.0**-52))
+        with pytest.raises(ConfigError, match=f"^horizon {2**53} "):
+            validate_config(small_config(horizon=2**53))
+        with pytest.raises(ConfigError, match=f"^epsilon {2.0**-53!r} "):
+            validate_config(small_config(epsilon=2.0**-53))
+
     @pytest.mark.parametrize(
         "spec",
         [

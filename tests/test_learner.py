@@ -258,7 +258,7 @@ class TestSampler:
         assert levels[0] == 1
         v = Valuation((1.0, 0.5))
         for beta in (BidProfile((0.8, 0.3)), BidProfile((0.9, 0.7))):
-            (estimate,) = bandit_signal(*played(g, levels, beta, v), s, marginals(s)).values
+            (estimate,) = bandit_signal(*played(g, levels, beta, v), s).values
             assert math.isfinite(estimate)
 
     def test_one_full_info_update_tilts_by_utility(self):
@@ -303,7 +303,7 @@ class TestUpdate:
             s = random_state(g, rng)
             beta = off_grid_profile(rng, 2, 4)
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
-            for val in bandit_signal(*played(g, levels, beta, v), s, marginals(s)).values:
+            for val in bandit_signal(*played(g, levels, beta, v), s).values:
                 assert val <= 0.0
 
     def test_cumulative_identity_full_info(self):
@@ -349,7 +349,7 @@ class TestSignals:
         path = encode(BidProfile((1.0, 0.5)), g)
         o = clear_auction(decode(path, g), beta, PricingRule.LAB, v)
         marg = marginals(s)
-        sig = entries(bandit_signal(*played(g, levels_of(g, path), beta, v), s, marg))
+        sig = entries(bandit_signal(*played(g, levels_of(g, path), beta, v), s))
         fired = gap(g, 1, 3)
         assert set(sig) == {fired}
         expected = (o.utility - 2) / marg[fired]
@@ -365,7 +365,7 @@ class TestSignals:
         marg = marginals(s)
         node, w = played(g, levels_of(g, path), beta, Valuation((1.0, 0.5)))
         assert w == 0.0
-        sig = entries(bandit_signal(node, w, s, marg))
+        sig = entries(bandit_signal(node, w, s))
         top = bid(g, 1, 1)
         assert set(sig) == {top}
         assert sig[top] == pytest.approx(-2 / marg[top], rel=1e-12)
@@ -377,7 +377,7 @@ class TestSignals:
         path = encode(BidProfile((1.0, 0.5)), g)
         node, w = played(g, levels_of(g, path), BidProfile((0.8, 0.3)), Valuation((1.0, 0.5)))
         with pytest.raises(ZeroMarginal):
-            bandit_signal(node, w, s, marginals(s))
+            bandit_signal(node, w, s)
 
     def test_allwinner_superset_of_bandit(self):
         rng = np.random.default_rng(9)
@@ -389,8 +389,8 @@ class TestSignals:
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb_a = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig_b = entries(bandit_signal(*played(g, levels, beta, v), s, marginals(s)))
-            sig_a = entries(allwinner_signal(fb_a, *revealed(fb_a, s.graph, v), s, marginals(s)))
+            sig_b = entries(bandit_signal(*played(g, levels, beta, v), s))
+            sig_a = entries(allwinner_signal(fb_a, *revealed(fb_a, s.graph, v), s))
             assert set(sig_b) <= set(sig_a)
             for val in sig_a.values():
                 assert val <= 0.0
@@ -405,7 +405,7 @@ class TestSignals:
             levels = sample_path(s, rng_from(int(rng.integers(1 << 30))))
             o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
             fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-            sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
+            sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s))
             zero_events = set(zero_event_set(beta.bids[-1], g).ids.tolist())
             for node, val in sig.items():
                 if node in zero_events:
@@ -441,7 +441,7 @@ class TestSignals:
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
         assert fb.revealed == beta.bids
-        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
+        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s))
         # levels 0 and 0.25 lie below 0.3
         zero_events = {bid(g, 1, 0), bid(g, 1, 1)}
         assert set(zero_event_set(beta.bids[-1], g).ids.tolist()) == zero_events
@@ -504,7 +504,7 @@ class TestEventProperties:
         outcome = clear_auction(bids, beta, PricingRule.LAB, v)
         fb = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
         s = init_state(g)
-        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
+        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s))
 
         def realized(h):
             zero_event = g.row[h] == 0 and g.levels[g.level[h]] < beta.bids[-1]
@@ -558,7 +558,6 @@ class TestAllWinnerEvents:
         events = firing_set(node, g)
         utilities = event_utilities(events, v)
         s = random_state(g, np.random.default_rng(0))
-        marg = marginals(s)
         outcomes = {}  # every outcome any grid action gets
         for levels in itertools.combinations_with_replacement(range(g.inv_epsilon, -1, -1), g.k):
             bids = BidProfile(tuple(float(g.levels[j]) for j in levels))
@@ -575,8 +574,8 @@ class TestAllWinnerEvents:
             assert seen.alloc.tolist() == ref.alloc.tolist()
             assert seen.price.tobytes() == ref.price.tobytes()
             assert w.tobytes() == event_utilities(ref, v).tobytes()
-            fast = entries(allwinner_signal(fb, events, utilities, s, marg))
-            slow = entries(allwinner_signal(fb, fired, event_utilities(fired, v), s, marg))
+            fast = entries(allwinner_signal(fb, events, utilities, s))
+            slow = entries(allwinner_signal(fb, fired, event_utilities(fired, v), s))
             assert list(fast) == list(slow)
             assert np.array(list(fast.values())).tobytes() == np.array(list(slow.values())).tobytes()
 
@@ -601,7 +600,6 @@ class TestSignalContract:
         g, beta, bids = instance
         v = Valuation(tuple(np.linspace(1.0, 0.3, g.k).tolist()))
         s = random_state(g, np.random.default_rng(0))
-        marg = marginals(s)
         events = firing_set(beta.bids, g)
         utilities = event_utilities(events, v)
         outcome = clear_auction(bids, beta, PricingRule.LAB, v)
@@ -609,8 +607,8 @@ class TestSignalContract:
         fb_a = make_feedback(FeedbackMode.ALL_WINNER, outcome, beta)
         for sig in (
             EstimateVector(events.ids, utilities),
-            bandit_signal(*played(g, levels, beta, v), s, marg),
-            allwinner_signal(fb_a, events, utilities, s, marg),
+            bandit_signal(*played(g, levels, beta, v), s),
+            allwinner_signal(fb_a, events, utilities, s),
         ):
             ids = sig.ids.tolist()
             assert len(sig) == len(ids) == len(sig.values)
@@ -645,7 +643,7 @@ class TestBandEdges:
         o = clear_auction(bids, beta, PricingRule.LAB, v)
         assert (o.allocation, o.price) == (1, beta.bids[0])
         s = init_state(g)
-        sig = entries(bandit_signal(*played(g, (5, 2), beta, v), s, marginals(s)))
+        sig = entries(bandit_signal(*played(g, (5, 2), beta, v), s))
         assert set(sig) == {gap(g, 1, 4)}
         assert gap(g, 1, 4) in encode(bids, g)  # on the played path
 
@@ -659,7 +657,7 @@ class TestBandEdges:
         o = clear_auction(BidProfile((0.0, 0.0)), beta, PricingRule.LAB, v)
         assert o.allocation == 0
         fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
-        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s, marginals(s)))
+        sig = entries(allwinner_signal(fb, *revealed(fb, s.graph, v), s))
         q = brute_observation_probability(bid(g, 1, 3), s, beta)
         assert sig[bid(g, 1, 3)] == pytest.approx(-2 / q, rel=1e-12)
 
@@ -1075,6 +1073,73 @@ class TestBatchedRounds:
         assert len(walks) == 2
 
 
+class TestPassTable:
+    """Each pass computes the marginals once, as ``WeightState.marg``; the
+    start draws, both signals and ``marginals`` read that one table."""
+
+    @given(st.integers(1, 4), st.integers(0, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_samplers_start_where_the_pass_table_says(self, k, m, data):
+        # a table one-hot at start level j, which the weights do not give
+        g = build_graph(k, m)
+        j = data.draw(st.integers(0, m))
+        unit = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k)
+        s = random_state(g, rng_from(j))
+        ensure_passes(s)
+        s.marg = s.marg.copy()
+        s.marg[: m + 1] = np.eye(m + 1)[j]
+        assert sample_path(s, Uniforms(data.draw(unit)))[0] == j
+        batch = init_state(g, 3)
+        batch.log_w[...] = s.log_w
+        ensure_passes(batch)
+        batch.marg = batch.marg.copy()
+        batch.marg[:, : m + 1] = np.eye(m + 1)[j]
+        u = np.array(data.draw(st.lists(unit, min_size=3, max_size=3)))
+        assert [walk[0] for walk in sample_paths(batch, u)] == [j] * 3
+
+    def test_marginals_is_one_array_until_the_next_pass(self):
+        g = build_graph(2, 4)
+        s = random_state(g, rng_from(5))
+        first = marginals(s)
+        assert marginals(s) is first
+        kept = first.copy()
+        update_weights(s, vector({bid(g, 2, 1): -0.5}), 1.0)
+        second = marginals(s)
+        assert second is not first and marginals(s) is second
+        assert second.tobytes() != kept.tobytes()
+        kept_second = second.copy()
+        s.mark_all_dirty()
+        third = marginals(s)
+        assert third is not second and third.tobytes() == kept_second.tobytes()
+        assert first.tobytes() == kept.tobytes()
+        assert second.tobytes() == kept_second.tobytes()
+
+    @pytest.mark.parametrize("mode", [FeedbackMode.BANDIT, FeedbackMode.ALL_WINNER])
+    def test_a_signal_on_a_dirty_state_is_the_call_after_the_pass(self, mode):
+        g = build_graph(2, 4)
+        v = Valuation((1.0, 0.5))
+        beta, levels = BidProfile((0.8, 0.3)), (4, 1)
+        o = clear_auction(decode(as_path(g, levels), g), beta, PricingRule.LAB, v)
+        fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta)
+        states = []
+        for _ in range(2):
+            s = random_state(g, rng_from(8))
+            ensure_passes(s)
+            update_weights(s, vector({bid(g, 1, 2): -0.9, gap(g, 1, 1): 0.3}), 1.0)
+            states.append(s)
+        dirty, clean = states
+        ensure_passes(clean)
+        assert dirty.dirty_lo <= dirty.dirty_hi
+        signals = [
+            bandit_signal(*played(g, levels, beta, v), s)
+            if mode is FeedbackMode.BANDIT
+            else allwinner_signal(fb, *revealed(fb, g, v), s)
+            for s in (dirty, clean)
+        ]
+        assert [sig.ids.tobytes() for sig in signals] == [signals[1].ids.tobytes()] * 2
+        assert [sig.values.tobytes() for sig in signals] == [signals[1].values.tobytes()] * 2
+
+
 @st.composite
 def blocks(draw):
     """K in 1..4, M in 0..8 and a (B, K) block of 1 to 6 off-grid
@@ -1270,7 +1335,7 @@ class TestEdgeCases:
         # inconsistent with the concentrated state
         fb = Feedback(0, 0.3, beta.bids)
         with pytest.raises(ZeroObservationProbability):
-            allwinner_signal(fb, *revealed(fb, g, Valuation((1.0, 0.5))), s, marginals(s))
+            allwinner_signal(fb, *revealed(fb, g, Valuation((1.0, 0.5))), s)
 
     def test_allwinner_one_level_grid(self):
         # M = 0: the single level 0 lies below the adversary's bid, so winning
@@ -1278,7 +1343,7 @@ class TestEdgeCases:
         fb = Feedback(0, 0.4, (0.4,))
         s = init_state(build_graph(1, 0))
         events = revealed(fb, s.graph, Valuation((0.9,)))
-        sig = entries(allwinner_signal(fb, *events, s, marginals(s)))
+        sig = entries(allwinner_signal(fb, *events, s))
         assert sig == {0: -1.0}
 
     def test_passes_stable_at_extreme_weights(self):
