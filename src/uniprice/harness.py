@@ -130,55 +130,54 @@ def resolve_parameters(config: RunConfig) -> tuple[float, float]:
     return epsilon, eta
 
 
-#: Bytes of one (B, n_nodes) float array of block node totals: the rows
-#: per block of the adversary-only half.  The output does not depend on it.
-_BLOCK_BYTES = 512 * 1024
-
-#: Bytes of one (B, n_nodes) float array of full information's learner
-#: tables: the rounds per learner block.  The output does not depend on it.
-_LEARNER_BYTES = 64 * 1024
+#: Bytes of one (B, n_nodes) float array: the rows per block, which the
+#: adversary-only half and full information's learner each run at once.
+#: The output does not depend on it.
+_BLOCK_BYTES = 256 * 1024
 
 
-def _full_information(batch, log_w, events, w_node, w_market, s0, s1, eta, rng):
-    """Full information's learner half for rounds ``s0``..``s1``-1 of an
-    adversary block: their sampled levels, their expected utilities in
-    market terms, and the log weights after their updates.
+def _running(start, events, values):
+    """The running node sums of a block of B rounds, as a (B + 1, n)
+    table: row 0 is ``start``, and row i + 1 adds round i's ``values`` at
+    its event ids.  One scatter and one cumsum down the rounds make the
+    float additions of a per-round ``totals[ids] += values`` loop.  The
+    table is stored node-major, each node's rounds contiguous, so the
+    comparator scan's row views are near-contiguous blocks."""
+    b = len(events.starts) - 1
+    table = np.zeros((len(start), b + 1)).T
+    table[0] = start
+    table[np.repeat(np.arange(1, b + 1), np.diff(events.starts)), events.ids] = values
+    return np.cumsum(table, axis=0, out=table)
 
-    Each round's log weights are the previous round's plus eta times its
-    true sub-utilities: one scatter into a delta table and one cumsum down
-    the rounds, seeded with ``log_w``, make the float additions of the
-    per-round ``update_weights``.  The rounds then run as one ``batch`` of
-    learner states (its first rows for a short block), with one (B, K)
-    draw of ``rng``.  When the batch fails, its rounds are replayed in
-    order as batches of one, passes and walk each, so the error raised is
-    the earliest failing round's own, as a per-round loop would raise."""
+
+def _full_information(batch, log_w, events, w_node, eta, rng):
+    """Full information's learner half for a block of B rounds: their
+    sampled levels, their (B, n) marginals and the log weights after
+    their updates.
+
+    Round i samples from row i of ``_running(log_w, events, eta *
+    w_node)``, the log weights the per-round ``update_weights`` calls
+    would leave, and row B is the next block's start.  The rounds run as
+    one ``batch`` of learner states (its first rows for a short block),
+    with one (B, K) draw of ``rng``.  When the batch fails, its rounds
+    are replayed in order as batches of one, passes and walk each, so
+    the error raised is the earliest failing round's own, as a per-round
+    loop would raise."""
     g = batch.graph
-    b = s1 - s0
+    b = len(events.starts) - 1
     if b < len(batch.log_w):
         batch = WeightState(g, batch.w2[:b], batch.acc[:b])
     u = rng.random((b, g.k))
-    a, z = events.starts[s0], events.starts[s1]
-    ids = events.ids[a:z]
-    counts = np.diff(events.starts[s0 : s1 + 1])
-    rounds = np.repeat(np.arange(b), counts)
-    table = np.zeros((b + 1, g.n_nodes))
-    table[0] = log_w
-    table[rounds + 1, ids] = eta * w_node[a:z]
-    np.cumsum(table, axis=0, out=table)
+    table = _running(log_w, events, eta * w_node)
     batch.log_w[...] = table[:b]
     batch.mark_all_dirty()
     try:
-        marg = marginals(batch)
+        margs = marginals(batch)
     except WeightOverflow:
         for r in range(b):
             sample_paths(WeightState(g, batch.w2[r : r + 1], batch.acc[r : r + 1]), u[r : r + 1])
         raise
-    # each round's events in a row of its own, padded with zeros
-    pos = np.arange(z - a) - np.repeat(events.starts[s0:s1] - a, counts)
-    p, w = np.zeros((2, b, int(counts.max())))
-    p[rounds, pos] = marg[rounds, ids]
-    w[rounds, pos] = w_market[a:z]
-    return sample_paths(batch, u), expectation(p, w).tolist(), table[b]
+    return sample_paths(batch, u), margs, table[b]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -188,12 +187,14 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     comparator depend only on the adversary's (T, K) block, so they are
     computed a block of rounds at a time, before those rounds run; under
     full information so are the learner's weights, passes, marginals and
-    expected utilities (``_full_information``).  The learner's loop then
-    reads each round's slice of them, and takes the round's outcome and
-    bandit's node from ``realized_event`` on the played levels, with no
-    clearing; bandit and all-winner, whose weights depend on the play,
-    sample and update round by round.  numpy's overflow and invalid-value
-    warnings are off: ``WeightOverflow`` reports those."""
+    walks, as one batch a block (``_full_information``).  The learner's
+    loop then reads each round's slice of them; bandit and all-winner,
+    whose weights depend on the play, sample, take the marginals and
+    update round by round.  In every mode a round's outcome and bandit's
+    node come from ``realized_event`` on the played levels, with no
+    clearing, and its expected utility from its marginals.  numpy's
+    overflow and invalid-value warnings are off: ``WeightOverflow``
+    reports those."""
     t_start = time.perf_counter()
     root = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     seed_learn, seed_adv, seed_tie = root.spawn(3)
@@ -209,9 +210,9 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     horizon = config.horizon
     perturb = config.tie_mode is TieMode.PERTURB
     full = config.feedback is FeedbackMode.FULL_INFORMATION
+    rows = max(1, _BLOCK_BYTES // (8 * graph.n_nodes))
     if full:
-        steps = max(1, _LEARNER_BYTES // (8 * graph.n_nodes))
-        batch = init_state(graph, steps)
+        batch = init_state(graph, min(rows, horizon))
     offset = float(rng_tie.uniform(0.0, epsilon / 100.0)) if perturb else 0.0
 
     level_prices = graph.levels.tolist()
@@ -226,7 +227,6 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     adversary_bids = next_bids(
         config.adversary, horizon, rng_adv, epsilon, require_off_grid=not perturb
     )
-    rows = max(1, _BLOCK_BYTES // (8 * graph.n_nodes))
     for t0 in range(0, horizon, rows):
         # adversary-only half: events, sub-utilities, node totals and the
         # comparator of every round in the block, in market terms
@@ -236,28 +236,24 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         w_node = event_utilities(events, values)
         w_market = event_utilities(events, values, offset) if perturb else w_node
         starts = events.starts.tolist()
-        # node-major, so the comparator scan's row views are contiguous blocks
-        totals = np.zeros((graph.n_nodes, len(block))).T
-        totals[0] = node_totals
-        totals[np.repeat(np.arange(len(block)), np.diff(events.starts)), events.ids] += w_market
-        np.cumsum(totals, axis=0, out=totals)
+        totals = _running(node_totals, events, w_market)
         node_totals = totals[-1].copy()
-        comparator = best_fixed_total(totals, graph)
+        comparator = best_fixed_total(totals[1:], graph)
         del totals  # the largest table, freed before the next block allocates its own
 
         # learner half: the played action's realized event gives the outcome
+        if full:
+            paths, margs, state.log_w[:] = _full_information(
+                batch, state.log_w, events, w_node, eta, rng_learn
+            )
         market_rows = block.tolist()
         node_rows = node_block.tolist() if perturb else market_rows
         for i in range(len(block)):
             if full:
-                if i % steps == 0:
-                    paths, exps, state.log_w[:] = _full_information(
-                        batch, state.log_w, events, w_node, w_market,
-                        i, min(i + steps, len(block)), eta, rng_learn,
-                    )
-                levels, exp_market = paths[i % steps], exps[i % steps]
+                levels, marg = paths[i], margs[i]
             else:
                 levels = sample_path(state, rng_learn)
+                marg = marginals(state)
             bids = [level_prices[j] for j in levels]
             node, x, price = realized_event(levels, bids, node_rows[i], graph)
             utility = utility_sum(values.values, x, price)
@@ -269,11 +265,10 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
                 market_price = min(price + offset, 1.0) if learner_sets else market_rows[i][-1 - x]
                 market_utility = utility_sum(values.values, x, market_price)
 
+            # exact expected utility, in market terms
+            a, b = starts[i], starts[i + 1]
+            exp_market = expectation(marg[events.ids[a:b]], w_market[a:b])
             if not full:
-                # exact expected utility, in market terms
-                a, b = starts[i], starts[i + 1]
-                exp_market = expectation(marginals(state)[events.ids[a:b]], w_market[a:b])
-
                 beta = BidProfile(tuple(node_rows[i]))
                 fb = make_feedback(config.feedback, AuctionOutcome(price, x, utility), beta)
                 if config.feedback is FeedbackMode.BANDIT:

@@ -16,8 +16,10 @@ Each pass also computes the marginals, which the walks' start draws, the
 signals and ``marginals`` read.  A batch of B states along a leading
 rounds axis runs these once, each round with the bits of its own call;
 full information's weights do not depend on the play, so the harness runs
-its learner that way.  A batch keeps no record of which round failed: the
-harness replays a failing block round by round.
+its learner that way, one batch for each block of adversary rounds.  A
+batch keeps no record of which round failed: the harness replays a
+failing block round by round.  Every mode's expected utility is one
+round's ``expectation``, on that round's marginals.
 
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
@@ -457,16 +459,14 @@ def allwinner_signal(
 # --- expectation and parameters ------------------------------------------
 
 
-def expectation(marg: np.ndarray, utilities: np.ndarray):
-    """Sum of marg * utilities along the last axis, added left to right
-    from 0.0: a float for 1-D arrays, else an array of the leading shape.
-    Trailing zero terms leave a sum's bits as they are, so the rows of a
-    zero-padded (B, E) table sum as their unpadded 1-D calls do."""
-    if not marg.shape[-1]:
-        return 0.0 if marg.ndim == 1 else np.zeros(marg.shape[:-1])
+def expectation(marg: np.ndarray, utilities: np.ndarray) -> float:
+    """One round's expected utility: the sum of ``marg`` * ``utilities``,
+    its events' marginals and sub-utilities as two 1-D arrays, added left
+    to right from 0.0, as a Python loop adds them."""
+    if not len(marg):
+        return 0.0
     # cumsum adds left to right; 0.0 + gives the loop's +0.0 when every term is -0.0
-    total = (marg * utilities).cumsum(axis=-1)[..., -1]
-    return 0.0 + (float(total) if marg.ndim == 1 else total)
+    return 0.0 + float((marg * utilities).cumsum()[-1])
 
 
 def default_parameters(k: int, t: int, mode: FeedbackMode) -> tuple[float, float]:

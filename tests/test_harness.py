@@ -25,14 +25,18 @@ from uniprice import (
     clear_auction,
     decode,
     enumerate_paths,
+    firing_set,
     fit_loglog_slope,
+    init_state,
     node_fires,
+    node_totals_from_history,
     observed_set_membership,
     run_experiment,
+    update_weights,
     write_csv,
     write_svg,
 )
-from uniprice.auction_core import PricingRule
+from uniprice.auction_core import PricingRule, on_grid
 from uniprice.cli import parse_config
 from uniprice.errors import (
     ConfigError,
@@ -45,7 +49,8 @@ from uniprice.errors import (
 )
 from uniprice.feedback import Feedback, make_feedback
 from uniprice.harness import CSV_HEADER, csv_bytes, resolve_parameters, svg_bytes
-from uniprice.learner import default_parameters
+from uniprice.learner import EstimateVector, default_parameters
+from uniprice.pseudo_space import event_utilities
 
 
 IID2 = AdversarySpec(AdversaryKind.IID_UNIFORM, 2)
@@ -74,6 +79,22 @@ def cleared_rounds(draw):
     learner = sorted(draw(st.lists(bid, min_size=k, max_size=k)), reverse=True)
     beta = draw(st.lists(bid.filter(lambda b: b not in learner), min_size=k, max_size=k))
     return BidProfile(tuple(learner)), BidProfile(tuple(sorted(beta, reverse=True)))
+
+
+@st.composite
+def split_histories(draw):
+    """K in 1..3, M in 1..6, values in [0, 1], a history of 1..8 off-grid
+    adversary profiles as a (T, K) array, and a split of it into two
+    blocks, either of which may be empty."""
+    k = draw(st.integers(1, 3))
+    g = build_graph(k, draw(st.integers(1, 6)))
+    off_grid = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
+        lambda b: not on_grid(b, g.epsilon)
+    )
+    profile = st.lists(off_grid, min_size=k, max_size=k).map(lambda b: sorted(b, reverse=True))
+    history = np.array(draw(st.lists(profile, min_size=1, max_size=8)))
+    values = Valuation(tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))))
+    return g, history, draw(st.integers(0, len(history))), values
 
 
 class TestFeedbackViews:
@@ -423,8 +444,9 @@ def _realized(graph, adversary):
 
 
 class TestBlocks:
-    """The adversary-only half of each round runs a block of rounds at a
-    time; the output bytes do not depend on the rows per block."""
+    """The adversary-only half of each round, and full information's
+    learner, run a block of rounds at a time; the output bytes do not
+    depend on the rows per block."""
 
     CONFIGS = {
         "full": small_config(feedback=FeedbackMode.FULL_INFORMATION, horizon=61),
@@ -443,59 +465,41 @@ class TestBlocks:
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_bytes_do_not_depend_on_the_rows_per_block(self, name, monkeypatch):
+        # full information's learner runs one batch a block: its walks see
+        # exactly the block sizes
         from uniprice import harness
 
         config = self.CONFIGS[name]
+        full = config.feedback is FeedbackMode.FULL_INFORMATION
         n = build_graph(config.k, round(1 / resolve_parameters(config)[0])).n_nodes
-        firing_set, calls = harness.firing_set, []
+        firing_set, sample_paths, calls, batches = harness.firing_set, harness.sample_paths, [], []
 
         def counted(bids, graph):
             calls.append(len(bids))
             return firing_set(bids, graph)
 
-        monkeypatch.setattr(harness, "firing_set", counted)
-        outputs = []
-        for rows in (1, 7, config.horizon + 5):
-            monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
-            calls.clear()
-            outputs.append(csv_bytes(run_experiment(config)))
-            blocks = [min(rows, config.horizon - t0) for t0 in range(0, config.horizon, rows)]
-            assert calls == blocks * config.replications
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-    @pytest.mark.parametrize("name", ["full", "k3-perturb-full"])
-    def test_bytes_do_not_depend_on_the_rounds_per_learner_block(self, name, monkeypatch):
-        # full information's learner blocks split each adversary block;
-        # 10 adversary rows with 4 learner rows leave a short learner block
-        # at the end of every adversary block
-        from uniprice import harness
-
-        config = self.CONFIGS[name]
-        n = build_graph(config.k, round(1 / resolve_parameters(config)[0])).n_nodes
-        sample_paths, batches = harness.sample_paths, []
-
-        def counted(state, u):
+        def counted_paths(state, u):
             batches.append(len(u))
             return sample_paths(state, u)
 
-        monkeypatch.setattr(harness, "sample_paths", counted)
+        monkeypatch.setattr(harness, "firing_set", counted)
+        monkeypatch.setattr(harness, "sample_paths", counted_paths)
         outputs = []
-        for rows, steps in [(None, 1), (None, 7), (None, config.horizon + 5), (10, 4)]:
-            if rows:
-                monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
-            monkeypatch.setattr(harness, "_LEARNER_BYTES", 8 * n * steps)
+        for rows in (1, 7, 10, config.horizon + 5):
+            monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
+            calls.clear()
             batches.clear()
             outputs.append(csv_bytes(run_experiment(config)))
-            blocks = [min(rows or config.horizon, config.horizon - t0)
-                      for t0 in range(0, config.horizon, rows or config.horizon)]
-            expected = [min(steps, b - s0) for b in blocks for s0 in range(0, b, steps)]
-            assert batches == expected * config.replications
+            blocks = [min(rows, config.horizon - t0) for t0 in range(0, config.horizon, rows)]
+            assert calls == blocks * config.replications
+            assert batches == (blocks * config.replications if full else [])
         assert outputs[1:] == [outputs[0]] * 3
 
     @pytest.mark.parametrize("eta", [1e30, 1e150, 1e308])
-    def test_overflow_does_not_depend_on_the_rounds_per_learner_block(self, eta, monkeypatch):
-        # one learner round a block is the per-round loop; longer and short
-        # blocks replay a failing block round by round and raise its line
+    def test_overflow_does_not_depend_on_the_rows_per_block(self, eta, monkeypatch):
+        # one row a block is the per-round loop; longer blocks (the last one
+        # short at 7 rows) replay a failing block round by round and raise
+        # its line
         from uniprice import harness
 
         config = small_config(
@@ -503,15 +507,54 @@ class TestBlocks:
         )
         n = build_graph(config.k, round(1 / resolve_parameters(config)[0])).n_nodes
         lines = []
-        for rows, steps in [(None, 1), (None, 7), (None, config.horizon + 5), (10, 4)]:
-            if rows:
-                monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
-            monkeypatch.setattr(harness, "_LEARNER_BYTES", 8 * n * steps)
+        for rows in (1, 7, 10, config.horizon + 5):
+            monkeypatch.setattr(harness, "_BLOCK_BYTES", 8 * n * rows)
             with pytest.raises(WeightOverflow) as raised:
                 run_experiment(config)
             lines.append(str(raised.value))
         assert lines[0].startswith(f"eta={eta:g} is too large: ")
         assert lines[1:] == [lines[0]] * 3
+
+    @given(split_histories())
+    @settings(max_examples=100, deadline=None)
+    def test_the_comparator_table_is_node_totals_over_each_prefix(self, instance):
+        # each block starts from the previous block's last row
+        from uniprice import harness
+
+        g, history, split, values = instance
+        profiles = [BidProfile(tuple(row)) for row in history.tolist()]
+        totals, t0 = np.zeros(g.n_nodes), 0
+        for block in (history[:split], history[split:]):
+            events = firing_set(block, g)
+            running = harness._running(totals, events, event_utilities(events, values))
+            assert running.shape == (len(block) + 1, g.n_nodes)
+            assert running[0].tobytes() == totals.tobytes()
+            for t in range(t0, t0 + len(block)):
+                prefix = node_totals_from_history(profiles[: t + 1], g, values)
+                assert running[t - t0 + 1].tobytes() == prefix.tobytes()
+            totals, t0 = running[-1].copy(), t0 + len(block)
+
+    @given(split_histories(), st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_the_log_weight_table_is_per_round_update_weights(self, instance, eta, seed):
+        # from random log weights; row i is what round i samples from
+        from uniprice import harness
+
+        g, history, split, values = instance
+        state = init_state(g)
+        state.log_w[:] = np.random.default_rng(seed).normal(0.0, 1.0, g.n_nodes)
+        log_w = state.log_w.copy()
+        for block in (history[:split], history[split:]):
+            events = firing_set(block, g)
+            weights = harness._running(log_w, events, eta * event_utilities(events, values))
+            assert weights.shape == (len(block) + 1, g.n_nodes)
+            for i, row in enumerate(block):
+                assert weights[i].tobytes() == state.log_w.tobytes()
+                round_events = firing_set(row, g)
+                signal = EstimateVector(round_events.ids, event_utilities(round_events, values))
+                update_weights(state, signal, eta)
+            assert weights[-1].tobytes() == state.log_w.tobytes()
+            log_w = weights[-1].copy()
 
 
 class TestDirtyRows:
@@ -558,7 +601,7 @@ class TestBenchmarkContract:
     their arguments; these checks fail when harness stops calling them the
     way the traced benchmark counts.  Full information runs its learner a
     block of rounds at a time: it calls neither ``make_feedback`` nor
-    ``update_weights``, and its passes run once per learner block."""
+    ``update_weights``, and its passes run once per block."""
 
     @pytest.mark.parametrize("mode", list(FeedbackMode))
     def test_traced_run_counts_rounds_nodes_and_entries(self, mode, monkeypatch):
@@ -615,7 +658,7 @@ class TestPerfbenchHooks:
     refactor that drops or renames one breaks the traced benchmark.
     ``auction_core.clear_auction`` is still patched but no round calls it:
     ``realized_event`` gives the outcome, so its figure reads 0.  Full
-    information's learner blocks call neither ``sample_path``,
+    information's learner batches call neither ``sample_path``,
     ``update_weights`` nor ``make_feedback``; the benchmark needs those two
     last called equally often, for the signal gap, and ``ensure_passes``
     called at least once, for the recompute ratio."""

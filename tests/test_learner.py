@@ -46,6 +46,7 @@ from uniprice.learner import (
     _walk,
     allwinner_signal,
     ensure_passes,
+    expectation,
     sample_paths,
 )
 from uniprice.pseudo_space import Events, event_utilities, realized_event
@@ -1030,7 +1031,7 @@ class TestBatchedRounds:
         events = Events(ids, g.alloc[ids], np.zeros(rounds * n), starts)
         with np.errstate(over="ignore", invalid="ignore"):  # as in _run_replication
             return harness._full_information(
-                batch, table[0], events, deltas, deltas, 0, rounds, 1.0, rng_from(1)
+                batch, table[0], events, deltas, 1.0, rng_from(1)
             )
 
     def test_full_information_raises_the_earliest_failing_rounds_error(self):
@@ -1269,6 +1270,21 @@ class TestExpectedUtility:
         v = Valuation((0.9,))
         path = (bid(g, 1, 0),)
         assert expected_utility(s, beta, v) == path_utility(path, beta, v, g)
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)), max_size=12))
+    @example([])
+    @example([(0.5, -0.0), (0.0, -1.0)])  # every term -0.0
+    @example([(0.5, -0.0), (0.25, 0.5), (1.0, -0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_expectation_is_the_loop_from_zero(self, terms):
+        # the harness's per-round sum: each term added left to right to 0.0
+        total = 0.0
+        for p, w in terms:
+            total += p * w
+        marg, utilities = np.array(terms, dtype=float).reshape(len(terms), 2).T
+        exp = expectation(marg, utilities)
+        assert type(exp) is float
+        assert np.float64(exp).tobytes() == np.float64(total).tobytes()
 
 
 class TestDefaultParameters:
