@@ -188,13 +188,19 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     computed a block of rounds at a time, before those rounds run; under
     full information so are the learner's weights, passes, marginals and
     walks, as one batch a block (``_full_information``).  The learner's
-    loop then reads each round's slice of them; bandit and all-winner,
-    whose weights depend on the play, sample, take the marginals and
-    update round by round.  In every mode a round's outcome and bandit's
-    node come from ``realized_event`` on the played levels, with no
-    clearing, and its expected utility from its marginals.  numpy's
-    overflow and invalid-value warnings are off: ``WeightOverflow``
-    reports those."""
+    loop then runs each round's in-order work only: its levels and
+    marginals (bandit and all-winner sample and take them round by round,
+    as their weights depend on the play), the outcome and bandit's node
+    from ``realized_event`` on the played levels, with no clearing, the
+    utility and, for bandit and all-winner, the signal and the weight
+    update.  It records each round's market utility, price and
+    allocation, and bandit and all-winner keep a reference to each
+    round's marginals (each pass sets a new array).  After the loop one
+    block step fills the columns: the expected utilities from one
+    ``expectation`` call on the rounds' marginals, the rest by slices.
+    The cumulative regret is the comparator minus one cumsum of the
+    expected utilities over the run.  numpy's overflow and invalid-value
+    warnings are off: ``WeightOverflow`` reports those."""
     t_start = time.perf_counter()
     root = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     seed_learn, seed_adv, seed_tie = root.spawn(3)
@@ -222,7 +228,6 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     cum_regret = np.empty(horizon)
     prices = np.empty(horizon)
     allocations = np.empty(horizon, dtype=int)
-    cum_expected = 0.0
 
     adversary_bids = next_bids(
         config.adversary, horizon, rng_adv, epsilon, require_off_grid=not perturb
@@ -235,25 +240,29 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         events = firing_set(node_block, graph)
         w_node = event_utilities(events, values)
         w_market = event_utilities(events, values, offset) if perturb else w_node
-        starts = events.starts.tolist()
         totals = _running(node_totals, events, w_market)
         node_totals = totals[-1].copy()
-        comparator = best_fixed_total(totals[1:], graph)
+        t1 = t0 + len(block)
+        cum_regret[t0:t1] = best_fixed_total(totals[1:], graph)
         del totals  # the largest table, freed before the next block allocates its own
 
-        # learner half: the played action's realized event gives the outcome
+        # learner half, in round order: the played action's realized event
+        # gives the outcome, and bandit and all-winner update their weights
         if full:
             paths, margs, state.log_w[:] = _full_information(
                 batch, state.log_w, events, w_node, eta, rng_learn
             )
+        else:
+            margs, starts = [], events.starts.tolist()
         market_rows = block.tolist()
         node_rows = node_block.tolist() if perturb else market_rows
+        utilities, market_prices, xs = [], [], []
         for i in range(len(block)):
             if full:
-                levels, marg = paths[i], margs[i]
+                levels = paths[i]
             else:
                 levels = sample_path(state, rng_learn)
-                marg = marginals(state)
+                margs.append(marginals(state))
             bids = [level_prices[j] for j in levels]
             node, x, price = realized_event(levels, bids, node_rows[i], graph)
             utility = utility_sum(values.values, x, price)
@@ -264,27 +273,27 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
                 learner_sets = x and graph.row[node] % 2 == 0
                 market_price = min(price + offset, 1.0) if learner_sets else market_rows[i][-1 - x]
                 market_utility = utility_sum(values.values, x, market_price)
-
-            # exact expected utility, in market terms
-            a, b = starts[i], starts[i + 1]
-            exp_market = expectation(marg[events.ids[a:b]], w_market[a:b])
             if not full:
                 beta = BidProfile(tuple(node_rows[i]))
                 fb = make_feedback(config.feedback, AuctionOutcome(price, x, utility), beta)
                 if config.feedback is FeedbackMode.BANDIT:
                     signal = bandit_signal(node, utility, state)
                 else:
+                    a, b = starts[i], starts[i + 1]
                     signal = allwinner_signal(fb, events[a:b], w_node[a:b], state)
                 update_weights(state, signal, eta)
+            utilities.append(market_utility)
+            market_prices.append(market_price)
+            xs.append(x)
 
-            cum_expected += exp_market
-            t = t0 + i
-            realized[t] = market_utility
-            expected[t] = exp_market
-            cum_regret[t] = comparator[i] - cum_expected
-            prices[t] = market_price
-            allocations[t] = x
+        # the block's accounting: exact expected utilities in market terms,
+        # from each round's marginals, and the columns the loop recorded
+        expected[t0:t1] = expectation(margs if full else np.stack(margs), events, w_market)
+        realized[t0:t1] = utilities
+        prices[t0:t1] = market_prices
+        allocations[t0:t1] = xs
 
+    cum_regret -= np.cumsum(expected)  # comparator minus the running expected utility
     return RegretTrace(
         run=rep,
         realized_utility=realized,

@@ -18,8 +18,8 @@ rounds axis runs these once, each round with the bits of its own call;
 full information's weights do not depend on the play, so the harness runs
 its learner that way, one batch for each block of adversary rounds.  A
 batch keeps no record of which round failed: the harness replays a
-failing block round by round.  Every mode's expected utility is one
-round's ``expectation``, on that round's marginals.
+failing block round by round.  Every mode's expected utilities come from
+one ``expectation`` call a block, on its rounds' marginals.
 
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
@@ -27,8 +27,9 @@ their estimates, as two arrays; ``update_weights`` scatter-adds eta times
 the estimates into the log weights.  Bandit reads the played action's
 realized event (``pseudo_space.realized_event``) and its utility.
 All-winner reads the round's ``feedback.Feedback`` and events, computed
-from the raw profile; the proven and tested ``_observed`` filter hides
-what its revealed bids do not decide.  Everything runs in the log domain;
+from the raw profile; the proven and tested ``_observed`` rule hides
+what its revealed bids do not decide, and the signal keeps the suffix of
+the events that rule admits.  Everything runs in the log domain;
 the raw accumulators overflow after a few thousand rounds.
 """
 
@@ -46,7 +47,7 @@ from .errors import (
     ZeroObservationProbability,
 )
 from .feedback import FeedbackMode
-from .pseudo_space import Events, PseudoGraph, PseudoPath, _observed, zero_event_set
+from .pseudo_space import Events, PseudoGraph, PseudoPath
 
 
 @dataclass(slots=True, eq=False)  # arrays compare elementwise: compare records by identity
@@ -191,9 +192,10 @@ def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
         np.add(row, pre, out=row)
 
 
-#: Largest gap between log Gamma_0 and the same total from the last bid row:
-#: an error d in a log is a relative error of about d in every probability
-#: read.  Runs in float range stay below 1e-13; weights past it, far above 1.
+#: Largest gap between log Gamma_0 and the same total from the last bid row,
+#: and between 1 and the first bid row's marginal sum: an error d in a log is
+#: a relative error of about d in every probability read.  Runs in float
+#: range stay below 1e-13; weights past it, far above 1.
 _END_GAP = 1e-6
 
 
@@ -244,6 +246,26 @@ def _check_ends(log_g0: float, log_end: float) -> None:
         )
 
 
+def _check_start_row(start: np.ndarray) -> None:
+    """``WeightOverflow`` when the first bid row's marginals ``start`` do
+    not sum to 1 within ``_END_GAP``: every action starts on that row, so
+    they are its start probabilities.  Huge log weights that tie many
+    paths can pass the end checks and still give such a row (K = 2,
+    M = 4, bid nodes at 1e16 and gap nodes at 0 sum it to 5).  A batch's
+    rows are summed as a C-order array, each with the bits of a 1-D sum,
+    and the first failing round's raises."""
+    if start.ndim > 1:
+        with np.errstate(invalid="ignore"):  # a nan sum fails
+            sums = np.add.reduce(np.ascontiguousarray(start), axis=-1)
+            failed = np.flatnonzero(~(np.abs(sums - 1.0) <= _END_GAP))
+        if not len(failed):
+            return
+        start = start[failed[0]]
+    total = float(np.add.reduce(start))
+    if not abs(total - 1.0) <= _END_GAP:
+        raise WeightOverflow(f"the first bid row's marginals sum to {total!r}, not 1")
+
+
 def ensure_passes(state: WeightState) -> WeightState:
     """Bring Gamma, F, log Gamma_0 and ``marg`` up to date with ``log_w``:
     one ``backward_pass`` on the dirty rows, new marginals, then mark clean.
@@ -256,9 +278,12 @@ def ensure_passes(state: WeightState) -> WeightState:
     they were.  Log weights must be finite: one sum over the dirty range
     checks them first, and ``WeightOverflow`` names a node that is -inf,
     +inf or nan (in a batch, the first such node of the first such round).
-    A state that raises stays dirty, so every later call raises again.  A
-    batch's error does not say which round failed: the harness replays a
-    failing block round by round (``harness._full_information``)."""
+    After the pass, ``_check_start_row`` raises ``WeightOverflow`` when
+    the first bid row's new marginals do not sum to 1 within
+    ``_END_GAP``.  A state that raises stays dirty, so every later call
+    raises again.  A batch's error does not say which round failed: the
+    harness replays a failing block round by round
+    (``harness._full_information``)."""
     g, lo, hi = state.graph, state.dirty_lo, state.dirty_hi
     if lo <= hi:
         changed = state.log_w[..., lo : hi + 1]
@@ -272,7 +297,9 @@ def ensure_passes(state: WeightState) -> WeightState:
         marg = np.add(state.log_w, state.forward)
         marg += state.backward
         marg -= state.log_gamma0
-        state.marg = np.minimum(np.exp(marg, out=marg), 1.0, out=marg)
+        np.minimum(np.exp(marg, out=marg), 1.0, out=marg)
+        _check_start_row(marg[..., : g.inv_epsilon + 1])
+        state.marg = marg
         state.dirty_lo, state.dirty_hi = g.n_nodes, -1
     return state
 
@@ -285,21 +312,29 @@ def marginals(state: WeightState) -> np.ndarray:
     return ensure_passes(state).marg
 
 
-def _walk(j: int, w_gap: list, gamma: list, u: list) -> tuple[int, ...]:
+def _steps(w_gap: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The log probability of every walk step: for gap rows ``w_gap``
+    (..., K-1, M) and the log Gamma ``gamma`` (..., K-1, M+1) of the bid
+    rows above them, entry j - 1 of a row is W(gap j-1) + Gamma(gap j-1)
+    - Gamma(bid j), the step from bid level j.  ``np.add`` then
+    ``np.subtract`` make the two float operations of that expression in
+    Python floats, so the bits are the same."""
+    steps = np.add(w_gap, gamma[..., :-1])
+    return np.subtract(steps, gamma[..., 1:], out=steps)
+
+
+def _walk(j: int, steps: list, u: list) -> tuple[int, ...]:
     """The K levels of the walk from level ``j`` of bid row 1, as
     ``sample_path`` describes it: bid row r + 2 is reached down gap row
-    r + 1.5, whose log weights ``w_gap[r]`` lists, from bid row r + 1,
-    whose log Gamma ``gamma[r]`` lists (Python floats), on the uniform
-    ``u[r]``."""
+    r + 1.5, whose step log probabilities (``_steps``) ``steps[r]``
+    lists as Python floats, on the uniform ``u[r]``.  Each step taken
+    costs one list read and one ``math.exp``."""
     levels = [j]
-    # only the steps the walk reads, which are few: a walk stops at its
-    # first failed step
     try:
-        for w_row, g_row, x in zip(w_gap, gamma, u):
+        for row, x in zip(steps, u):
             p = 1.0
             while j > 0:
-                # log probability of gap level j - 1 from bid level j
-                p *= math.exp(w_row[j - 1] + g_row[j - 1] - g_row[j])
+                p *= math.exp(row[j - 1])
                 if x >= p:
                     break
                 j -= 1
@@ -322,7 +357,9 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     W(gap) Gamma(gap) / Gamma(bid): it takes n steps iff u[r] is below the
     product of its first n step probabilities.  Bid and gap nodes at the
     same (k, j) share both successors and Gamma, so the walk only tracks
-    the level and reads Gamma(gap) from the bid row.
+    the level and reads Gamma(gap) from the bid row.  The step log
+    probabilities of every gap row come from one ``_steps`` call and one
+    conversion to Python floats; ``_walk`` takes the steps.
     """
     probs = marginals(state)[: state.graph.inv_epsilon + 1]
     _, w_gap, b_bid, _ = state.rows  # row 0 of each stack is the graph's
@@ -331,27 +368,28 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):  # rounding left u[0] at or above the summed probabilities
         j = int(np.flatnonzero(probs)[-1])
-    return _walk(j, w_gap[0].tolist(), b_bid[0, :-1].tolist(), u[1:])
+    return _walk(j, _steps(w_gap[0], b_bid[0, :-1]).tolist(), u[1:])
 
 
 def sample_paths(state: WeightState, u: np.ndarray) -> list[tuple[int, ...]]:
     """``sample_path`` on every round of a batch, round i on the uniforms
     ``u[i]`` of a (B, K) array: the start draws of the whole batch at
-    once from its marginals, one conversion of its rows to Python floats,
-    then each round's walk.  Philox's ``random((B, K))`` equals B calls of
-    ``random(K)``, so the walks are those of B ``sample_path`` calls,
-    start-level fallback included; the earliest failing walk raises."""
+    once from its marginals, one ``_steps`` call and one conversion to
+    Python floats for all its rounds, then each round's ``_walk``.
+    Philox's ``random((B, K))`` equals B calls of ``random(K)``, so the
+    walks are those of B ``sample_path`` calls, start-level fallback
+    included; the earliest failing walk raises."""
     probs = marginals(state)[:, : state.graph.inv_epsilon + 1]
     _, w_gap, b_bid, _ = state.rows
     cum = probs.cumsum(axis=-1)
     top = cum.shape[-1]
     starts = (cum <= u[:, :1]).sum(axis=-1)  # each row's searchsorted(u[i, 0], "right")
-    rows = zip(starts.tolist(), w_gap[:, 0].tolist(), b_bid[:, 0, :-1].tolist(), u[:, 1:].tolist())
+    steps = _steps(w_gap[:, 0], b_bid[:, 0, :-1]).tolist()
     walks = []
-    for i, (j, *row) in enumerate(rows):
+    for i, (j, row, x) in enumerate(zip(starts.tolist(), steps, u[:, 1:].tolist())):
         if j == top:  # sample_path's fallback, on this round's probabilities
             j = int(np.flatnonzero(probs[i])[-1])
-        walks.append(_walk(j, *row))
+        walks.append(_walk(j, row, x))
     return walks
 
 
@@ -411,18 +449,6 @@ def bandit_signal(node: int, utility: float, state: WeightState) -> EstimateVect
     return EstimateVector(np.array([node]), np.array([(utility - g.k) / p_node]))
 
 
-def _observed_events(feedback, events: Events, utilities: np.ndarray, graph: PseudoGraph):
-    """All-winner's observed events and their utilities: at x = 0 the zero
-    events at beta_K = p (utility 0) and all ``events``, else the ``events``
-    ``_observed`` admits.  ``oracle._revealed_events`` is the reference."""
-    x, p = feedback.allocation, feedback.price
-    if x == 0:
-        zero = zero_event_set(p, graph)
-        return zero + events, np.concatenate((np.zeros(len(zero)), utilities))
-    seen = _observed(x, p, events.alloc, events.price)
-    return events[seen], utilities[seen]
-
-
 def allwinner_signal(
     feedback, events: Events, utilities: np.ndarray, state: WeightState
 ) -> EstimateVector:
@@ -431,27 +457,40 @@ def allwinner_signal(
 
     ``events`` are the round's firing events, computed from the raw
     profile, with their ``utilities``; P is read from ``marginals(state)``.
-    ``_observed_events`` keeps the ones the feedback reveals (README gives
-    the proof).  Zero-allocation events carry w = 0 and the denominator
-    P(x = 0), so every action's expected estimate is its utility minus K.
-    P(observed) is one minus the mass of the realized events after the
-    event, in which order their (allocation, price) pairs ascend: the
-    outcomes that hide it, all of which the feedback reveals.  The pairs
-    ascend strictly, except that the zero events, present at x = 0 only,
-    lead and share one pair, so they share the last one's q.  The same
-    order is id order: the zero events are the row-1 bid nodes below
-    beta_K, and every firing one lies above them, so the ids ascend
-    strictly.
+    Only the feedback's allocation x and price p are read.  The events
+    ascend strictly in (allocation, price), and ``_observed`` is a
+    threshold in that order (README gives the proof), so the observed
+    ones are a suffix: for x >= 1 it starts at the first event of
+    allocation x priced at or above p, which two ``searchsorted`` calls
+    find; for x = 0 it is the zero events at beta_K = p (row-1 bid nodes
+    below p, utility 0), then every firing event.  Zero-allocation events
+    carry w = 0 and the denominator P(x = 0), so every action's expected
+    estimate is its utility minus K.  P(observed) is one minus the mass of
+    the realized events after the event: the outcomes that hide it, all of
+    which the feedback reveals.  One cumsum over the reversed ids gives
+    those masses.  The zero events, present at x = 0 only, lead and share
+    one pair, so they share the last one's q.  The same order is id order:
+    every firing event lies above the zero events, so the ids ascend
+    strictly.  The masses are non-negative, so q ascends and its first
+    entry is its least.
     """
     g = state.graph
-    seen, w = _observed_events(feedback, events, utilities, g)
-    ids = seen.ids
-    q = 1.0 - np.append(np.cumsum(marginals(state)[ids][::-1])[::-1], 0.0)[1:]
-    n_zero = int(np.count_nonzero(seen.alloc == 0))
+    x, p = feedback.allocation, feedback.price
+    if x:
+        lo, hi = events.alloc.searchsorted((x, x + 1)).tolist()
+        lo += int(events.price[lo:hi].searchsorted(p))
+        ids, w, n_zero = events.ids[lo:], utilities[lo:], 0
+    else:
+        n_zero = int(g.levels.searchsorted(p))
+        ids = np.concatenate((g.bid_ids(1)[:n_zero], events.ids))
+        w = np.concatenate((np.zeros(n_zero), utilities))
+    q = np.ones(len(ids))
+    np.cumsum(marginals(state)[ids[:0:-1]], out=q[-2::-1])
+    np.subtract(1.0, q[:-1], out=q[:-1])
     if n_zero:
         q[:n_zero] = q[n_zero - 1]
-    if np.any(q <= 0.0):
-        i = int(ids[np.argmax(q <= 0.0)])
+    if len(q) and q[0] <= 0.0:
+        i = int(ids[0])
         raise ZeroObservationProbability(f"node {g.label(i)} has zero observation probability")
     return EstimateVector(ids, (w - g.k) / q)
 
@@ -459,14 +498,23 @@ def allwinner_signal(
 # --- expectation and parameters ------------------------------------------
 
 
-def expectation(marg: np.ndarray, utilities: np.ndarray) -> float:
-    """One round's expected utility: the sum of ``marg`` * ``utilities``,
-    its events' marginals and sub-utilities as two 1-D arrays, added left
-    to right from 0.0, as a Python loop adds them."""
-    if not len(marg):
-        return 0.0
-    # cumsum adds left to right; 0.0 + gives the loop's +0.0 when every term is -0.0
-    return 0.0 + float((marg * utilities).cumsum()[-1])
+def expectation(marg: np.ndarray, events: Events, utilities: np.ndarray) -> np.ndarray:
+    """The expected utility of each of a block's B rounds: the sum over
+    the round's events of its marginal times the event's utility, with
+    ``marg`` a (B, n) table, ``events`` the block's events (``starts``
+    set) and ``utilities`` theirs.  The terms go into a zero-padded
+    (B, E) table in C order, each round's left-aligned; its cumsum along
+    the rows adds them left to right, and the trailing zeros keep the
+    sum's bits.  So each round's value is bitwise a Python loop that adds
+    its terms to 0.0 (``0.0 +`` gives the loop's +0.0 when every term is
+    -0.0), whatever ``marg``'s memory order."""
+    b, counts = len(marg), np.diff(events.starts)
+    width = max(counts.max(initial=0), 1)
+    rows = np.arange(b)
+    table = np.zeros((b, width))
+    at = np.arange(len(events.ids)) + np.repeat(rows * width - events.starts[:-1], counts)
+    table.ravel()[at] = marg[np.repeat(rows, counts), events.ids] * utilities
+    return 0.0 + table.cumsum(axis=1, out=table)[:, -1]
 
 
 def default_parameters(k: int, t: int, mode: FeedbackMode) -> tuple[float, float]:

@@ -175,9 +175,10 @@ def expected_utility(
     state: WeightState, adversary: BidProfile, values: Valuation
 ) -> float:
     """Exact one-round expected utility of the current distribution:
-    sum over firing nodes of marginal * sub-utility."""
+    sum over firing nodes of marginal * sub-utility, as the block
+    ``expectation`` of a one-round block."""
     events = firing_set(adversary.bids, state.graph)
-    return expectation(marginals(state)[events.ids], event_utilities(events, values))
+    return float(expectation(marginals(state)[None], events, event_utilities(events, values))[0])
 
 
 def _estimates(

@@ -453,6 +453,25 @@ class TestMain:
     ):
         # at these etas the all-winner weights turn so peaked that a node's
         # observation probability rounds to 0 before any weight overflows
+        # (M = 3; at T = 300, M = 7, the start-row check fires first)
+        out = tmp_path / "run.csv"
+        argv = [
+            "--units", "2", "--horizon", "50", "--values", "1,0.5",
+            "--adversary", "iid", "--seed", "1", "--feedback", "allwinner",
+            "--eta", eta, "--out", str(out),
+        ]
+        err = self.assert_one_line_error(argv, capsys)
+        assert err == (
+            f"error: eta={float(eta):g} is too large: "
+            "node h(1.5,1) has zero observation probability\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["1e20", "1e300"])
+    def test_wrong_start_marginals_exit_2_naming_eta(self, eta, tmp_path, capsys):
+        # huge weights that tie paths pass the end checks, but the first bid
+        # row's marginals of round 2 sum to 3; the run used to go on to a
+        # zero observation probability in the same round
         out = tmp_path / "run.csv"
         argv = [
             "--units", "2", "--horizon", "300", "--values", "1,0.5",
@@ -462,7 +481,7 @@ class TestMain:
         err = self.assert_one_line_error(argv, capsys)
         assert err == (
             f"error: eta={float(eta):g} is too large: "
-            "node h(1,5) has zero observation probability\n"
+            "the first bid row's marginals sum to 3.0, not 1\n"
         )
         assert not out.exists()
 

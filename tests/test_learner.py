@@ -40,11 +40,12 @@ from uniprice.feedback import Feedback, make_feedback
 from uniprice.learner import (
     EstimateVector,
     _logsumexp,
-    _observed_events,
     _scan_views,
+    _steps,
     _suffix_scan,
     _walk,
     allwinner_signal,
+    backward_pass,
     ensure_passes,
     expectation,
     sample_paths,
@@ -517,10 +518,16 @@ class TestEventProperties:
             if realized(h) and observed_set_membership(h, outcome, g)
         ]
         assert list(sig) == observed
+        # and on the round's own events, computed from the raw profile,
+        # whose observed suffix it finds by searchsorted
+        events = firing_set(beta.bids, g)
+        own = entries(allwinner_signal(fb, events, event_utilities(events, v), s))
+        assert list(own) == observed
         for h, val in sig.items():
             w = sub_utility(h, beta, v, g)  # 0 for a zero-allocation event
             q = observation_probability(h, s, beta)
             assert val == pytest.approx((w - g.k) / q, rel=1e-9)
+            assert own[h] == val
 
     @given(instances())
     @example((build_graph(3, 4), BidProfile((0.7, 0.7, 0.2)), None))  # an adversary self-tie
@@ -568,17 +575,12 @@ class TestAllWinnerEvents:
         assert (g.k in xs or g.inv_epsilon == 0) and (0 in xs or node[-1] < 0)
         for o in outcomes.values():
             fb = make_feedback(FeedbackMode.ALL_WINNER, o, beta_node)
-            seen, w = _observed_events(fb, events, utilities, g)
             zero, fired = _revealed_events(fb, g)
-            ref = zero + fired
-            assert seen.ids.tolist() == ref.ids.tolist()
-            assert seen.alloc.tolist() == ref.alloc.tolist()
-            assert seen.price.tobytes() == ref.price.tobytes()
-            assert w.tobytes() == event_utilities(ref, v).tobytes()
-            fast = entries(allwinner_signal(fb, events, utilities, s))
-            slow = entries(allwinner_signal(fb, fired, event_utilities(fired, v), s))
-            assert list(fast) == list(slow)
-            assert np.array(list(fast.values())).tobytes() == np.array(list(slow.values())).tobytes()
+            fast = allwinner_signal(fb, events, utilities, s)
+            slow = allwinner_signal(fb, fired, event_utilities(fired, v), s)
+            assert fast.ids.tolist() == (zero + fired).ids.tolist()
+            assert slow.ids.tolist() == fast.ids.tolist()
+            assert fast.values.tobytes() == slow.values.tobytes()
 
 
 def _allwinner_x0():
@@ -863,6 +865,36 @@ def inverted_levels(dist, g, u, margin=1e-9):
     return levels
 
 
+def reference_walk(j, w_gap, gamma, u):
+    """The walk from start level ``j``, each step's probability computed
+    where it is read, from the raw gap-row log weights ``w_gap`` and the
+    bid rows' log Gamma ``gamma`` (lists of Python floats)."""
+    levels = [j]
+    for w_row, g_row, x in zip(w_gap, gamma, u):
+        p = 1.0
+        while j > 0:
+            p *= math.exp(w_row[j - 1] + g_row[j - 1] - g_row[j])
+            if x >= p:
+                break
+            j -= 1
+        levels.append(j)
+    return tuple(levels)
+
+
+def reference_path(s, u):
+    """``sample_path``'s levels on the uniforms ``u``, from state ``s``'s
+    raw rows: the start level by ``searchsorted`` on the cumulative start
+    marginals (the highest positive one when u[0] passes their sum), then
+    ``reference_walk``."""
+    g = s.graph
+    probs = marginals(s)[: g.inv_epsilon + 1]
+    j = int(np.cumsum(probs).searchsorted(u[0], side="right"))
+    if j == len(probs):
+        j = int(np.flatnonzero(probs)[-1])
+    w_gap, gamma = g.rows(s.log_w)[1], g.rows(s.backward)[0][:-1]
+    return reference_walk(j, w_gap.tolist(), gamma.tolist(), u[1:])
+
+
 class TestWalk:
     """``sample_path`` is an inverse-CDF walk on exactly K uniforms a call."""
 
@@ -881,6 +913,36 @@ class TestWalk:
             expected = inverted_levels(dist, g, u)
             if expected is not None:  # u is not within 1e-9 of a boundary
                 assert sample_path(s, Uniforms(u)) == expected
+
+    @given(
+        st.integers(1, 4), st.integers(0, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 40.0]),
+    )
+    @example(2, 40, 3, 11, 40.0)
+    @example(2, 2, 1, 0, 1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_walk_on_steps_is_the_per_step_reference(self, k, m, rounds, seed, scale):
+        # random states, one state and a batch of them; every third round's
+        # u[0] sits just below 1, at or above the summed start
+        # probabilities about half the time: the start-level fallback
+        g = build_graph(k, m)
+        rng = rng_from(seed)
+        table = rng.normal(0.0, scale, (rounds, g.n_nodes))
+        u = rng.random((rounds, k))
+        u[::3, 0] = math.nextafter(1.0, 0.0)
+        batch = init_state(g, rounds)
+        batch.log_w[...] = table
+        walks = sample_paths(batch, u)
+        for r in range(rounds):
+            s = init_state(g)
+            s.log_w[:] = table[r]
+            expected = reference_path(s, u[r].tolist())
+            assert sample_path(s, Uniforms(u[r].tolist())) == expected
+            assert walks[r] == expected
+            w_gap, gamma = g.rows(s.log_w)[1], g.rows(s.backward)[0][:-1]
+            steps, x = _steps(w_gap, gamma).tolist(), u[r, 1:].tolist()
+            for j in range(m + 1):  # every start level
+                assert _walk(j, steps, x) == reference_walk(j, w_gap.tolist(), gamma.tolist(), x)
 
     def test_a_walk_advances_philox_as_random_k_does(self):
         for k, m in [(1, 0), (1, 3), (2, 5), (4, 2)]:
@@ -1271,20 +1333,42 @@ class TestExpectedUtility:
         path = (bid(g, 1, 0),)
         assert expected_utility(s, beta, v) == path_utility(path, beta, v, g)
 
-    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)), max_size=12))
-    @example([])
-    @example([(0.5, -0.0), (0.0, -1.0)])  # every term -0.0
-    @example([(0.5, -0.0), (0.25, 0.5), (1.0, -0.0)])
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)), max_size=12),
+            max_size=6,
+        ),
+        st.sampled_from(ORDERS),
+        st.randoms(use_true_random=False),
+    )
+    @example([], "C", None)
+    @example([[]], "C", None)
+    @example([[(0.5, -0.0), (0.0, -1.0)]], "C", None)  # every term -0.0
+    @example([[(0.5, -0.0), (0.25, 0.5), (1.0, -0.0)], [], [(0.5, -0.0)]], "node", None)
     @settings(max_examples=200, deadline=None)
-    def test_expectation_is_the_loop_from_zero(self, terms):
-        # the harness's per-round sum: each term added left to right to 0.0
-        total = 0.0
-        for p, w in terms:
-            total += p * w
-        marg, utilities = np.array(terms, dtype=float).reshape(len(terms), 2).T
-        exp = expectation(marg, utilities)
-        assert type(exp) is float
-        assert np.float64(exp).tobytes() == np.float64(total).tobytes()
+    def test_expectation_is_the_loop_from_zero(self, rounds, order, random):
+        # a block of rounds, each its terms at distinct node ids of a
+        # (B, n) marginal table in either memory order: every round's value
+        # is each term added left to right to 0.0
+        n = max([len(terms) for terms in rounds] + [1]) + 2
+        b = len(rounds)
+        marg = np.zeros((b, n)) if order == "C" else np.zeros((n, b)).T
+        ids, utilities, loops = [], [], []
+        for r, terms in enumerate(rounds):
+            at = random.sample(range(n), len(terms)) if random else range(len(terms))
+            total = 0.0
+            for i, (p, w) in zip(at, terms):
+                marg[r, i] = p
+                total += p * w
+            ids += at
+            utilities += [w for _, w in terms]
+            loops.append(total)
+        starts = np.cumsum([0] + [len(terms) for terms in rounds])
+        zeros = np.zeros(len(ids))
+        events = Events(np.array(ids, dtype=np.intp), zeros.astype(int), zeros, starts)
+        exp = expectation(marg, events, np.array(utilities, dtype=float))
+        assert exp.shape == (b,)
+        assert exp.tobytes() == np.array(loops, dtype=float).tobytes()
 
 
 class TestDefaultParameters:
@@ -1401,6 +1485,33 @@ class TestEdgeCases:
             assert not math.isfinite(np.add.reduce(s.log_w))
             ensure_passes(s)
         assert s.dirty_lo > s.dirty_hi and math.isfinite(s.log_gamma0)
+
+    @pytest.mark.parametrize(
+        "weight, line",
+        [
+            (1e16, "the first bid row's marginals sum to 5.0, not 1"),
+            (1e15, "the first bid row's marginals sum to 0.9460466816141457, not 1"),
+        ],
+    )
+    def test_tied_huge_weights_fail_the_start_row_check(self, weight, line):
+        # K = 2, M = 4, every bid node at ``weight`` and every gap node at 0:
+        # the end checks pass, but log Gamma_0 absorbs the ties of the
+        # paths wrongly, and the first bid row's marginals miss 1
+        g = build_graph(2, 4)
+        s = init_state(g)
+        s.log_w[g.row % 2 == 0] = weight
+        backward_pass(s, g.k - 1)  # the end checks alone pass
+        for _ in range(2):
+            with pytest.raises(WeightOverflow, match=f"^{re.escape(line)}$"):
+                ensure_passes(s)
+            assert s.dirty_lo <= s.dirty_hi
+        # a batch raises its first failing round's line; a good round passes
+        batch = init_state(g, 3)
+        batch.log_w[1:] = s.log_w
+        batch.log_w[2, g.row % 2 == 0] = 1e16
+        with pytest.raises(WeightOverflow, match=f"^{re.escape(line)}$"):
+            ensure_passes(batch)
+        marginals(init_state(g, 1))
 
     def test_bandit_signal_perturbed_frame_consistency(self):
         # shifted-adversary frame: negative node-space bids never fire
