@@ -502,19 +502,15 @@ def expectation(marg: np.ndarray, events: Events, utilities: np.ndarray) -> np.n
     """The expected utility of each of a block's B rounds: the sum over
     the round's events of its marginal times the event's utility, with
     ``marg`` a (B, n) table, ``events`` the block's events (``starts``
-    set) and ``utilities`` theirs.  The terms go into a zero-padded
-    (B, E) table in C order, each round's left-aligned; its cumsum along
-    the rows adds them left to right, and the trailing zeros keep the
-    sum's bits.  So each round's value is bitwise a Python loop that adds
-    its terms to 0.0 (``0.0 +`` gives the loop's +0.0 when every term is
-    -0.0), whatever ``marg``'s memory order."""
-    b, counts = len(marg), np.diff(events.starts)
-    width = max(counts.max(initial=0), 1)
-    rows = np.arange(b)
-    table = np.zeros((b, width))
-    at = np.arange(len(events.ids)) + np.repeat(rows * width - events.starts[:-1], counts)
-    table.ravel()[at] = marg[np.repeat(rows, counts), events.ids] * utilities
-    return 0.0 + table.cumsum(axis=1, out=table)[:, -1]
+    set) and ``utilities`` theirs.  One ``np.bincount`` over the round of
+    each event, weighted by its term, adds each round's terms in event
+    order to 0.0, so each round's value is bitwise a Python loop that
+    adds its terms to 0.0 (+0.0 when every term is -0.0), whatever
+    ``marg``'s memory order.  A block without events gets bincount's
+    integer zeros, hence the cast."""
+    rounds = np.repeat(np.arange(len(marg)), np.diff(events.starts))
+    terms = marg[rounds, events.ids] * utilities
+    return np.bincount(rounds, terms, minlength=len(marg)).astype(float, copy=False)
 
 
 def default_parameters(k: int, t: int, mode: FeedbackMode) -> tuple[float, float]:
