@@ -1,10 +1,14 @@
-"""A complete seeded regret experiment through the harness.
+"""A complete seeded regret experiment through the harness, under full
+information.
 
-Each round: refresh the weight-pushing accumulators, sample an action,
-clear the auction, narrow the outcome to the feedback view, build the
-estimator signal, update the weights.  Traces record realized and exact
-expected utility plus cumulative regret against the best fixed grid action
-in hindsight.  Identical (config, seed) pairs replay byte-identically.
+Full-information weights depend only on the adversary's bids, so the
+harness runs its learner one batch for each block of adversary rounds:
+one pass gives every round's weight-pushing accumulators and marginals,
+and the round's walk samples its action.  The outcome comes from
+``realized_event`` on the played levels, with no auction clearing.
+Traces record realized and exact expected utility plus cumulative regret
+against the best fixed grid action in hindsight.  Identical
+(config, seed) pairs replay byte-identically.
 
 Writes demos/output/full_info.{csv,svg}.
 """

@@ -80,8 +80,10 @@ class WeightState:
     once, and the arrays are updated in place, never replaced.
     ``init_state`` stores both stacks node-major, for speed (see there);
     any memory order gives the same bits.  Each pass sets ``marg``, the
-    marginals, to a new array.  A batch of B states, one per round, has
-    (B, 2, n) stacks, (B, n) views and ``marg`` and a (B, 1) ``log_gamma0``.
+    marginals, to a new array, and ``log_gamma0`` to the float log
+    Gamma_0.  A batch of B states, one per round, has (B, 2, n) stacks,
+    (B, n) views and ``marg`` and a (B, 1) ``log_gamma0``, each round's
+    entries bitwise its own state's.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -123,28 +125,6 @@ def init_state(graph: PseudoGraph, rounds: int | None = None) -> WeightState:
     runs its 1-D loop instead of a 2-D strided one."""
     shape = (graph.n_nodes, 2) + (() if rounds is None else (rounds,))
     return WeightState(graph=graph, w2=np.zeros(shape).T, acc=np.full(shape, -np.inf).T)
-
-
-def _logsumexp(a: np.ndarray):
-    """log(sum(exp(a))) along the last axis, a float for a 1-D ``a``; a
-    row whose maximum is not finite gives that maximum.  A batch's rows go
-    through a C-order array, which numpy sums row by row pairwise, as a
-    1-D array, whatever ``a``'s memory order: the bits of one-row calls."""
-    if a.ndim == 1:
-        m = float(np.maximum.reduce(a))
-        if not math.isfinite(m):
-            return m
-        return m + math.log(float(np.add.reduce(np.exp(a - m))))
-    m = np.maximum.reduce(a, axis=-1, keepdims=True)
-    finite = np.isfinite(m)
-    e = np.zeros(a.shape)
-    np.subtract(a, m, out=e, where=finite)  # rows of a non-finite maximum stay 0
-    np.exp(e, out=e)
-    sums = np.add.reduce(e, axis=-1).tolist()
-    return np.array([
-        top + math.log(total) if ok else top
-        for top, total, ok in zip(m[..., 0].tolist(), sums, finite[..., 0].tolist())
-    ])
 
 
 def _scan_views(w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> tuple:
@@ -209,28 +189,29 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
     leaves it out: F = 1 on the first bid row; elsewhere F(h) = sum over
     predecessors h' of W(h') F(h').  Predecessors are the reversed graph's
     successors, so F is Gamma of the reversed graph, kept reversed in row
-    1.  Then log Gamma_0 = logsumexp over the first bid row of W + Gamma.
-    The same (2, M+1) sum gives, in row 1, the last bid row's W + F, whose
-    total must match: ``WeightOverflow`` when log Gamma_0 is not finite or
+    1.  The same (2, M+1) sum gives the first bid row's W + Gamma in row 0
+    and the last bid row's W + F in row 1, and one ``np.logaddexp.reduce``
+    along its rows gives both totals: log Gamma_0 and the end check's,
+    which must match: ``WeightOverflow`` when log Gamma_0 is not finite or
     the two differ by more than ``_END_GAP``; a batch raises the message of
-    its first failing round.
+    its first failing round.  The reduce adds each row's terms left to
+    right, whatever the memory order, so a batch's rounds keep the bits of
+    their one-state calls.
     """
     w_bid, _, a_bid, a_gap = state.rows
     state.w2[..., 1, :] = state.log_w[..., ::-1]
     _suffix_scan(np.logaddexp, state.scan, rows)
     a_gap[..., :rows, :] = a_bid[..., :rows, :-1]  # gap (k, j) shares bid (k, j)'s successors
-    ends = w_bid[..., 0, :] + a_bid[..., 0, :]
-    log_g0 = _logsumexp(ends[..., 0, :])
-    log_end = np.logaddexp.reduce(ends[..., 1, :], axis=-1)
-    if log_end.ndim:  # a batch
-        state.log_gamma0 = log_g0[:, None]
+    totals = np.logaddexp.reduce(w_bid[..., 0, :] + a_bid[..., 0, :], axis=-1)
+    if totals.ndim > 1:  # a batch
+        state.log_gamma0 = totals[:, :1]
         with np.errstate(invalid="ignore"):  # inf - inf in a failing round
-            failed = np.flatnonzero(~(np.abs(log_end - log_g0) <= _END_GAP))
+            failed = np.flatnonzero(~(np.abs(totals[:, 1] - totals[:, 0]) <= _END_GAP))
         if len(failed):
-            _check_ends(float(log_g0[failed[0]]), float(log_end[failed[0]]))
+            _check_ends(*totals[failed[0]].tolist())
     else:
-        state.log_gamma0 = log_g0
-        _check_ends(log_g0, float(log_end))
+        state.log_gamma0, log_end = totals.tolist()
+        _check_ends(state.log_gamma0, log_end)
     return state
 
 

@@ -699,12 +699,15 @@ class TestPerfbenchHooks:
 
 class TestGoldenDigests:
     """sha256 of ``csv_bytes`` for fixed runs: a change meant to keep the
-    output bytes must keep these.  They date from the walk on exactly K
-    uniforms a round, the forward pass as the backward recursion on the
-    reversed graph (marginals exp(log W + F + Gamma - log Gamma_0)) and the
-    bandit estimate's division by the round's marginals;
-    ``test_reference.py`` recomputes every column of such runs
-    independently."""
+    output bytes must keep these.  They date from log Gamma_0 as one
+    ``np.logaddexp.reduce`` along the first bid row, which gives the same
+    bits under every numpy dispatch; ``test_reference.py`` recomputes
+    every column of such runs independently.  numpy's float64 ``exp``
+    gives other bits with its AVX-512 loops than without them, and bandit
+    and all-winner draw their start levels and divide their estimates by
+    the marginals it computes, so a run can take another path.  Each case
+    keeps one digest per dispatch, picked by ``X86_V4``, the AVX-512 level
+    that ``NPY_DISABLE_CPU_FEATURES`` can turn off."""
 
     K2 = ["--units", "2", "--values", "1.0,0.5", "--horizon", "300", "--reps", "2",
           "--adversary", "iid", "--seed", "5"]
@@ -712,25 +715,34 @@ class TestGoldenDigests:
                   "--tie-mode", "perturb", "--adversary", "iid", "--seed", "1"]
 
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, with_avx512, without_avx512",
         [
             (K2 + ["--feedback", "full"],
-             "6cdd859eac3b093dce348716619a2f29271ab08fda6017c314e53c7295620a9f"),
+             "ff601a930e54878f05263f8fdeae596d7dc44b8dabd4d2641821052558f9bfbd",
+             "ff601a930e54878f05263f8fdeae596d7dc44b8dabd4d2641821052558f9bfbd"),
             (K2 + ["--feedback", "bandit"],
-             "4f051b4a8cbae7fa137840323aa2953a3c65c5b198fcee2eee07652ad3d68cd7"),
+             "2d2b165d6392d7d67f604cf0d5e9501b15c6ec6cebfc1ac3ecccd57be3c9db33",
+             "2d2b165d6392d7d67f604cf0d5e9501b15c6ec6cebfc1ac3ecccd57be3c9db33"),
             (K2 + ["--feedback", "allwinner"],
-             "efd15fa648bbc2f5e9a447f2a364f8b547769a826e2a98a5c7db06373eec6097"),
+             "a83ef26d2424e970bc12cefc09eadcd41c1a5056545b238228515cc75ff3e793",
+             "a83ef26d2424e970bc12cefc09eadcd41c1a5056545b238228515cc75ff3e793"),
             (K3_PERTURB + ["--feedback", "full"],
-             "721ecb8f8021cde9ff47a94280952480a3c512558491a109cd3c59597fcdaaee"),
+             "cab52ea702fc26aff3761ac7055063e6c4cde4822cb1680d7f094344ebb229bb",
+             "cab52ea702fc26aff3761ac7055063e6c4cde4822cb1680d7f094344ebb229bb"),
             (K3_PERTURB + ["--feedback", "bandit"],
-             "d954b83c26934617fa12106913c48a4e623846b3be1b3875b4d61fe6d9d9b43c"),
+             "d4a98ed515970749df0749ee79353a4ecc0a404589fdb5e5b7c096715c58d7a9",
+             "12f2a4302c7df71d00aadf70f455956dc83b305522b9f940378289a52332df7d"),
             (K3_PERTURB + ["--feedback", "allwinner"],
-             "9e7ee4c3c9732877bfbc7f5af13cd370d2b615758ca8ce1e784ff344922d6441"),
+             "4d63da2064f9505d6d45f9c097ea323eb6992043e18296f3d6974d0acd282ae0",
+             "c50f570295e01279a2a116946f7351dc60d37e10f7e4558356f8516b5d592b97"),
         ],
         ids=["k2-full", "k2-bandit", "k2-allwinner",
              "k3-perturb-full", "k3-perturb-bandit", "k3-perturb-allwinner"],
     )
-    def test_csv_sha256(self, argv, digest):
+    def test_csv_sha256(self, argv, with_avx512, without_avx512):
+        from numpy._core._multiarray_umath import __cpu_features__  # numpy 2's path
+
+        digest = with_avx512 if __cpu_features__["X86_V4"] else without_avx512
         traces = run_experiment(parse_config(argv))
         assert hashlib.sha256(csv_bytes(traces)).hexdigest() == digest
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from uniprice import (
     BidProfile,
@@ -39,7 +40,6 @@ from uniprice.errors import HorizonTooShort, WeightOverflow, ZeroMarginal
 from uniprice.feedback import Feedback, make_feedback
 from uniprice.learner import (
     EstimateVector,
-    _logsumexp,
     _scan_views,
     _steps,
     _suffix_scan,
@@ -156,7 +156,7 @@ class TestPasses:
             scores = [
                 sum(s.log_w[n] for n in path) for path in enumerate_paths(g)
             ]
-            assert s.log_gamma0 == pytest.approx(_logsumexp(np.array(scores)), abs=1e-12)
+            assert s.log_gamma0 == pytest.approx(logsumexp(scores), abs=1e-12)
 
     def test_forward_prefix_count(self):
         g = build_graph(2, 1)
@@ -175,7 +175,7 @@ class TestPasses:
             ensure_passes(s)
             last = g.bid_ids(k)
             total = s.log_w[last] + s.forward[last] + s.backward[last]
-            assert _logsumexp(total) == pytest.approx(s.log_gamma0, abs=1e-10)
+            assert logsumexp(total) == pytest.approx(s.log_gamma0, abs=1e-10)
 
 
 class TestMarginals:
@@ -275,7 +275,7 @@ class TestSampler:
             path: eta * path_utility(path, beta, v, g)
             for path in dist
         }
-        z = _logsumexp(np.array(list(scores.values())))
+        z = logsumexp(list(scores.values()))
         for path, p in dist.items():
             assert p == pytest.approx(math.exp(scores[path] - z), abs=1e-12)
 
@@ -793,7 +793,7 @@ class TestStackedPasses:
             (w_bid, w_gap), (o_bid, o_gap) = g.rows(w), g.rows(out)
             _suffix_scan(np.logaddexp, _scan_views(w_bid, w_gap, o_bid))
             o_gap[...] = o_bid[:-1, :-1]
-        log_g0 = _logsumexp(g.rows(log_w)[0][0] + g.rows(gamma)[0][0])
+        log_g0 = np.logaddexp.reduce(g.rows(log_w)[0][0] + g.rows(gamma)[0][0])
         assert s.backward.tobytes() == gamma.tobytes()
         assert s.forward.tobytes() == f_rev[::-1].tobytes()
         assert np.float64(s.log_gamma0).tobytes() == np.float64(log_g0).tobytes()
@@ -1037,13 +1037,30 @@ class TestBatchedRounds:
     @example(_wide_grid(), 4, 11)
     @settings(max_examples=100, deadline=None)
     def test_batched_log_gamma0_is_the_one_row_calls_in_any_order(self, instance, rounds, seed):
-        # the first bid rows' W + Gamma in C order, in node-major order and
-        # reversed: each row's log Gamma_0 is its own 1-D call's
+        # batches whose stacks are node-major, in C order and with every
+        # stride reversed: each round's log Gamma_0 is one state's, the
+        # 1-D logaddexp reduce of its first bid row's W + Gamma
         g = instance[0]
-        ends = rng_from(seed).normal(0.0, 30.0, (rounds, g.inv_epsilon + 1))
-        one_row = np.array([_logsumexp(row.copy()) for row in ends])
-        for a in (ends, np.asfortranarray(ends), ends[::-1, ::-1].copy()[::-1, ::-1]):
-            assert _logsumexp(a).tobytes() == one_row.tobytes()
+        table = rng_from(seed).normal(0.0, 30.0, (rounds, g.n_nodes))
+        one_row = []
+        for log_w in table:
+            s = init_state(g)
+            s.log_w[:] = log_w
+            ensure_passes(s)
+            start = g.bid_ids(1)
+            assert np.logaddexp.reduce(s.log_w[start] + s.backward[start]) == s.log_gamma0
+            one_row.append(s.log_gamma0)
+        shape = (rounds, 2, g.n_nodes)
+        stacks = [
+            (np.zeros(shape[::-1]).T, np.full(shape[::-1], -np.inf).T),
+            (np.zeros(shape), np.full(shape, -np.inf)),
+            (np.zeros(shape)[::-1, ::-1, ::-1], np.full(shape, -np.inf)[::-1, ::-1, ::-1]),
+        ]
+        for w2, acc in stacks:
+            batch = WeightState(graph=g, w2=w2, acc=acc)
+            batch.log_w[...] = table
+            ensure_passes(batch)
+            assert batch.log_gamma0[:, 0].tobytes() == np.array(one_row).tobytes()
 
     def test_a_batch_falls_back_to_the_highest_positive_level(self):
         # TestSampler's state, whose top start level has probability 0 and
