@@ -703,9 +703,10 @@ class TestGoldenDigests:
     ``np.logaddexp.reduce`` along the first bid row, which gives the same
     bits under every numpy dispatch; ``test_reference.py`` recomputes
     every column of such runs independently.  numpy's float64 ``exp``
-    gives other bits with its AVX-512 loops than without them, and bandit
-    and all-winner draw their start levels and divide their estimates by
-    the marginals it computes, so a run can take another path.  Each case
+    gives other bits with its AVX-512 loops than without them; every mode
+    draws its start levels from the marginals it computes, and bandit and
+    all-winner divide their estimates by them, so a run can take another
+    path.  Each case
     keeps one digest per dispatch, picked by ``X86_V4``, the AVX-512 level
     that ``NPY_DISABLE_CPU_FEATURES`` can turn off."""
 
