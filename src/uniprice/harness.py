@@ -353,14 +353,13 @@ def csv_bytes(traces: Sequence[RegretTrace]) -> bytes:
             tr.realized_utility, tr.expected_utility, tr.cum_expected_regret,
             tr.discretization_bound, tr.price, tr.allocation,
         )
-        run = tr.run
-        # converted a chunk of rows at a time, which bounds the float objects alive
+        row = f"{tr.run},%d,%.12g,%.12g,%.12g,%.12g,%.12g,%d"
+        # converted and joined a chunk of rows at a time, which bounds the
+        # float and row objects alive
         for a in range(0, len(tr.realized_utility), _CSV_CHUNK):
-            rows = zip(*(col[a : a + _CSV_CHUNK].tolist() for col in columns))
-            lines.extend(
-                f"{run},{t},{r:.12g},{e:.12g},{c:.12g},{d:.12g},{p:.12g},{int(x)}"
-                for t, (r, e, c, d, p, x) in enumerate(rows, a + 1)
-            )
+            chunk = (col[a : a + _CSV_CHUNK].tolist() for col in columns)
+            rows = zip(range(a + 1, a + _CSV_CHUNK + 1), *chunk)
+            lines.append("\n".join(map(row.__mod__, rows)))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -397,9 +396,23 @@ def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks
 
 
+def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Indices, in round order, of each pixel column's first, last, lowest
+    and highest point (M4: Jugel et al., VLDB 2014).  A line through them
+    sets the same pixels as the full polyline.  ``px`` must not decrease."""
+    cols = np.floor(px)
+    by_height = np.lexsort((py, cols))  # stable: column-major, each column by height
+    starts = np.flatnonzero(cols[1:] != cols[:-1]) + 1
+    firsts = np.concatenate(([0], starts))
+    lasts = np.concatenate((starts - 1, [px.size - 1]))
+    keep = np.sort(np.concatenate((firsts, lasts, by_height[firsts], by_height[lasts])))
+    return keep[np.concatenate(([True], keep[1:] != keep[:-1]))]
+
+
 def svg_bytes(traces: Sequence[RegretTrace], scale: PlotScale = PlotScale.LINEAR) -> bytes:
     """Static self-contained SVG: mean cumulative regret with a min-max band
-    across replications; log-log mode annotates the fitted slope."""
+    across replications and the K t eps allowance; log-log mode annotates
+    the fitted slope.  Each line keeps at most 4 points a pixel column."""
     if not traces:
         raise ValueError("no traces to plot")
     horizon = len(traces[0].cum_expected_regret)
@@ -408,6 +421,7 @@ def svg_bytes(traces: Sequence[RegretTrace], scale: PlotScale = PlotScale.LINEAR
     lo_band = stack.min(axis=0)
     hi_band = stack.max(axis=0)
     ts = np.arange(1, horizon + 1, dtype=float)
+    allowance = traces[0].discretization_bound
 
     slope_text = ""
     if scale is PlotScale.LOGLOG:
@@ -416,11 +430,18 @@ def svg_bytes(traces: Sequence[RegretTrace], scale: PlotScale = PlotScale.LINEAR
         mask = mean > 0
         ts_plot = np.log10(ts[mask])
         mean_p = np.log10(mean[mask])
-        lo_p = np.log10(np.maximum(lo_band[mask], 1e-300))
-        hi_p = np.log10(np.maximum(hi_band[mask], 1e-300))
+        # the y range comes from positive values; a band edge at or below 0
+        # is drawn on the bottom axis
+        lo_pos = lo_band[mask]
+        least = min(mean[mask].min(), lo_pos[lo_pos > 0].min(initial=np.inf))
+        lo_p = np.log10(np.maximum(lo_pos, least))
+        hi_p = np.log10(hi_band[mask])
+        ends = allowance[mask][[0, -1]]
+        ends = np.log10(ends) if ends[0] > 0 else None
         x_label, y_label = "log10 t", "log10 cumulative regret"
     else:
         ts_plot, mean_p, lo_p, hi_p = ts, mean, lo_band, hi_band
+        ends = allowance[[0, -1]] if allowance[-1] > 0 else None
         x_label, y_label = "t", "cumulative regret"
     if ts_plot.size == 0:
         raise ValueError("nothing to plot on a log scale")
@@ -435,24 +456,50 @@ def svg_bytes(traces: Sequence[RegretTrace], scale: PlotScale = PlotScale.LINEAR
     if x1 <= x0:
         x1 = x0 + 1.0
 
-    def sx(x: float) -> float:
+    # applied to floats and to whole arrays, with the same float operations
+    def sx(x):
         return ml + (x - x0) / (x1 - x0) * (width - ml - mr)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return height - mb - (y - y0) / (y1 - y0) * (height - mt - mb)
 
-    def poly(xs, ys) -> str:
-        return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    line_x = sx(ts_plot)
 
-    band = poly(ts_plot, hi_p) + " " + poly(ts_plot[::-1], lo_p[::-1])
+    def poly(ys: np.ndarray, reverse: bool = False) -> str:
+        line_y = sy(ys)
+        keep = _m4(line_x, line_y)
+        if reverse:
+            keep = keep[::-1]
+        points = zip(line_x[keep].tolist(), line_y[keep].tolist())
+        return " ".join(map("%.2f,%.2f".__mod__, points))
+
+    band = poly(hi_p) + " " + poly(lo_p, reverse=True)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<polygon points="{band}" fill="#9ecae1" fill-opacity="0.45" stroke="none"/>',
-        f'<polyline points="{poly(ts_plot, mean_p)}" fill="none" '
+        f'<polyline points="{poly(mean_p)}" fill="none" '
         'stroke="#08519c" stroke-width="1.8"/>',
     ]
+    font = 'font-family="sans-serif" font-size="12"'
+    if ends is not None:
+        # a straight segment in both scales, clipped to the band's y range
+        (xa, xb), (ya, yb) = (float(ts_plot[0]), float(ts_plot[-1])), ends.tolist()
+        if ya <= y1 and yb >= y0:
+            if ya < y0:
+                xa, ya = xa + (y0 - ya) / (yb - ya) * (xb - xa), y0
+            if yb > y1:
+                xb, yb = xa + (y1 - ya) / (yb - ya) * (xb - xa), y1
+            parts.append(
+                f'<line x1="{sx(xa):.2f}" y1="{sy(ya):.2f}" x2="{sx(xb):.2f}" '
+                f'y2="{sy(yb):.2f}" stroke="#d95f0e" stroke-width="1.2" '
+                'stroke-dasharray="6 4"/>'
+            )
+        parts.append(
+            f'<text x="{ml + 8:.1f}" y="{mt + 16:.1f}" fill="#d95f0e" {font}>'
+            f"K&#183;t&#183;&#949; allowance: {allowance[-1]:.6g} at T = {horizon}</text>"
+        )
     axis = 'stroke="#333" stroke-width="1"'
     parts.append(
         f'<line x1="{ml:.1f}" y1="{height - mb:.1f}" x2="{width - mr:.1f}" '
@@ -461,7 +508,6 @@ def svg_bytes(traces: Sequence[RegretTrace], scale: PlotScale = PlotScale.LINEAR
     parts.append(
         f'<line x1="{ml:.1f}" y1="{mt:.1f}" x2="{ml:.1f}" y2="{height - mb:.1f}" {axis}/>'
     )
-    font = 'font-family="sans-serif" font-size="12"'
     for tx in _nice_ticks(x0, x1):
         px = sx(tx)
         parts.append(

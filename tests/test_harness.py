@@ -2,12 +2,15 @@ import functools
 import hashlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uniprice import (
@@ -48,6 +51,7 @@ from uniprice.errors import (
     WrongLength,
 )
 from uniprice.feedback import Feedback, make_feedback
+from uniprice import harness
 from uniprice.harness import CSV_HEADER, csv_bytes, resolve_parameters, svg_bytes
 from uniprice.learner import EstimateVector, default_parameters
 from uniprice.pseudo_space import event_utilities
@@ -782,17 +786,61 @@ class TestCsv:
         with pytest.raises(ValueError):
             csv_bytes([])
 
+    @staticmethod
+    def f_string_csv(traces):
+        """The row-by-row f-string writer that ``csv_bytes`` replaced."""
+        lines = [CSV_HEADER]
+        for tr in traces:
+            columns = (
+                tr.realized_utility, tr.expected_utility, tr.cum_expected_regret,
+                tr.discretization_bound, tr.price, tr.allocation,
+            )
+            for t, (r, e, c, d, p, x) in enumerate(zip(*(col.tolist() for col in columns)), 1):
+                lines.append(f"{tr.run},{t},{r:.12g},{e:.12g},{c:.12g},{d:.12g},{p:.12g},{int(x)}")
+        return ("\n".join(lines) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize(
+        "horizon", [1, harness._CSV_CHUNK - 1, harness._CSV_CHUNK, harness._CSV_CHUNK + 1]
+    )
+    def test_bytes_equal_the_f_string_writer(self, horizon):
+        edge = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, 123456789012.5, 1 / 3, -2.5e-7])
+        rng = np.random.default_rng(horizon)
+
+        def column(shift):
+            values = np.roll(np.resize(edge, horizon), shift)
+            return np.where(rng.random(horizon) < 0.5, values, rng.normal(0, 1e3, horizon))
+
+        traces = [
+            RegretTrace(
+                run=run,
+                realized_utility=column(0),
+                expected_utility=column(1),
+                cum_expected_regret=column(2),
+                discretization_bound=column(3),
+                price=column(4),
+                allocation=rng.integers(0, 3, horizon),
+                final_regret=0.0,
+                wall_clock=0.0,
+                epsilon=0.1,
+                eta=0.1,
+            )
+            for run in (3, 12)
+        ]
+        data = csv_bytes(traces)
+        assert data == self.f_string_csv(traces)
+        assert data.count(b"\n") == 2 * horizon + 1
+
 
 class TestSvg:
-    def synthetic_trace(self, exponent, horizon=512):
-        t = np.arange(1, horizon + 1, dtype=float)
-        regret = t**exponent
+    @staticmethod
+    def trace_of(regret, allowance=None):
+        horizon = len(regret)
         return RegretTrace(
             run=0,
             realized_utility=np.zeros(horizon),
             expected_utility=np.zeros(horizon),
             cum_expected_regret=regret,
-            discretization_bound=np.zeros(horizon),
+            discretization_bound=np.zeros(horizon) if allowance is None else allowance,
             price=np.zeros(horizon),
             allocation=np.zeros(horizon, dtype=int),
             final_regret=float(regret[-1]),
@@ -800,6 +848,9 @@ class TestSvg:
             epsilon=0.1,
             eta=0.1,
         )
+
+    def synthetic_trace(self, exponent, horizon=512):
+        return self.trace_of(np.arange(1, horizon + 1, dtype=float) ** exponent)
 
     def test_slope_annotation(self, tmp_path):
         tr = self.synthetic_trace(2.0 / 3.0)
@@ -834,3 +885,140 @@ class TestSvg:
     def test_deterministic_bytes(self):
         tr = self.synthetic_trace(0.5)
         assert svg_bytes([tr], PlotScale.LOGLOG) == svg_bytes([tr], PlotScale.LOGLOG)
+
+    @staticmethod
+    def y_ticks(text):
+        return re.findall(r'text-anchor="end" [^>]*>([^<]*)</text>', text)
+
+    def test_loglog_y_range_ignores_nonpositive_band_edges(self):
+        t = np.arange(1, 201, dtype=float)
+        traces = [self.trace_of(3 * t**0.6), self.trace_of(3 * t**0.6 - 5)]
+        text = svg_bytes(traces, PlotScale.LOGLOG).decode()
+        # log10 of the mean's 0.5 at t = 1 up to log10(3 * 200**0.6)
+        assert self.y_ticks(text)[:4] == ["0", "0.5", "1", "1.5"]
+        band = re.search(r'<polygon points="([^"]*)"', text).group(1).split()
+        # the lower edge is at or below 0 for t = 1, 2: drawn on the bottom axis
+        assert [p.split(",")[1] for p in band[-2:]] == ["430.00", "430.00"]
+        assert max(float(p.split(",")[1]) for p in band) == 430.0
+
+    @pytest.mark.parametrize("scale", list(PlotScale))
+    def test_allowance_line_is_clipped_to_the_band(self, scale):
+        t = np.arange(1, 513, dtype=float)
+        trace = self.trace_of(3 * t**0.6, allowance=0.25 * t)
+        text = svg_bytes([trace], scale).decode()
+        assert "K&#183;t&#183;&#949; allowance: 128 at T = 512</text>" in text
+        ends = re.search(
+            r'<line x1="([^"]*)" y1="([^"]*)" x2="([^"]*)" y2="([^"]*)" stroke="#d95f0e"', text
+        ).groups()
+        # 0.25 t leaves the band's top, 3 * 512**0.6, at t = 12 * 512**0.6
+        top = 12 * 512**0.6
+        if scale is PlotScale.LINEAR:  # y from 0; starts at t = 1, inside
+            expected = (70, 430 - 0.25 / (3 * 512**0.6) * 400, 70 + (top - 1) / 511 * 630, 30)
+        else:  # y from log10 3, which 0.25 t crosses at t = 12
+            x = lambda t: 70 + math.log10(t) / math.log10(512) * 630
+            expected = (x(12), 430, x(top), 30)
+        assert [float(v) for v in ends] == pytest.approx(expected, abs=0.006)
+
+    def test_allowance_above_the_band_keeps_only_its_label(self):
+        t = np.arange(1, 101, dtype=float)
+        trace = self.trace_of(np.full(100, 0.5), allowance=t)
+        text = svg_bytes([trace], PlotScale.LINEAR).decode()
+        assert 'stroke="#d95f0e"' not in text
+        assert "allowance: 100 at T = 100" in text
+
+    @staticmethod
+    def points(text, tag):
+        return re.search(rf'<{tag} points="([^"]*)"', text).group(1).split()
+
+    @classmethod
+    def lines(cls, text):
+        """The mean polyline and the band's upper and lower edges, each in round order."""
+        band = cls.points(text, "polygon")
+        xs = [float(p.split(",")[0]) for p in band]
+        split = next(i for i in range(1, len(xs)) if xs[i] <= xs[i - 1])
+        return [cls.points(text, "polyline"), band[:split], band[split:][::-1]]
+
+    @settings(max_examples=40, deadline=None)
+    @example(horizon=1, kind="constant", scale=PlotScale.LINEAR, reps=1, seed=0)
+    @example(horizon=5000, kind="monotone", scale=PlotScale.LINEAR, reps=2, seed=0)
+    @example(horizon=5000, kind="noisy", scale=PlotScale.LOGLOG, reps=3, seed=0)
+    @given(
+        horizon=st.integers(1, 5000),
+        kind=st.sampled_from(["monotone", "noisy", "constant"]),
+        scale=st.sampled_from(list(PlotScale)),
+        reps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_envelope_keeps_each_columns_extremes(self, horizon, kind, scale, reps, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(1, horizon + 1, dtype=float)
+        base = {"monotone": 3 * t**0.6, "noisy": 3 * t**0.6, "constant": np.full(horizon, 2.0)}
+        noise = 2.0 if kind == "noisy" else 0.0
+        traces = [
+            self.trace_of(base[kind] + r + noise * rng.standard_normal(horizon))
+            for r in range(reps)
+        ]
+        mean = np.mean([tr.cum_expected_regret for tr in traces], axis=0)
+        if scale is PlotScale.LOGLOG:
+            assume((mean > 0).sum() >= 2)
+            x = np.log10(t[mean > 0])
+        else:
+            x = t
+        span = x[-1] - x[0] if x[-1] > x[0] else 1.0
+        cols = np.floor(70.0 + (x - x[0]) / span * 630.0)
+        first, count = np.unique(cols, return_index=True, return_counts=True)[1:]
+        last = first + count - 1
+
+        text = svg_bytes(traces, scale).decode()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_m4", lambda px, py: np.arange(px.size))
+            full_text = svg_bytes(traces, scale).decode()
+        for kept, full in zip(self.lines(text), self.lines(full_text)):
+            assert len(full) == x.size
+            index = {p: i for i, p in enumerate(full)}
+            assert len(index) == len(full)
+            idx = np.array([index[p] for p in kept])  # a KeyError: not on the full line
+            assert (np.diff(idx) > 0).all()  # a subsequence, in round order
+            assert idx[0] == 0 and idx[-1] == len(full) - 1
+            on = np.zeros(len(full), dtype=bool)
+            on[idx] = True
+            assert on[first].all() and on[last].all()
+            column = np.searchsorted(first, idx, side="right") - 1
+            assert np.bincount(column).max() <= 4
+            ys = np.array([float(p.split(",")[1]) for p in full])
+            lowest = np.minimum.reduceat(np.where(on, ys, np.inf), first)
+            highest = np.maximum.reduceat(np.where(on, ys, -np.inf), first)
+            assert (lowest == np.minimum.reduceat(ys, first)).all()
+            assert (highest == np.maximum.reduceat(ys, first)).all()
+
+    def test_output_loads_no_module_beyond_the_package_import(self):
+        """``np.unique`` imports ``numpy.ma`` on first use, which the package
+        does not otherwise load: 0.4-0.5 MB more peak RSS after ``import
+        uniprice``.  Output must not pull in modules like it."""
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import uniprice",
+            "from uniprice.harness import PlotScale, RegretTrace, csv_bytes, svg_bytes",
+            "t = np.arange(1, 3001, dtype=float)",
+            "def trace(regret):",
+            "    z = np.zeros(t.size)",
+            "    return RegretTrace(0, z, z, regret, 0.05 * t, z, z.astype(int),",
+            "                       float(regret[-1]), 0.0, 0.1, 0.1)",
+            "traces = [trace(3 * t**0.6), trace(3 * t**0.6 - 5 + np.sin(t))]",
+            "before = set(sys.modules)",
+            "csv_bytes(traces)",
+            "svg_bytes(traces, PlotScale.LINEAR)",
+            "svg_bytes(traces, PlotScale.LOGLOG)",
+            "print(sorted(set(sys.modules) - before))",
+        ])
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
