@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -314,12 +313,17 @@ def run_experiment(config: RunConfig) -> list[RegretTrace]:
 
     Replications are independent given (seed, index), so worker count and
     scheduling cannot change any output byte.  The pool holds at most one
-    process per replication: it starts all its workers up front.
+    process per replication: it starts all its workers up front.  Only a
+    run with more than one worker and replication imports the pool, so
+    the import and a one-process run do not load its 32 modules
+    (``multiprocessing``, ``socket``, ``logging`` and more).
     """
     validate_config(config)
     reps = range(config.replications)
     try:
         if config.workers > 1 and config.replications > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(config.workers, config.replications)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 traces = list(pool.map(_run_replication, [config] * config.replications, reps))

@@ -338,18 +338,23 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     W(gap) Gamma(gap) / Gamma(bid): it takes n steps iff u[r] is below the
     product of its first n step probabilities.  Bid and gap nodes at the
     same (k, j) share both successors and Gamma, so the walk only tracks
-    the level and reads Gamma(gap) from the bid row.  The step log
-    probabilities of every gap row come from one ``_steps`` call and one
-    conversion to Python floats; ``_walk`` takes the steps.
+    the level and reads Gamma(gap) from the bid row.  Gap node i steps
+    from bid node i - M and shares Gamma with bid node i - M - 1, so
+    ``_steps``' two float operations on the 1-D arrays from id M + 1 on
+    give each gap row at its offset in a (K-1, 2M+1) array, in less time
+    than on the row views; one conversion to Python floats, and ``_walk``
+    takes the steps.
     """
-    probs = marginals(state)[: state.graph.inv_epsilon + 1]
-    _, w_gap, b_bid, _ = state.rows  # row 0 of each stack is the graph's
+    m, n = state.graph.inv_epsilon, state.graph.n_nodes
+    probs = marginals(state)[: m + 1]
     u = rng.random(state.graph.k).tolist()
     cum = probs.cumsum()
     j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):  # rounding left u[0] at or above the summed probabilities
         j = int(np.flatnonzero(probs)[-1])
-    return _walk(j, _steps(w_gap[0], b_bid[0, :-1]).tolist(), u[1:])
+    steps = np.add(state.log_w[m + 1 :], state.backward[: n - m - 1])
+    np.subtract(steps, state.backward[1 : n - m], out=steps)
+    return _walk(j, steps.reshape(-1, 2 * m + 1)[:, :m].tolist(), u[1:])
 
 
 def sample_paths(state: WeightState, u: np.ndarray) -> list[tuple[int, ...]]:

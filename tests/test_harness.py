@@ -1,6 +1,8 @@
+import concurrent.futures
 import functools
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import re
@@ -348,9 +350,8 @@ class TestRunExperiment:
         assert a == b
 
     def test_pool_holds_at_most_one_process_per_replication(self, monkeypatch):
-        # an in-process stand-in: a real pool would start every worker
-        from uniprice import harness
-
+        # an in-process stand-in: a real pool would start every worker;
+        # run_experiment imports the pool class only when it forks
         sizes = []
 
         class InProcessPool:
@@ -366,7 +367,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         traces = run_experiment(small_config(workers=1000))
         assert sizes == [2]
         assert [tr.run for tr in traces] == [0, 1]
@@ -1012,13 +1013,45 @@ class TestSvg:
             "svg_bytes(traces, PlotScale.LOGLOG)",
             "print(sorted(set(sys.modules) - before))",
         ])
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert run_python(code) == "[]"
+
+
+def run_python(code: str) -> str:
+    """Standard output of ``code`` in a fresh interpreter that imports the
+    package from this checkout's ``src``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestImports:
+    def test_only_a_run_that_forks_loads_the_pool(self):
+        """The process pool's modules (``multiprocessing``, ``socket``,
+        ``logging`` and more: 32 modules and 2 MB of RSS) load only for a
+        run with more than one worker and replication, so the import,
+        ``parse_config`` and a one-process run stay without them; a pooled
+        run then gives the same bytes."""
+        code = "\n".join([
+            "import json, sys",
+            "import uniprice",
+            "from uniprice import cli",
+            "from uniprice.harness import csv_bytes, run_experiment",
+            "def pool_modules():",
+            "    return sorted(m for m in sys.modules",
+            "                  if m.split('.')[0] in ('concurrent', 'multiprocessing'))",
+            "argv = ['--feedback', 'bandit', '--units', '2', '--values', '1.0,0.5',",
+            "        '--adversary', 'iid', '--horizon', '60', '--reps', '2', '--seed', '3']",
+            "one = csv_bytes(run_experiment(cli.parse_config(argv + ['--workers', '1'])))",
+            "serial = pool_modules()",
+            "two = csv_bytes(run_experiment(cli.parse_config(argv + ['--workers', '2'])))",
+            "print(json.dumps([serial, pool_modules(), one == two]))",
+        ])
+        serial, pooled, same_bytes = json.loads(run_python(code))
+        assert serial == []
+        assert {"concurrent.futures.process", "multiprocessing"} <= set(pooled)
+        assert same_bytes
