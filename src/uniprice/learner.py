@@ -74,16 +74,25 @@ class WeightState:
     ``w2`` is (2, n): ``log_w`` in row 0 and the same weights reversed in
     row 1, which each pass refreshes from row 0.  ``acc`` is (2, n): Gamma
     (``backward``) in row 0 and F reversed in row 1, so ``forward`` is the
-    view ``acc[1, ::-1]``.  ``log_w``, ``backward`` and ``forward`` are
-    views, ``rows`` holds the (bid, gap) row views of ``w2`` and ``acc``,
-    and ``scan`` the split views ``_suffix_scan`` reads; all are built
-    once, and the arrays are updated in place, never replaced.
-    ``init_state`` stores both stacks node-major, for speed (see there);
-    any memory order gives the same bits.  Each pass sets ``marg``, the
-    marginals, to a new array, and ``log_gamma0`` to the float log
-    Gamma_0.  A batch of B states, one per round, has (B, 2, n) stacks,
-    (B, n) views and ``marg`` and a (B, 1) ``log_gamma0``, each round's
-    entries bitwise its own state's.
+    view ``acc[1, ::-1]``.  ``init_state`` stores both stacks node-major,
+    for speed (see there); any memory order gives the same bits.  Each
+    pass sets ``marg``, the marginals, to a new array, and ``log_gamma0``
+    to the float log Gamma_0.  A batch of B states, one per round, has
+    (B, 2, n) stacks, (B, n) views and ``marg`` and a (B, 1)
+    ``log_gamma0``, each round's entries bitwise its own state's.
+
+    Every view that ``backward_pass``, ``_suffix_scan`` and
+    ``sample_path`` read or write is built here, once, for any leading
+    shape: ``log_w``, ``backward`` and ``forward``; ``flip``, the pair
+    that copies row 0 of ``w2`` reversed into row 1; ``scan``, the
+    ``_scan_views`` of the stacks; ``gap_copy``, per recomputed-row
+    count, the pair that copies those bid rows of ``acc`` into its gap
+    rows; ``ends``, the first bid row of each stack and a buffer for
+    their sum; ``walk``, the three 1-D operands of the walk's step log
+    probabilities, a buffer for them and its (K-1, 2M+1)[:, :M] view,
+    the gap rows.  The arrays are updated in place, never replaced, so
+    the views stay valid; a state built on row slices of a batch builds
+    its own.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -102,14 +111,26 @@ class WeightState:
     forward: np.ndarray = field(init=False)
     dirty_lo: int = field(init=False)
     dirty_hi: int = field(init=False)
-    rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    scan: tuple = field(init=False, repr=False)
+    flip: tuple = field(init=False, repr=False)
+    scan: list = field(init=False, repr=False)
+    gap_copy: list = field(init=False, repr=False)
+    ends: tuple = field(init=False, repr=False)
+    walk: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        g, m, n = self.graph, self.graph.inv_epsilon, self.graph.n_nodes
         self.log_w, self.backward = self.w2[..., 0, :], self.acc[..., 0, :]
         self.forward = self.acc[..., 1, ::-1]
-        self.rows = self.graph.rows(self.w2) + self.graph.rows(self.acc)
-        self.scan = _scan_views(self.rows[0], self.rows[1], self.rows[2])
+        (w_bid, w_gap), (a_bid, a_gap) = g.rows(self.w2), g.rows(self.acc)
+        self.flip = self.w2[..., 1, :], self.log_w[..., ::-1]
+        self.scan = _scan_views(w_bid, w_gap, a_bid)
+        self.gap_copy = [(a_gap[..., :rows, :], a_bid[..., :rows, :-1]) for rows in range(g.k)]
+        self.ends = w_bid[..., 0, :], a_bid[..., 0, :], np.empty_like(a_bid[..., 0, :])
+        lead = self.log_w.shape[:-1]
+        steps = np.empty(lead + (n - m - 1,))
+        gap_rows = steps.reshape(lead + (g.k - 1, 2 * m + 1))[..., :m]
+        gammas = self.backward[..., : n - m - 1], self.backward[..., 1 : n - m]
+        self.walk = (self.log_w[..., m + 1 :],) + gammas + (steps, gap_rows)
         self.mark_all_dirty()
 
     def mark_all_dirty(self) -> None:
@@ -127,28 +148,33 @@ def init_state(graph: PseudoGraph, rounds: int | None = None) -> WeightState:
     return WeightState(graph=graph, w2=np.zeros(shape).T, acc=np.full(shape, -np.inf).T)
 
 
-def _scan_views(w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> tuple:
-    """Split once what ``_suffix_scan`` reads, for the bid and gap row
-    views ``w_bid`` (..., K, M+1) and ``w_gap`` (..., K-1, M) of a node
-    array and the bid-row-shaped ``out``, and write 0 on ``out``'s last
-    row, which no scan writes again: the gap rows, a prefix buffer
-    (..., K-1, M+1) whose column 0 stays 0, and per gap row r the views
-    (w_bid[r+1], out[r+1], prefix[r], out[r]).  The prefix buffer takes
-    ``out``'s memory order, so on node-major stacks its row views are
-    contiguous blocks too."""
+def _scan_views(w_bid: np.ndarray, w_gap: np.ndarray, out: np.ndarray) -> list:
+    """Build once every view ``_suffix_scan`` reads or writes, for the bid
+    and gap row views ``w_bid`` (..., K, M+1) and ``w_gap`` (..., K-1, M)
+    of a node array and the bid-row-shaped ``out``, and write 0 on
+    ``out``'s last row, which no scan writes again.  Entry ``rows`` of
+    the list, 0..K-1, recomputes bid rows 0..rows-1: the gap rows
+    ``w_gap[:rows]``, where their prefix sums go (columns 1..M of a
+    prefix buffer (..., K-1, M+1) whose column 0 stays 0), and per gap
+    row r, last first, the views (w_bid[r+1], out[r+1], prefix[r],
+    out[r]).  The prefix buffer takes ``out``'s memory order, so on
+    node-major stacks its row views are contiguous blocks too."""
     out[..., -1, :] = 0.0
     prefix = np.zeros_like(out[..., :-1, :], order="K")
     steps = [
         (w_bid[..., r + 1, :], out[..., r + 1, :], prefix[..., r, :], out[..., r, :])
         for r in range(w_gap.shape[-2])
     ]
-    return w_gap, prefix, steps
+    return [
+        (w_gap[..., :rows, :], prefix[..., :rows, 1:], steps[:rows][::-1])
+        for rows in range(len(steps) + 1)
+    ]
 
 
-def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
-    """Fill ``out`` of ``views = _scan_views(w_bid, w_gap, out)`` with the
-    suffix recursion on a node array's row views: 0 on the last bid row,
-    and bid row r the ``op``-scan along gap row r of
+def _suffix_scan(op: np.ufunc, views: list, rows: int | None = None) -> None:
+    """Fill ``out`` of ``views = _scan_views(w_bid, w_gap, out)`` with
+    the suffix recursion on a node array's row views: 0 on the last
+    bid row, and bid row r the ``op``-scan along gap row r of
     ``w_bid[r+1] + out[r+1]``; leading axes are independent node arrays.
     ``np.logaddexp`` gives the weight-pushing passes, ``np.maximum`` the
     best path suffix.  Bid and gap nodes at the same (k, j) share
@@ -160,16 +186,16 @@ def _suffix_scan(op: np.ufunc, views: tuple, rows: int | None = None) -> None:
 
     Only bid rows 0..``rows``-1 (default: all) are recomputed; the rest,
     and the last row's 0 that ``_scan_views`` wrote, keep their values.
+    The ufuncs take ``out`` positionally, which numpy parses faster than
+    the keyword.
     """
-    w_gap, prefix, steps = views
-    if rows is None:
-        rows = len(steps)
-    w_gap[..., :rows, :].cumsum(axis=-1, out=prefix[..., :rows, 1:])
-    for w_next, out_next, pre, row in reversed(steps[:rows]):
-        np.add(w_next, out_next, out=row)
-        np.subtract(row, pre, out=row)
-        op.accumulate(row, axis=-1, out=row)
-        np.add(row, pre, out=row)
+    gaps, sums, steps = views[-1 if rows is None else rows]
+    np.add.accumulate(gaps, -1, None, sums)  # cumsum's loop, without the method's dispatch
+    for w_next, out_next, pre, row in steps:
+        np.add(w_next, out_next, row)
+        np.subtract(row, pre, row)
+        op.accumulate(row, -1, None, row)
+        np.add(row, pre, row)
 
 
 #: Largest gap between log Gamma_0 and the same total from the last bid row,
@@ -196,13 +222,16 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
     the two differ by more than ``_END_GAP``; a batch raises the message of
     its first failing round.  The reduce adds each row's terms left to
     right, whatever the memory order, so a batch's rounds keep the bits of
-    their one-state calls.
+    their one-state calls.  Every array it reads or writes is a view the
+    state built once (``flip``, ``scan``, ``gap_copy``, ``ends``).
     """
-    w_bid, _, a_bid, a_gap = state.rows
-    state.w2[..., 1, :] = state.log_w[..., ::-1]
+    flipped, log_w = state.flip
+    flipped[...] = log_w
     _suffix_scan(np.logaddexp, state.scan, rows)
-    a_gap[..., :rows, :] = a_bid[..., :rows, :-1]  # gap (k, j) shares bid (k, j)'s successors
-    totals = np.logaddexp.reduce(w_bid[..., 0, :] + a_bid[..., 0, :], axis=-1)
+    gaps, bids = state.gap_copy[rows]
+    gaps[...] = bids  # gap (k, j) shares bid (k, j)'s successors
+    w_first, a_first, first = state.ends
+    totals = np.logaddexp.reduce(np.add(w_first, a_first, first), -1)
     if totals.ndim > 1:  # a batch
         state.log_gamma0 = totals[:, :1]
         with np.errstate(invalid="ignore"):  # inf - inf in a failing round
@@ -257,28 +286,35 @@ def ensure_passes(state: WeightState) -> WeightState:
     lowest l, (2K-1-l)//2, need recomputing; the stacked scan recomputes
     the larger count in both, and the extra rows come out bit for bit as
     they were.  Log weights must be finite: one sum over the dirty range
-    checks them first, and ``WeightOverflow`` names a node that is -inf,
-    +inf or nan (in a batch, the first such node of the first such round).
+    checks them first (one ``math.isfinite`` when that range is one node
+    of one state, as after every bandit update), and ``WeightOverflow``
+    names a node that is -inf, +inf or nan (in a batch, the first such
+    node of the first such round).
     After the pass, ``_check_start_row`` raises ``WeightOverflow`` when
     the first bid row's new marginals do not sum to 1 within
     ``_END_GAP``.  A state that raises stays dirty, so every later call
     raises again.  A batch's error does not say which round failed: the
     harness replays a failing block round by round
     (``harness._full_information``)."""
-    g, lo, hi = state.graph, state.dirty_lo, state.dirty_hi
+    g, lo, hi, log_w = state.graph, state.dirty_lo, state.dirty_hi, state.log_w
     if lo <= hi:
-        changed = state.log_w[..., lo : hi + 1]
-        if not math.isfinite(np.add.reduce(changed, axis=None)):  # a finite sum has finite terms
-            bad = np.argwhere(~np.isfinite(changed))  # none if finite terms overflow
-            if len(bad):
-                at = tuple(bad[0].tolist())  # (i,) for one state, (round, i) for a batch
-                raise WeightOverflow(f"node {g.label(lo + at[-1])} has log weight {changed[at]}")
-        hi, lo = int(g.row[hi]), int(g.row[lo])
+        if lo == hi and log_w.ndim == 1:
+            if not math.isfinite(log_w.item(lo)):
+                raise WeightOverflow(f"node {g.label(lo)} has log weight {log_w.item(lo)}")
+        else:
+            changed = log_w[..., lo : hi + 1]
+            if not math.isfinite(np.add.reduce(changed, axis=None)):  # finite sum, finite terms
+                bad = np.argwhere(~np.isfinite(changed))  # none if finite terms overflow
+                if len(bad):
+                    at = tuple(bad[0].tolist())  # (i,) for one state, (round, i) for a batch
+                    label = g.label(lo + at[-1])
+                    raise WeightOverflow(f"node {label} has log weight {changed[at]}")
+        hi, lo = g.row.item(hi), g.row.item(lo)
         backward_pass(state, max((hi + 1) // 2, (2 * g.k - 1 - lo) // 2))
-        marg = np.add(state.log_w, state.forward)
-        marg += state.backward
-        marg -= state.log_gamma0
-        np.minimum(np.exp(marg, out=marg), 1.0, out=marg)
+        marg = np.add(log_w, state.forward)
+        np.add(marg, state.backward, marg)
+        np.subtract(marg, state.log_gamma0, marg)
+        np.minimum(np.exp(marg, marg), 1.0, out=marg)
         _check_start_row(marg[..., : g.inv_epsilon + 1])
         state.marg = marg
         state.dirty_lo, state.dirty_hi = g.n_nodes, -1
@@ -293,21 +329,26 @@ def marginals(state: WeightState) -> np.ndarray:
     return ensure_passes(state).marg
 
 
-def _steps(w_gap: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The log probability of every walk step: for gap rows ``w_gap``
-    (..., K-1, M) and the log Gamma ``gamma`` (..., K-1, M+1) of the bid
-    rows above them, entry j - 1 of a row is W(gap j-1) + Gamma(gap j-1)
-    - Gamma(bid j), the step from bid level j.  ``np.add`` then
-    ``np.subtract`` make the two float operations of that expression in
-    Python floats, so the bits are the same."""
-    steps = np.add(w_gap, gamma[..., :-1])
-    return np.subtract(steps, gamma[..., 1:], out=steps)
+def _steps(state: WeightState) -> list:
+    """The log probability of every walk step, as Python floats: entry
+    j - 1 of gap row r is W(gap j-1) + Gamma(gap j-1) - Gamma(bid j),
+    the step from level j of the bid row above it; a batch's list holds
+    one such (K-1, M) list per round.  Gap node i steps from bid node
+    i - M and shares Gamma with bid node i - M - 1, so one add and one
+    subtract on the 1-D node arrays from id M + 1 on (``state.walk``)
+    give each gap row at offset r(2M+1) of the walk's buffer, and its
+    gap-row view converts them once.  These are the two float operations
+    of the expression in Python floats, so the bits are the same."""
+    w_gap, gamma_bid, gamma_next, steps, gap_rows = state.walk
+    np.add(w_gap, gamma_bid, steps)
+    np.subtract(steps, gamma_next, steps)
+    return gap_rows.tolist()
 
 
 def _walk(j: int, steps: list, u: list) -> tuple[int, ...]:
     """The K levels of the walk from level ``j`` of bid row 1, as
     ``sample_path`` describes it: bid row r + 2 is reached down gap row
-    r + 1.5, whose step log probabilities (``_steps``) ``steps[r]``
+    r + 1.5, whose step log probabilities ``steps[r]`` (from ``_steps``)
     lists as Python floats, on the uniform ``u[r]``.  Each step taken
     costs one list read and one ``math.exp``."""
     levels = [j]
@@ -338,41 +379,33 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     W(gap) Gamma(gap) / Gamma(bid): it takes n steps iff u[r] is below the
     product of its first n step probabilities.  Bid and gap nodes at the
     same (k, j) share both successors and Gamma, so the walk only tracks
-    the level and reads Gamma(gap) from the bid row.  Gap node i steps
-    from bid node i - M and shares Gamma with bid node i - M - 1, so
-    ``_steps``' two float operations on the 1-D arrays from id M + 1 on
-    give each gap row at its offset in a (K-1, 2M+1) array, in less time
-    than on the row views; one conversion to Python floats, and ``_walk``
-    takes the steps.
+    the level and reads Gamma(gap) from the bid row.  ``_steps`` gives
+    every step's log probability, on the views and buffer the state
+    built once, and ``_walk`` takes the steps.
     """
-    m, n = state.graph.inv_epsilon, state.graph.n_nodes
-    probs = marginals(state)[: m + 1]
+    probs = marginals(state)[: state.graph.inv_epsilon + 1]
     u = rng.random(state.graph.k).tolist()
-    cum = probs.cumsum()
+    cum = np.add.accumulate(probs)  # cumsum's loop, without the method's dispatch
     j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):  # rounding left u[0] at or above the summed probabilities
         j = int(np.flatnonzero(probs)[-1])
-    steps = np.add(state.log_w[m + 1 :], state.backward[: n - m - 1])
-    np.subtract(steps, state.backward[1 : n - m], out=steps)
-    return _walk(j, steps.reshape(-1, 2 * m + 1)[:, :m].tolist(), u[1:])
+    return _walk(j, _steps(state), u[1:])
 
 
 def sample_paths(state: WeightState, u: np.ndarray) -> list[tuple[int, ...]]:
     """``sample_path`` on every round of a batch, round i on the uniforms
     ``u[i]`` of a (B, K) array: the start draws of the whole batch at
-    once from its marginals, one ``_steps`` call and one conversion to
-    Python floats for all its rounds, then each round's ``_walk``.
+    once from its marginals, one ``_steps`` call for all its rounds,
+    then each round's ``_walk``.
     Philox's ``random((B, K))`` equals B calls of ``random(K)``, so the
     walks are those of B ``sample_path`` calls, start-level fallback
     included; the earliest failing walk raises."""
     probs = marginals(state)[:, : state.graph.inv_epsilon + 1]
-    _, w_gap, b_bid, _ = state.rows
     cum = probs.cumsum(axis=-1)
     top = cum.shape[-1]
     starts = (cum <= u[:, :1]).sum(axis=-1)  # each row's searchsorted(u[i, 0], "right")
-    steps = _steps(w_gap[:, 0], b_bid[:, 0, :-1]).tolist()
     walks = []
-    for i, (j, row, x) in enumerate(zip(starts.tolist(), steps, u[:, 1:].tolist())):
+    for i, (j, row, x) in enumerate(zip(starts.tolist(), _steps(state), u[:, 1:].tolist())):
         if j == top:  # sample_path's fallback, on this round's probabilities
             j = int(np.flatnonzero(probs[i])[-1])
         walks.append(_walk(j, row, x))
@@ -432,7 +465,7 @@ def bandit_signal(node: int, utility: float, state: WeightState) -> EstimateVect
     p_node = float(marginals(state)[node])
     if p_node <= 0.0:
         raise ZeroMarginal(f"played node {g.label(node)} has zero inclusion probability")
-    return EstimateVector(np.array([node]), np.array([(utility - g.k) / p_node]))
+    return EstimateVector(g.ids[node : node + 1], np.array([(utility - g.k) / p_node]))
 
 
 def allwinner_signal(

@@ -78,7 +78,8 @@ class PseudoGraph:
         self.level = np.arange(self.n_nodes) - self.row_offset[self.row]
         self.alloc = self.row // 2 + 1  # the allocation floor(k) of each id
         self.levels = np.arange(m + 1) / max(m, 1)  # canonical grid prices
-        self._row_ids = np.split(np.arange(self.n_nodes), self.row_offset[1:-1])
+        self.ids = np.arange(self.n_nodes)  # shared: slices of it are read-only id arrays
+        self._row_ids = np.split(self.ids, self.row_offset[1:-1])
 
     def bid_ids(self, kk: int) -> np.ndarray:
         """Node ids of bid row k, levels 0..M.  Shared array; do not mutate."""

@@ -711,7 +711,7 @@ def new_state(g, order="node"):
     read or write is one contiguous block."""
     s = init_state(g)
     assert s.w2.T.flags.c_contiguous and s.acc.T.flags.c_contiguous
-    assert all(v.T.flags.c_contiguous for step in s.scan[-1] for v in step)
+    assert all(v.T.flags.c_contiguous for step in s.scan[-1][-1] for v in step)
     if order == "C":
         n = g.n_nodes
         s = WeightState(graph=g, w2=np.zeros((2, n)), acc=np.full((2, n), -np.inf))
@@ -740,22 +740,55 @@ def assert_full_pass_bits(s, order="node"):
     assert_same_draws(s, full)
 
 
+def update_batch(s, signal, scale):
+    """``update_weights`` on every round of the batch ``s`` at once, round
+    r's estimates times ``scale[r]``, and the dirty range widened to the
+    signal's ids as ``update_weights`` widens it."""
+    ids = sorted(signal)
+    s.log_w[:, ids] += np.outer(scale, [signal[i] for i in ids])
+    if ids:
+        s.dirty_lo, s.dirty_hi = min(s.dirty_lo, ids[0]), max(s.dirty_hi, ids[-1])
+
+
+def assert_batch_pass_bits(s, order, seed):
+    """A batch's Gamma, F, log Gamma_0 and marginals equal, byte for byte,
+    those of a new batch over copies of its log weights, its stacks
+    stored in ``order``, and both walk alike on the same uniforms."""
+    full = new_batch(s.graph, len(s.log_w), order)
+    full.log_w[...] = s.log_w
+    ensure_passes(full)
+    for name in ("backward", "forward", "log_gamma0", "marg"):
+        assert getattr(s, name).tobytes() == getattr(full, name).tobytes(), name
+    u = rng_from(seed).random((len(s.log_w), s.graph.k))
+    assert sample_paths(s, u) == sample_paths(full, u)
+
+
 class TestDirtyRows:
-    @given(update_runs(), st.sampled_from(ORDERS))
-    @example(_edge_updates(), "node")
-    @example(_edge_updates(), "C")
+    @given(update_runs(), st.sampled_from(ORDERS), st.sampled_from([None, 1, 3]), st.integers(1, 4))
+    @example(_edge_updates(), "node", None, 1)
+    @example(_edge_updates(), "C", None, 1)
+    @example(_edge_updates(), "C", 3, 4)
     @settings(max_examples=300, deadline=None)
-    def test_dirty_row_passes_equal_full_passes_bitwise(self, run, order):
-        # node-major dirty-row passes against full passes on stacks in ``order``
+    def test_dirty_row_passes_equal_full_passes_bitwise(self, run, order, rounds, cycles):
+        # node-major dirty-row passes, on one state or a batch of ``rounds``
+        # whose views were built once, through ``cycles`` runs of the
+        # updates, against full passes on new stacks in ``order``
         g, updates = run
-        s = init_state(g)
+        s = init_state(g, rounds)
         ensure_passes(s)
-        for n, (signal, passes) in enumerate(updates, 1):
-            update_weights(s, vector(signal), 1.0)
+        scale = None if rounds is None else np.linspace(1.0, 0.25, rounds)
+        for cycle, (n, (signal, passes)) in itertools.product(range(cycles), enumerate(updates, 1)):
+            if rounds is None:
+                update_weights(s, vector(signal), 1.0)
+            else:
+                update_batch(s, signal, scale)
             if not (passes or n == len(updates)):
                 continue
             ensure_passes(s)
-            assert_full_pass_bits(s, order)
+            if rounds is None:
+                assert_full_pass_bits(s, order)
+            else:
+                assert_batch_pass_bits(s, order, cycle * len(updates) + n)
 
     def test_a_direct_write_after_a_pass_needs_mark_all_dirty(self):
         g = build_graph(2, 3)
@@ -940,7 +973,7 @@ class TestWalk:
             assert sample_path(s, Uniforms(u[r].tolist())) == expected
             assert walks[r] == expected
             w_gap, gamma = g.rows(s.log_w)[1], g.rows(s.backward)[0][:-1]
-            steps, x = _steps(w_gap, gamma).tolist(), u[r, 1:].tolist()
+            steps, x = _steps(s), u[r, 1:].tolist()
             for j in range(m + 1):  # every start level
                 assert _walk(j, steps, x) == reference_walk(j, w_gap.tolist(), gamma.tolist(), x)
 
@@ -1491,6 +1524,27 @@ class TestEdgeCases:
                     with pytest.raises(WeightOverflow, match=rf"node {re.escape(node)} "):
                         call(s)
                     assert s.dirty_lo <= s.dirty_hi
+
+    @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
+    def test_one_node_check_raises_the_range_checks_line(self, value):
+        # one state's one-node dirty range (every bandit round) takes a
+        # scalar check: it raises the line of the range check, which a
+        # wider range and a batch take (here on its second round), and
+        # leaves the state dirty
+        g = build_graph(3, 4)
+        i = gap(g, 2, 1)
+        lines = []
+        for rounds, lo, hi in ((None, i, i), (None, i - 1, i + 2), (2, i, i)):
+            s = init_state(g, rounds)
+            ensure_passes(s)
+            (s.log_w if rounds is None else s.log_w[-1])[i] = value
+            s.dirty_lo, s.dirty_hi = lo, hi
+            for _ in range(2):
+                with pytest.raises(WeightOverflow) as raised:
+                    ensure_passes(s)
+                lines.append(str(raised.value))
+                assert (s.dirty_lo, s.dirty_hi) == (lo, hi)
+        assert set(lines) == {f"node h(2.5,1) has log weight {value}"}
 
     def test_finite_weights_whose_sum_overflows_pass_the_check(self):
         # the check's one sum overflows, yet every log weight is finite, so
