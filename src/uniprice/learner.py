@@ -17,9 +17,10 @@ signals and ``marginals`` read.  A batch of B states along a leading
 rounds axis runs these once, each round with the bits of its own call;
 full information's weights do not depend on the play, so the harness runs
 its learner that way, one batch for each block of adversary rounds.  A
-batch keeps no record of which round failed: the harness replays a
-failing block round by round.  Every mode's expected utilities come from
-one ``expectation`` call a block, on its rounds' marginals.
+pass checks one state and a batch on one path, round by round in Python
+floats; the error does not say which round failed, so the harness
+replays a failing block round by round.  Every mode's expected utilities
+come from one ``expectation`` call a block, on its rounds' marginals.
 
 A round's signal is an ``EstimateVector``: the strictly ascending ids of
 the nodes whose realized events (``pseudo_space.Events``) it credits, and
@@ -77,19 +78,21 @@ class WeightState:
     view ``acc[1, ::-1]``.  ``init_state`` stores both stacks node-major,
     for speed (see there); any memory order gives the same bits.  Each
     pass sets ``marg``, the marginals, to a new array, and ``log_gamma0``
-    to the float log Gamma_0.  A batch of B states, one per round, has
-    (B, 2, n) stacks, (B, n) views and ``marg`` and a (B, 1)
-    ``log_gamma0``, each round's entries bitwise its own state's.
+    to log Gamma_0, an ``np.float64``.  A batch of B states, one per
+    round, has (B, 2, n) stacks, (B, n) views and ``marg`` and a (B,)
+    ``log_gamma0`` (a view the next pass rewrites), each round's entries
+    bitwise its own state's.
 
     Every view that ``backward_pass``, ``_suffix_scan`` and
     ``sample_path`` read or write is built here, once, for any leading
     shape: ``log_w``, ``backward`` and ``forward``; ``flip``, the pair
     that copies row 0 of ``w2`` reversed into row 1; ``scan``, the
-    ``_scan_views`` of the stacks; ``gap_copy``, per recomputed-row
-    count, the pair that copies those bid rows of ``acc`` into its gap
-    rows; ``ends``, the first bid row of each stack and a buffer for
-    their sum; ``walk``, the three 1-D operands of the walk's step log
-    probabilities, a buffer for them and its (K-1, 2M+1)[:, :M] view,
+    ``_scan_views`` of the stacks; ``gap_copy``, the pair that copies
+    ``acc``'s bid rows into all its gap rows; ``ends``, the first bid row
+    of each stack, a buffer for their sum, and one for its two totals with
+    a (rounds, 2) view; ``start_sums``, a buffer for the start-row sums
+    and its 1-D view; ``walk``, the three 1-D operands of the walk's step
+    log probabilities, a buffer for them and its (K-1, 2M+1)[:, :M] view,
     the gap rows.  The arrays are updated in place, never replaced, so
     the views stay valid; a state built on row slices of a batch builds
     its own.
@@ -104,7 +107,7 @@ class WeightState:
     graph: PseudoGraph
     w2: np.ndarray
     acc: np.ndarray
-    log_gamma0: float = math.nan
+    log_gamma0: float | np.ndarray = math.nan
     marg: np.ndarray = field(init=False, repr=False)
     log_w: np.ndarray = field(init=False)
     backward: np.ndarray = field(init=False)
@@ -113,20 +116,24 @@ class WeightState:
     dirty_hi: int = field(init=False)
     flip: tuple = field(init=False, repr=False)
     scan: list = field(init=False, repr=False)
-    gap_copy: list = field(init=False, repr=False)
+    gap_copy: tuple = field(init=False, repr=False)
     ends: tuple = field(init=False, repr=False)
+    start_sums: tuple = field(init=False, repr=False)
     walk: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         g, m, n = self.graph, self.graph.inv_epsilon, self.graph.n_nodes
         self.log_w, self.backward = self.w2[..., 0, :], self.acc[..., 0, :]
         self.forward = self.acc[..., 1, ::-1]
+        lead = self.log_w.shape[:-1]
         (w_bid, w_gap), (a_bid, a_gap) = g.rows(self.w2), g.rows(self.acc)
         self.flip = self.w2[..., 1, :], self.log_w[..., ::-1]
         self.scan = _scan_views(w_bid, w_gap, a_bid)
-        self.gap_copy = [(a_gap[..., :rows, :], a_bid[..., :rows, :-1]) for rows in range(g.k)]
-        self.ends = w_bid[..., 0, :], a_bid[..., 0, :], np.empty_like(a_bid[..., 0, :])
-        lead = self.log_w.shape[:-1]
+        self.gap_copy = a_gap, a_bid[..., :-1, :-1]
+        first = np.empty_like(a_bid[..., 0, :])
+        totals, sums = np.empty_like(first[..., 0]), np.empty(lead)
+        self.ends = w_bid[..., 0, :], a_bid[..., 0, :], first, totals, totals.reshape(-1, 2)
+        self.start_sums = sums, sums.reshape(-1)
         steps = np.empty(lead + (n - m - 1,))
         gap_rows = steps.reshape(lead + (g.k - 1, 2 * m + 1))[..., :m]
         gammas = self.backward[..., : n - m - 1], self.backward[..., 1 : n - m]
@@ -215,65 +222,35 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
     leaves it out: F = 1 on the first bid row; elsewhere F(h) = sum over
     predecessors h' of W(h') F(h').  Predecessors are the reversed graph's
     successors, so F is Gamma of the reversed graph, kept reversed in row
-    1.  The same (2, M+1) sum gives the first bid row's W + Gamma in row 0
-    and the last bid row's W + F in row 1, and one ``np.logaddexp.reduce``
-    along its rows gives both totals: log Gamma_0 and the end check's,
-    which must match: ``WeightOverflow`` when log Gamma_0 is not finite or
-    the two differ by more than ``_END_GAP``; a batch raises the message of
-    its first failing round.  The reduce adds each row's terms left to
-    right, whatever the memory order, so a batch's rounds keep the bits of
-    their one-state calls.  Every array it reads or writes is a view the
-    state built once (``flip``, ``scan``, ``gap_copy``, ``ends``).
+    1.  Every gap row then takes its bid row's first M entries (a row not
+    recomputed gets the bits it holds).  The same (2, M+1) sum gives the
+    first bid row's W + Gamma in row 0 and the last bid row's W + F in
+    row 1, and one ``np.logaddexp.reduce`` along its rows gives both
+    totals: ``log_gamma0`` (``totals.T[0]``) and the end check's.  One
+    ``tolist`` gives every round's pair as Python floats, and the first
+    round whose two differ by more than ``_END_GAP`` (always so when log
+    Gamma_0 is not finite) raises ``WeightOverflow`` with its line.  The
+    reduce adds each row's terms left to right, whatever the memory
+    order, so a batch's rounds keep the bits of their one-state calls.
+    Every array it reads or writes is a view the state built once
+    (``flip``, ``scan``, ``gap_copy``, ``ends``).
     """
     flipped, log_w = state.flip
     flipped[...] = log_w
     _suffix_scan(np.logaddexp, state.scan, rows)
-    gaps, bids = state.gap_copy[rows]
+    gaps, bids = state.gap_copy
     gaps[...] = bids  # gap (k, j) shares bid (k, j)'s successors
-    w_first, a_first, first = state.ends
-    totals = np.logaddexp.reduce(np.add(w_first, a_first, first), -1)
-    if totals.ndim > 1:  # a batch
-        state.log_gamma0 = totals[:, :1]
-        with np.errstate(invalid="ignore"):  # inf - inf in a failing round
-            failed = np.flatnonzero(~(np.abs(totals[:, 1] - totals[:, 0]) <= _END_GAP))
-        if len(failed):
-            _check_ends(*totals[failed[0]].tolist())
-    else:
-        state.log_gamma0, log_end = totals.tolist()
-        _check_ends(state.log_gamma0, log_end)
+    w_first, a_first, first, totals, pairs = state.ends
+    np.logaddexp.reduce(np.add(w_first, a_first, first), -1, None, totals)
+    state.log_gamma0 = totals.T[0]
+    for log_g0, log_end in pairs.tolist():
+        if not abs(log_end - log_g0) <= _END_GAP:  # also when log Gamma_0 is not finite
+            if not math.isfinite(log_g0):
+                raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update")
+            raise WeightOverflow(
+                f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last"
+            )
     return state
-
-
-def _check_ends(log_g0: float, log_end: float) -> None:
-    """``WeightOverflow`` when log Gamma_0 is not finite or differs from
-    ``log_end``, the same total from the last bid row, by more than
-    ``_END_GAP``."""
-    if not math.isfinite(log_g0):
-        raise WeightOverflow(f"log Gamma_0 is {log_g0} after the weight update")
-    if not abs(log_end - log_g0) <= _END_GAP:
-        raise WeightOverflow(
-            f"log Gamma_0 is {log_g0} from the first bid row but {log_end} from the last"
-        )
-
-
-def _check_start_row(start: np.ndarray) -> None:
-    """``WeightOverflow`` when the first bid row's marginals ``start`` do
-    not sum to 1 within ``_END_GAP``: every action starts on that row, so
-    they are its start probabilities.  Huge log weights that tie many
-    paths can pass the end checks and still give such a row (K = 2,
-    M = 4, bid nodes at 1e16 and gap nodes at 0 sum it to 5).  A batch's
-    rows are summed as a C-order array, each with the bits of a 1-D sum,
-    and the first failing round's raises."""
-    if start.ndim > 1:
-        with np.errstate(invalid="ignore"):  # a nan sum fails
-            sums = np.add.reduce(np.ascontiguousarray(start), axis=-1)
-            failed = np.flatnonzero(~(np.abs(sums - 1.0) <= _END_GAP))
-        if not len(failed):
-            return
-        start = start[failed[0]]
-    total = float(np.add.reduce(start))
-    if not abs(total - 1.0) <= _END_GAP:
-        raise WeightOverflow(f"the first bid row's marginals sum to {total!r}, not 1")
 
 
 def ensure_passes(state: WeightState) -> WeightState:
@@ -289,12 +266,20 @@ def ensure_passes(state: WeightState) -> WeightState:
     checks them first (one ``math.isfinite`` when that range is one node
     of one state, as after every bandit update), and ``WeightOverflow``
     names a node that is -inf, +inf or nan (in a batch, the first such
-    node of the first such round).
-    After the pass, ``_check_start_row`` raises ``WeightOverflow`` when
-    the first bid row's new marginals do not sum to 1 within
-    ``_END_GAP``.  A state that raises stays dirty, so every later call
-    raises again.  A batch's error does not say which round failed: the
-    harness replays a failing block round by round
+    node of the first such round).  The marginals subtract log Gamma_0
+    through ``marg.T``, where it broadcasts as one value a round.
+
+    After the pass, the start-row check raises ``WeightOverflow`` when the
+    first bid row's new marginals, the start probabilities of every
+    action, do not sum to 1 within ``_END_GAP``: huge log weights that tie
+    many paths can pass the end checks and still give such a row (K = 2,
+    M = 4, bid nodes at 1e16 and gap nodes at 0 sum it to 5).  The rows
+    are summed as a C-order array, each with a 1-D sum's bits, and the
+    sums checked round by round as Python floats.  Each check runs on
+    every round before the next, and a batch raises, with its own
+    one-state line, the first round failing the first check that fails.
+    A state that raises stays dirty, so every later call raises again.
+    The harness replays a failing block round by round
     (``harness._full_information``)."""
     g, lo, hi, log_w = state.graph, state.dirty_lo, state.dirty_hi, state.log_w
     if lo <= hi:
@@ -313,9 +298,14 @@ def ensure_passes(state: WeightState) -> WeightState:
         backward_pass(state, max((hi + 1) // 2, (2 * g.k - 1 - lo) // 2))
         marg = np.add(log_w, state.forward)
         np.add(marg, state.backward, marg)
-        np.subtract(marg, state.log_gamma0, marg)
+        by_round = marg.T
+        np.subtract(by_round, state.log_gamma0, by_round)
         np.minimum(np.exp(marg, marg), 1.0, out=marg)
-        _check_start_row(marg[..., : g.inv_epsilon + 1])
+        sums, each = state.start_sums  # the start-row check
+        np.add.reduce(np.ascontiguousarray(marg[..., : g.inv_epsilon + 1]), -1, None, sums)
+        for total in each.tolist():
+            if not abs(total - 1.0) <= _END_GAP:
+                raise WeightOverflow(f"the first bid row's marginals sum to {total!r}, not 1")
         state.marg = marg
         state.dirty_lo, state.dirty_hi = g.n_nodes, -1
     return state

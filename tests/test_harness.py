@@ -468,6 +468,7 @@ class TestBlocks:
         ),
     }
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_bytes_do_not_depend_on_the_rows_per_block(self, name, monkeypatch):
         # full information's learner runs one batch a block: its walks see
@@ -500,6 +501,7 @@ class TestBlocks:
             assert batches == (blocks * config.replications if full else [])
         assert outputs[1:] == [outputs[0]] * 3
 
+    @pytest.mark.dispatch
     @pytest.mark.parametrize("eta", [1e30, 1e150, 1e308])
     def test_overflow_does_not_depend_on_the_rows_per_block(self, eta, monkeypatch):
         # one row a block is the per-round loop; longer blocks (the last one
@@ -702,6 +704,7 @@ class TestPerfbenchHooks:
         assert (tracer.counts["learner.signal.entries"] > 0) is not full
 
 
+@pytest.mark.dispatch
 class TestGoldenDigests:
     """sha256 of ``csv_bytes`` for fixed runs: a change meant to keep the
     output bytes must keep these.  They date from log Gamma_0 as one

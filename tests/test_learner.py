@@ -590,6 +590,7 @@ def _allwinner_x0():
     return build_graph(2, 4), BidProfile((0.8, 0.3)), BidProfile((0.0, 0.0))
 
 
+@pytest.mark.dispatch
 class TestSignalContract:
     """Every signal is an ``EstimateVector`` whose ids ascend strictly, so
     ``update_weights``' scatter-add drops no repeated id."""
@@ -763,6 +764,7 @@ def assert_batch_pass_bits(s, order, seed):
     assert sample_paths(s, u) == sample_paths(full, u)
 
 
+@pytest.mark.dispatch
 class TestDirtyRows:
     @given(update_runs(), st.sampled_from(ORDERS), st.sampled_from([None, 1, 3]), st.integers(1, 4))
     @example(_edge_updates(), "node", None, 1)
@@ -811,6 +813,7 @@ def _dip_in_gap_row_1_5():
     return g, log_w
 
 
+@pytest.mark.dispatch
 class TestStackedPasses:
     @given(weighted_graphs(), st.sampled_from(ORDERS))
     @example(_dip_in_gap_row_1_5(), "node")
@@ -947,6 +950,7 @@ class TestWalk:
             if expected is not None:  # u is not within 1e-9 of a boundary
                 assert sample_path(s, Uniforms(u)) == expected
 
+    @pytest.mark.dispatch
     @given(
         st.integers(1, 4), st.integers(0, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
         st.sampled_from([1.0, 40.0]),
@@ -1028,6 +1032,7 @@ def _one_unit(m):
     return g, BidProfile((0.3,)), BidProfile((float(g.levels[-1]),))
 
 
+@pytest.mark.dispatch
 class TestBatchedRounds:
     """A batch of states along a leading rounds axis, as full information
     runs its learner a block of rounds at a time, gives every round the
@@ -1048,7 +1053,7 @@ class TestBatchedRounds:
         batch = new_batch(g, rounds, order)
         batch.log_w[...] = table
         marg = marginals(batch)
-        assert batch.log_gamma0.shape == (rounds, 1)
+        assert batch.log_gamma0.shape == (rounds,)
         walks = sample_paths(batch, rng_from(seed).random((rounds, g.k)))
         draws = rng_from(seed)  # K uniforms a walk, as one (B, K) draw gives them
         # u[0] just below 1, at or above the summed start probabilities
@@ -1062,7 +1067,7 @@ class TestBatchedRounds:
             assert marginals(s).tobytes() == marg[r].tobytes()
             assert s.backward.tobytes() == batch.backward[r].tobytes()
             assert s.forward.tobytes() == batch.forward[r].tobytes()
-            assert np.float64(s.log_gamma0).tobytes() == batch.log_gamma0[r, 0].tobytes()
+            assert np.float64(s.log_gamma0).tobytes() == batch.log_gamma0[r].tobytes()
             assert sample_path(s, draws) == walks[r]
             assert sample_path(s, Uniforms(top[r].tolist())) == top_walks[r]
 
@@ -1093,7 +1098,60 @@ class TestBatchedRounds:
             batch = WeightState(graph=g, w2=w2, acc=acc)
             batch.log_w[...] = table
             ensure_passes(batch)
-            assert batch.log_gamma0[:, 0].tobytes() == np.array(one_row).tobytes()
+            assert batch.log_gamma0.tobytes() == np.array(one_row).tobytes()
+
+    def test_a_batch_raises_its_first_failing_rounds_one_state_line(self):
+        # K = 2, M = 4 rounds: one that passes and one failing each pass
+        # check: log Gamma_0 not finite (log weights at 1e308, whose sum
+        # overflows but whose terms are finite), the end gap (failing_batch's
+        # spread of 1e12) and the start row (bid nodes tied at 1e16).  Every
+        # round's end checks run in backward_pass, before any round's start
+        # row, so a batch raises the line of its first round that fails an
+        # end check, else of its first round that fails the start row
+        g = build_graph(2, 4)
+        passing = np.random.default_rng(1).normal(0.0, 1.0, g.n_nodes)
+        failing = [
+            np.full(g.n_nodes, 1e308),
+            np.random.default_rng(0).normal(0.0, 1e12, g.n_nodes),
+            np.where(g.row % 2 == 0, 1e16, 0.0),
+        ]
+        one_state = {}
+        for i, log_w in enumerate(failing):
+            s = init_state(g)
+            s.log_w[:] = log_w
+            with np.errstate(over="ignore"), pytest.raises(WeightOverflow) as raised:
+                ensure_passes(s)
+            one_state[i] = str(raised.value)
+        assert [one_state[i].split(" ")[:3] for i in range(3)] == [
+            ["log", "Gamma_0", "is"], ["log", "Gamma_0", "is"], ["the", "first", "bid"]
+        ]
+        # each failing round alone, first, in the middle and last; then
+        # every order of all four rounds
+        batches = [[i if r == at else None for r in range(3)] for i in range(3) for at in range(3)]
+        batches += itertools.permutations([None, 0, 1, 2])
+        for rounds in batches:
+            batch = init_state(g, len(rounds))
+            batch.log_w[...] = [passing if i is None else failing[i] for i in rounds]
+            end_failing = [i for i in rounds if i in (0, 1)]
+            first = end_failing[0] if end_failing else 2
+            for _ in range(2):
+                with np.errstate(over="ignore"), pytest.raises(WeightOverflow) as raised:
+                    ensure_passes(batch)
+                assert str(raised.value) == one_state[first], rounds
+                assert batch.dirty_lo <= batch.dirty_hi
+        # a passing batch: log Gamma_0 has one entry a round, each bitwise
+        # its one-state np.float64
+        table = np.random.default_rng(2).normal(0.0, 3.0, (3, g.n_nodes))
+        batch = init_state(g, 3)
+        batch.log_w[...] = table
+        ensure_passes(batch)
+        assert batch.log_gamma0.shape == (3,)
+        for r in range(3):
+            s = init_state(g)
+            s.log_w[:] = table[r]
+            ensure_passes(s)
+            assert type(s.log_gamma0) is np.float64
+            assert s.log_gamma0.tobytes() == batch.log_gamma0[r].tobytes()
 
     def test_a_batch_falls_back_to_the_highest_positive_level(self):
         # TestSampler's state, whose top start level has probability 0 and
@@ -1190,6 +1248,7 @@ class TestPassTable:
     """Each pass computes the marginals once, as ``WeightState.marg``; the
     start draws, both signals and ``marginals`` read that one table."""
 
+    @pytest.mark.dispatch
     @given(st.integers(1, 4), st.integers(0, 8), st.data())
     @settings(max_examples=100, deadline=None)
     def test_the_samplers_start_where_the_pass_table_says(self, k, m, data):
@@ -1333,6 +1392,7 @@ class TestBlockProperties:
         ]
         assert event_utilities(events, v, offset).tobytes() == np.concatenate(per_round).tobytes()
 
+    @pytest.mark.dispatch
     @given(weighted_stacks(), st.sampled_from(ORDERS))
     @example(_mixed_chain_stack(), "node")
     @example(_mixed_chain_stack(), "C")
@@ -1383,6 +1443,7 @@ class TestExpectedUtility:
         path = (bid(g, 1, 0),)
         assert expected_utility(s, beta, v) == path_utility(path, beta, v, g)
 
+    @pytest.mark.dispatch
     @given(
         st.lists(
             st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)), max_size=12),

@@ -35,6 +35,9 @@ from uniprice.harness import resolve_parameters
 from uniprice.oracle import brute_observation_probability
 from test_learner import inverted_levels, levels_of
 
+# every CSV column from the scalar rules: CI reruns it without numpy's AVX-512 loops
+pytestmark = pytest.mark.dispatch
+
 
 def reference_signal(mode, path, outcome, beta, values, log_w, law, g):
     """The round's estimates from the scalar references: every firing
