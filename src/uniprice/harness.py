@@ -35,7 +35,14 @@ from .learner import (
     update_weights,
 )
 from .oracle import best_fixed_total
-from .pseudo_space import build_graph, event_utilities, firing_set, realized_event
+from .pseudo_space import (
+    Events,
+    build_graph,
+    event_utilities,
+    firing_set,
+    realized_event,
+    realized_events,
+)
 
 
 class TieMode(enum.Enum):
@@ -151,17 +158,19 @@ def _running(start, events, values):
 
 def _full_information(batch, log_w, events, w_node, eta, rng):
     """Full information's learner half for a block of B rounds: their
-    sampled levels, their (B, n) marginals and the log weights after
-    their updates.
+    sampled levels, a (B, K) int array, their (B, n) marginals and the
+    log weights after their updates.
 
     Round i samples from row i of ``_running(log_w, events, eta *
     w_node)``, the log weights the per-round ``update_weights`` calls
     would leave, and row B is the next block's start.  The rounds run as
     one ``batch`` of learner states (its first rows for a short block),
-    with one (B, K) draw of ``rng``.  When the batch fails, its rounds
-    are replayed in order as batches of one, passes and walk each, so
-    the error raised is the earliest failing round's own, as a per-round
-    loop would raise."""
+    with one (B, K) draw of ``rng``: one pass and one ``sample_paths``
+    block walk, which replays through ``_walk`` only the rounds whose
+    comparisons an ulp of ``exp`` could turn.  When the passes fail, the
+    rounds are replayed in order as batches of one, passes and walk
+    each, so the error raised is the earliest failing round's own, walk
+    errors included, as a per-round loop would raise."""
     g = batch.graph
     b = len(events.starts) - 1
     if b < len(batch.log_w):
@@ -179,22 +188,41 @@ def _full_information(batch, log_w, events, w_node, eta, rng):
     return sample_paths(batch, u), margs, table[b]
 
 
+def _played_events(levels, block, node_block, offset, graph) -> Events:
+    """Full information's block outcome: each round's realized event for
+    the played ``levels`` against ``node_block`` (``realized_events``),
+    priced in market terms.  In perturb mode (``offset`` not None) the
+    learner's bids sit offset higher, capped at 1, and an adversary's
+    price is its raw bid in ``block``, never (beta - offset) + offset: the
+    per-round loop's market price, bit for bit.  ``event_utilities`` of
+    the result gives each round's market utility, bitwise its
+    ``utility_sum``."""
+    played = realized_events(levels, node_block, graph)
+    if offset is None:
+        return played
+    learner_sets = (played.alloc > 0) & (graph.row[played.ids] % 2 == 0)
+    rivals = block[np.arange(len(block)), graph.k - 1 - played.alloc]
+    market = np.where(learner_sets, np.minimum(played.price + offset, 1.0), rivals)
+    return Events(played.ids, played.alloc, market)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     """One replication in two halves.  Against an oblivious adversary the
     firing events, their sub-utilities, the node totals and the hindsight
     comparator depend only on the adversary's (T, K) block, so they are
     computed a block of rounds at a time, before those rounds run; under
-    full information so are the learner's weights, passes, marginals and
-    walks, as one batch a block (``_full_information``).  The learner's
-    loop then runs each round's in-order work only: its levels and
-    marginals (bandit and all-winner sample and take them round by round,
-    as their weights depend on the play), the outcome and bandit's node
-    from ``realized_event`` on the played levels, with no clearing, the
-    utility and, for bandit and all-winner, the signal and the weight
-    update.  It records each round's market utility, price and
-    allocation, and bandit and all-winner keep a reference to each
-    round's marginals (each pass sets a new array).  After the loop one
+    full information so is the whole learner half, as block steps:
+    ``_full_information``'s passes, marginals and walks, then
+    ``_played_events`` and ``event_utilities`` for each round's outcome
+    and market utility, with no per-round Python.  Bandit's and
+    all-winner's weights depend on the play, so their learner half is a
+    loop that runs each round's in-order work: the levels and marginals,
+    the outcome and the node from ``realized_event`` on the played
+    levels, with no clearing, the utility from ``utility_sum``, the
+    signal and the weight update.  It records each round's market
+    utility, price and allocation, and keeps a reference to each round's
+    marginals (each pass sets a new array).  After the learner half one
     block step fills the columns: the expected utilities from one
     ``expectation`` call on the rounds' marginals, the rest by slices.
     The cumulative regret is the comparator minus one cumsum of the
@@ -245,34 +273,35 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
         cum_regret[t0:t1] = best_fixed_total(totals[1:], graph)
         del totals  # the largest table, freed before the next block allocates its own
 
-        # learner half, in round order: the played action's realized event
-        # gives the outcome, and bandit and all-winner update their weights
+        # learner half: full information's as block steps, bandit's and
+        # all-winner's in round order, as their weights depend on the play
         if full:
-            paths, margs, state.log_w[:] = _full_information(
+            levels, margs, state.log_w[:] = _full_information(
                 batch, state.log_w, events, w_node, eta, rng_learn
             )
+            played = _played_events(levels, block, node_block, offset if perturb else None, graph)
+            utilities = event_utilities(played, values)
+            market_prices, xs = played.price, played.alloc
         else:
             margs, starts = [], events.starts.tolist()
-        market_rows = block.tolist()
-        node_rows = node_block.tolist() if perturb else market_rows
-        utilities, market_prices, xs = [], [], []
-        for i in range(len(block)):
-            if full:
-                levels = paths[i]
-            else:
+            market_rows = block.tolist()
+            node_rows = node_block.tolist() if perturb else market_rows
+            utilities, market_prices, xs = [], [], []
+            for i in range(len(block)):
                 levels = sample_path(state, rng_learn)
                 margs.append(marginals(state))
-            bids = [level_prices[j] for j in levels]
-            node, x, price = realized_event(levels, bids, node_rows[i], graph)
-            utility = utility_sum(values.values, x, price)
-            market_price, market_utility = price, utility
-            if perturb:
-                # the learner's bids sit offset higher, capped at 1; an adversary's
-                # price is its raw bid, never (beta - offset) + offset
-                learner_sets = x and graph.row[node] % 2 == 0
-                market_price = min(price + offset, 1.0) if learner_sets else market_rows[i][-1 - x]
-                market_utility = utility_sum(values.values, x, market_price)
-            if not full:
+                bids = [level_prices[j] for j in levels]
+                node, x, price = realized_event(levels, bids, node_rows[i], graph)
+                utility = utility_sum(values.values, x, price)
+                market_price, market_utility = price, utility
+                if perturb:
+                    # the learner's bids sit offset higher, capped at 1; an adversary's
+                    # price is its raw bid, never (beta - offset) + offset
+                    learner_sets = x and graph.row[node] % 2 == 0
+                    market_price = (
+                        min(price + offset, 1.0) if learner_sets else market_rows[i][-1 - x]
+                    )
+                    market_utility = utility_sum(values.values, x, market_price)
                 beta = BidProfile(tuple(node_rows[i]))
                 fb = make_feedback(config.feedback, AuctionOutcome(price, x, utility), beta)
                 if config.feedback is FeedbackMode.BANDIT:
@@ -281,12 +310,12 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
                     a, b = starts[i], starts[i + 1]
                     signal = allwinner_signal(fb, events[a:b], w_node[a:b], state)
                 update_weights(state, signal, eta)
-            utilities.append(market_utility)
-            market_prices.append(market_price)
-            xs.append(x)
+                utilities.append(market_utility)
+                market_prices.append(market_price)
+                xs.append(x)
 
         # the block's accounting: exact expected utilities in market terms,
-        # from each round's marginals, and the columns the loop recorded
+        # from each round's marginals, and the columns the learner half made
         expected[t0:t1] = expectation(margs if full else np.stack(margs), events, w_market)
         realized[t0:t1] = utilities
         prices[t0:t1] = market_prices

@@ -16,7 +16,8 @@ Each pass also computes the marginals, which the walks' start draws, the
 signals and ``marginals`` read.  A batch of B states along a leading
 rounds axis runs these once, each round with the bits of its own call;
 full information's weights do not depend on the play, so the harness runs
-its learner that way, one batch for each block of adversary rounds.  A
+its learner that way, one batch for each block of adversary rounds, and
+``sample_paths`` walks a batch's rounds together as array operations.  A
 pass checks one state and a batch on one path, round by round in Python
 floats; the error does not say which round failed, so the harness
 replays a failing block round by round.  Every mode's expected utilities
@@ -40,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     HorizonTooShort,
@@ -319,20 +321,20 @@ def marginals(state: WeightState) -> np.ndarray:
     return ensure_passes(state).marg
 
 
-def _steps(state: WeightState) -> list:
-    """The log probability of every walk step, as Python floats: entry
-    j - 1 of gap row r is W(gap j-1) + Gamma(gap j-1) - Gamma(bid j),
-    the step from level j of the bid row above it; a batch's list holds
-    one such (K-1, M) list per round.  Gap node i steps from bid node
-    i - M and shares Gamma with bid node i - M - 1, so one add and one
-    subtract on the 1-D node arrays from id M + 1 on (``state.walk``)
-    give each gap row at offset r(2M+1) of the walk's buffer, and its
-    gap-row view converts them once.  These are the two float operations
-    of the expression in Python floats, so the bits are the same."""
+def _steps(state: WeightState) -> np.ndarray:
+    """The log probability of every walk step: entry j - 1 of gap row r
+    is W(gap j-1) + Gamma(gap j-1) - Gamma(bid j), the step from level j
+    of the bid row above it, in the (K-1, M) gap-row view of the walk's
+    buffer ((B, K-1, M) for a batch), which the next call rewrites.  Gap
+    node i steps from bid node i - M and shares Gamma with bid node
+    i - M - 1, so one add and one subtract on the 1-D node arrays from id
+    M + 1 on (``state.walk``) give each gap row at offset r(2M+1) of the
+    buffer.  These are the two float operations of the expression in
+    Python floats, so the bits are the same."""
     w_gap, gamma_bid, gamma_next, steps, gap_rows = state.walk
     np.add(w_gap, gamma_bid, steps)
     np.subtract(steps, gamma_next, steps)
-    return gap_rows.tolist()
+    return gap_rows
 
 
 def _walk(j: int, steps: list, u: list) -> tuple[int, ...]:
@@ -371,7 +373,8 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     same (k, j) share both successors and Gamma, so the walk only tracks
     the level and reads Gamma(gap) from the bid row.  ``_steps`` gives
     every step's log probability, on the views and buffer the state
-    built once, and ``_walk`` takes the steps.
+    built once, one ``tolist`` converts them, and ``_walk`` takes the
+    steps.
     """
     probs = marginals(state)[: state.graph.inv_epsilon + 1]
     u = rng.random(state.graph.k).tolist()
@@ -379,27 +382,69 @@ def sample_path(state: WeightState, rng: np.random.Generator) -> tuple[int, ...]
     j = int(cum.searchsorted(u[0], side="right"))
     if j == len(cum):  # rounding left u[0] at or above the summed probabilities
         j = int(np.flatnonzero(probs)[-1])
-    return _walk(j, _steps(state), u[1:])
+    return _walk(j, _steps(state).tolist(), u[1:])
 
 
-def sample_paths(state: WeightState, u: np.ndarray) -> list[tuple[int, ...]]:
+#: The block walk's replay bounds: u within a relative _NEAR of a product
+#: or below _FLOOR, and a product above _HUGE.
+_NEAR = 2.0**-32
+_FLOOR = 2.0**-500
+_HUGE = 2.0**512
+
+
+def sample_paths(state: WeightState, u: np.ndarray) -> np.ndarray:
     """``sample_path`` on every round of a batch, round i on the uniforms
-    ``u[i]`` of a (B, K) array: the start draws of the whole batch at
-    once from its marginals, one ``_steps`` call for all its rounds,
-    then each round's ``_walk``.
-    Philox's ``random((B, K))`` equals B calls of ``random(K)``, so the
-    walks are those of B ``sample_path`` calls, start-level fallback
-    included; the earliest failing walk raises."""
-    probs = marginals(state)[:, : state.graph.inv_epsilon + 1]
-    cum = probs.cumsum(axis=-1)
-    top = cum.shape[-1]
-    starts = (cum <= u[:, :1]).sum(axis=-1)  # each row's searchsorted(u[i, 0], "right")
-    walks = []
-    for i, (j, row, x) in enumerate(zip(starts.tolist(), _steps(state), u[:, 1:].tolist())):
-        if j == top:  # sample_path's fallback, on this round's probabilities
-            j = int(np.flatnonzero(probs[i])[-1])
-        walks.append(_walk(j, row, x))
-    return walks
+    ``u[i]`` of a (B, K) array, as a (B, K) int array of bid levels, bit
+    for bit (Philox's ``random((B, K))`` equals B calls of ``random(K)``).
+
+    The start levels come from the batch's marginals at once, fallback
+    included.  Each gap row then walks every round at once: from level j,
+    the step log probabilities (``_steps``) at j - 1 - arange(M+1), 0
+    probability past level 0, are one window of a reversed copy of the
+    row; one ``np.exp`` and one ``np.multiply.accumulate`` give
+    ``_walk``'s products ``p *= math.exp(...)`` in its order, and the
+    first column where u >= the product counts the steps taken.
+
+    ``np.exp`` may differ from ``math.exp`` by an ulp or so, with numpy's
+    dispatch, and a product by M times that.  So a round replays through
+    ``_walk``, on its steps as Python floats, when any product of its
+    row lies within a relative 2**-32 of u, u lies below 2**-500 (where
+    products underflow), or a product exceeds 2**512 or is not a number.
+    Any other comparison comes out as ``_walk``'s (for M below 2**18),
+    under every dispatch.  A reached step follows products above u, so a
+    step that overflows ``math.exp`` (log probability 709.78 or more)
+    lifts its product above 2**512: replays run in round order, so the
+    earliest such walk raises ``_walk``'s ``WeightOverflow``, and a round
+    that does not reach its overflowing step does not raise."""
+    g, m = state.graph, state.graph.inv_epsilon
+    probs = marginals(state)[:, : m + 1]
+    j = (probs.cumsum(axis=-1) <= u[:, :1]).sum(axis=-1)  # searchsorted(u[i, 0], "right")
+    top = np.flatnonzero(j == m + 1)  # sample_path's fallback, on those rounds' probabilities
+    j[top] = m - (probs[top, ::-1] != 0).argmax(axis=-1)
+    levels = np.empty(u.shape, dtype=int)
+    levels[:, 0] = j
+    steps = _steps(state)
+    # a gap row reversed, then M + 1 steps of probability 0: the steps from
+    # level j down are the M + 1 entries from column M - j on
+    down = np.full((len(u), 2 * m + 1), -np.inf)
+    windows = as_strided(down, (len(u), m + 1, m + 1), down.strides + down.strides[1:])
+    rounds = np.arange(len(u))
+    replay = (u[:, 1:] < _FLOOR).any(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(g.k - 1):
+            down[:, :m] = steps[:, r, ::-1]
+            p = windows[rounds, m - j]
+            np.multiply.accumulate(np.exp(p, p), -1, None, p)
+            x = u[:, r + 1, None]
+            n = (x >= p).argmax(axis=-1)  # level 0's next column holds 0
+            unsafe = np.abs(x - p) <= p * _NEAR
+            unsafe |= ~(p <= _HUGE)
+            replay |= unsafe.any(axis=-1)
+            j = j - np.minimum(n, j)  # n > j only where a product is nan: replayed
+            levels[:, r + 1] = j
+    for i in np.flatnonzero(replay).tolist():
+        levels[i] = _walk(levels.item(i, 0), steps[i].tolist(), u[i, 1:].tolist())
+    return levels
 
 
 def path_log_probability(state: WeightState, path: PseudoPath) -> float:

@@ -26,8 +26,9 @@ accounting, the signals and the weight update consume; ``event_utilities``
 gives all their sub-utilities at once, and ``_observed`` is the one
 statement of which events all-winner feedback reveals.  ``realized_event``
 gives the played action's one realized event, and so the round's outcome,
-from its levels alone.  Per-node arrays, and stacks of them, are read row
-by row through ``PseudoGraph.rows``.
+from its levels alone; ``realized_events`` gives a block's at once.
+Per-node arrays, and stacks of them, are read row by row through
+``PseudoGraph.rows``.
 """
 
 from __future__ import annotations
@@ -386,7 +387,9 @@ def zero_event_set(beta_k: float, graph: PseudoGraph) -> Events:
 def realized_event(levels, bids, beta, graph: PseudoGraph) -> tuple[int, int, float]:
     """The one realized event of the grid action with bid ``levels``,
     priced ``bids``, against K off-grid non-increasing bids ``beta``: its
-    node id, allocation x and price, bitwise the LAB clearing's.
+    node id, allocation x and price, bitwise the LAB clearing's.  The
+    harness calls it once a round under bandit and all-winner feedback;
+    ``realized_events`` is the same rule on a block of rounds.
 
     x = #{k : b_k > beta_{K+1-k}}, the first k where the test fails, as
     b_k - beta_{K+1-k} falls with k; bids tied at b_x count up to x, LAB's
@@ -404,6 +407,36 @@ def realized_event(levels, bids, beta, graph: PseudoGraph) -> tuple[int, int, fl
         return int(graph.bid_ids(x)[levels[x - 1]]), x, bids[x - 1]
     p = beta[-1 - x]
     return int(graph.gap_ids(x)[graph.levels.searchsorted(p) - 1]), x, p
+
+
+def realized_events(levels: np.ndarray, beta: np.ndarray, graph: PseudoGraph) -> Events:
+    """``realized_event`` on every round of a block: the played bid
+    ``levels`` and the off-grid profiles ``beta`` are (B, K) arrays, and
+    round i's (id, x, price) is entry i of the ``Events``, bitwise
+    ``realized_event``'s on that row (its bids are ``graph.levels`` at
+    the levels).  x takes K column steps, each keeping the rounds whose
+    bids so far all beat their adversary bid; the node and price then
+    follow ``realized_event``'s cases, with beta_0 = +inf as a last
+    column of the reversed profiles.  A gap node's price, beta_{K-x},
+    lies above bid x + 1, a level, so its band, ``searchsorted`` - 1, is
+    never negative."""
+    k, m = graph.k, graph.inv_epsilon
+    bids = graph.levels[levels]
+    rounds = np.arange(len(bids))
+    against = np.full((len(bids), k + 1), np.inf)
+    against[:, :k] = beta[:, ::-1]  # column c: beta_{K-c}, the bid b_{c+1} must beat
+    x = np.zeros(len(bids), dtype=int)
+    beats = np.ones(len(bids), dtype=bool)
+    for c in range(k):
+        beats &= bids[:, c] > against[:, c]
+        x += beats
+    last = np.maximum(x - 1, 0)  # bid x's column; bid 1's at x = 0
+    bid, above = bids[rounds, last], against[rounds, x]
+    on_bid = bid < above
+    sets = on_bid & (x > 0)  # the learner's bid b_x sets the price
+    gap = m + graph.levels.searchsorted(above)  # gap row x+1/2 starts M+1 ids after bid row x
+    ids = last * (2 * m + 1) + np.where(on_bid | (x == 0), levels[rounds, last], gap)
+    return Events(ids, x, np.where(sets, bid, above))
 
 
 def firing_set(bids, graph: PseudoGraph) -> Events:

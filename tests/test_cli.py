@@ -424,28 +424,30 @@ class TestMain:
         assert err == f"error: eta={float(eta):g} is too large: {line}\n"
 
     def test_an_earlier_rounds_walk_fails_first(self, capsys, monkeypatch):
-        # at eta = 1e30 the passes of round 9 fail; a walk that fails in
-        # round 3 of the same block must raise first, as a per-round loop
-        # would
+        # at eta = 1e30 the passes of round 9 fail, and the block replays its
+        # rounds one by one; when round 3's steps overflow (every step's log
+        # probability set to 1000 in its walk buffer), its block walk
+        # replays it through _walk, whose error must come first, as a
+        # per-round loop would raise it
         from uniprice import learner
-        from uniprice.errors import WeightOverflow
 
-        walk, walks = learner._walk, []
+        steps, calls = learner._steps, []
 
-        def failing(*args):
-            walks.append(args)
-            if len(walks) == 3:
-                raise WeightOverflow("a walk step's log probability overflows")
-            return walk(*args)
+        def overflowing(state):
+            rows = steps(state)
+            calls.append(len(rows))
+            if len(calls) == 3:
+                rows[...] = 1000.0
+            return rows
 
-        monkeypatch.setattr(learner, "_walk", failing)
+        monkeypatch.setattr(learner, "_steps", overflowing)
         argv = [
             "--units", "2", "--horizon", "100", "--values", "1,0.5",
             "--adversary", "iid", "--seed", "1", "--feedback", "full", "--eta", "1e30",
         ]
         err = self.assert_one_line_error(argv, capsys)
         assert err == "error: eta=1e+30 is too large: a walk step's log probability overflows\n"
-        assert len(walks) == 3
+        assert calls == [1, 1, 1]  # rounds 1 to 3, each a batch of one
 
     @pytest.mark.parametrize("eta", ["1e20", "1e300"])
     def test_vanishing_observation_probability_exits_2_naming_eta(

@@ -58,6 +58,8 @@ from uniprice.harness import CSV_HEADER, csv_bytes, resolve_parameters, svg_byte
 from uniprice.learner import EstimateVector, default_parameters
 from uniprice.pseudo_space import event_utilities
 
+from test_learner import walk_calls
+
 
 IID2 = AdversarySpec(AdversaryKind.IID_UNIFORM, 2)
 
@@ -608,7 +610,10 @@ class TestBenchmarkContract:
     their arguments; these checks fail when harness stops calling them the
     way the traced benchmark counts.  Full information runs its learner a
     block of rounds at a time: it calls neither ``make_feedback`` nor
-    ``update_weights``, and its passes run once per block."""
+    ``update_weights``, its passes run once per block, and its walks and
+    outcomes are block steps, so it calls ``utility_sum`` and
+    ``learner._walk`` only for rounds its block walk replays (none in
+    these runs); bandit and all-winner call each once a round."""
 
     @pytest.mark.parametrize("mode", list(FeedbackMode))
     def test_traced_run_counts_rounds_nodes_and_entries(self, mode, monkeypatch):
@@ -641,6 +646,7 @@ class TestBenchmarkContract:
 
         monkeypatch.setattr(harness, "firing_set", spy_firing_set)
         monkeypatch.setattr(harness, "make_feedback", spy_make_feedback)
+        walks = walk_calls(monkeypatch)
         tracer = _load_tracer()()
         tracer.install()
         try:
@@ -653,6 +659,8 @@ class TestBenchmarkContract:
         rounds = 0 if mode is FeedbackMode.FULL_INFORMATION else 64
         assert calls["feedback.make_feedback"] == rounds
         assert calls["learner.update_weights"] == rounds
+        assert tracer.counts["auction_core.utility_sum"] == rounds
+        assert len(walks) == rounds
         assert calls["learner.ensure_passes"] >= max(rounds, 1)
         tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
         assert tracer.counts["pseudo_space.firing_set.nodes"] == expected["nodes"]
@@ -666,9 +674,11 @@ class TestPerfbenchHooks:
     ``auction_core.clear_auction`` is still patched but no round calls it:
     ``realized_event`` gives the outcome, so its figure reads 0.  Full
     information's learner batches call neither ``sample_path``,
-    ``update_weights`` nor ``make_feedback``; the benchmark needs those two
-    last called equally often, for the signal gap, and ``ensure_passes``
-    called at least once, for the recompute ratio."""
+    ``update_weights`` nor ``make_feedback``, and its block outcome calls
+    no ``utility_sum``, so ``auction_core.utility_sum.calls_per_round``
+    reads 0 there; the benchmark needs ``update_weights`` and
+    ``make_feedback`` called equally often, for the signal gap, and
+    ``ensure_passes`` called at least once, for the recompute ratio."""
 
     BLOCKED = {"learner.sample_path", "learner.update_weights", "feedback.make_feedback"}
 
@@ -702,6 +712,7 @@ class TestPerfbenchHooks:
         tracer.gap(0, n_spans, "feedback.make_feedback", "learner.update_weights")
         assert tracer.counts["learner.backward_pass"] > 0
         assert (tracer.counts["learner.signal.entries"] > 0) is not full
+        assert (tracer.counts["auction_core.utility_sum"] > 0) is not full
 
 
 @pytest.mark.dispatch

@@ -761,7 +761,7 @@ def assert_batch_pass_bits(s, order, seed):
     for name in ("backward", "forward", "log_gamma0", "marg"):
         assert getattr(s, name).tobytes() == getattr(full, name).tobytes(), name
     u = rng_from(seed).random((len(s.log_w), s.graph.k))
-    assert sample_paths(s, u) == sample_paths(full, u)
+    assert sample_paths(s, u).tobytes() == sample_paths(full, u).tobytes()
 
 
 @pytest.mark.dispatch
@@ -952,14 +952,17 @@ class TestWalk:
 
     @pytest.mark.dispatch
     @given(
-        st.integers(1, 4), st.integers(0, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
+        st.integers(1, 4), st.integers(0, 64), st.integers(1, 4), st.integers(0, 2**32 - 1),
         st.sampled_from([1.0, 40.0]),
     )
     @example(2, 40, 3, 11, 40.0)
     @example(2, 2, 1, 0, 1.0)
+    @example(2, 64, 4, 1, 1.0)
+    @example(4, 64, 3, 2, 40.0)
     @settings(max_examples=200, deadline=None)
     def test_walk_on_steps_is_the_per_step_reference(self, k, m, rounds, seed, scale):
-        # random states, one state and a batch of them; every third round's
+        # random states, one state and a batch of them, whose block walk
+        # (sample_paths) must equal each round's _walk; every third round's
         # u[0] sits just below 1, at or above the summed start
         # probabilities about half the time: the start-level fallback
         g = build_graph(k, m)
@@ -975,9 +978,9 @@ class TestWalk:
             s.log_w[:] = table[r]
             expected = reference_path(s, u[r].tolist())
             assert sample_path(s, Uniforms(u[r].tolist())) == expected
-            assert walks[r] == expected
+            assert tuple(walks[r].tolist()) == expected
             w_gap, gamma = g.rows(s.log_w)[1], g.rows(s.backward)[0][:-1]
-            steps, x = _steps(s), u[r, 1:].tolist()
+            steps, x = _steps(s).tolist(), u[r, 1:].tolist()
             for j in range(m + 1):  # every start level
                 assert _walk(j, steps, x) == reference_walk(j, w_gap.tolist(), gamma.tolist(), x)
 
@@ -994,6 +997,120 @@ class TestWalk:
             block = rng_from(7).random((20, k))
             one = rng_from(7)
             assert block.tobytes() == np.array([one.random(k) for _ in range(20)]).tobytes()
+
+
+def one_state_walks(g, table, u):
+    """Each round's ``sample_path`` on a state of its own log weights
+    ``table[i]`` and uniforms ``u[i]``: the start draw, then ``_walk``."""
+    walks = []
+    for log_w, x in zip(table, u.tolist()):
+        s = init_state(g)
+        s.log_w[:] = log_w
+        walks.append(list(sample_path(s, Uniforms(x))))
+    return walks
+
+
+def walk_calls(monkeypatch):
+    """The start level of every ``_walk`` call from here on."""
+    from uniprice import learner
+
+    starts, walk = [], learner._walk
+
+    def counted(j, steps, u):
+        starts.append(j)
+        return walk(j, steps, u)
+
+    monkeypatch.setattr(learner, "_walk", counted)
+    return starts
+
+
+#: Real K = 2 states whose passes pass but whose log weights, near 1e19,
+#: leave a walk step's log probability far above ``math.exp``'s overflow:
+#: (M, log weights, the start level, of probability 1, and its steps).
+#: Reached: from level 2 the first step is 2048.  Unreached: from level 1
+#: the first step is -1.2e19, taken with probability 0, and the 1024 lies
+#: above the start; from level 3 (M = 3) the first step is -3.1e17 and the
+#: 1024 lies below it.
+OVERFLOW_REACHED = (2, [
+    -1.3714546465392552e19, 6.176470207390467e18, 7.590128983821884e18, 4.717612086343923e18,
+    1.1749416633434206e19, -3.3840913764224e18, 6.504756618096278e18, 4.270175413489002e18,
+], 2, [-5.171235908174755e18, 2048.0])
+OVERFLOW_ABOVE_THE_START = (2, [
+    -7.068146508506158e16, -2.9242247357529585e18, -6.459819658363849e18, -1.6607955434109105e18,
+    4.429966277927347e17, -3.8037884810735596e18, 6.333354102721977e18, -4.0008725814864087e18,
+], 1, [-1.1797938127206447e19, 1024.0])
+OVERFLOW_BELOW_THE_STOP = (3, [
+    1.7061248845644237e18, -4.49217982710952e17, -6.638865242554591e17, 2.2756156230027205e18,
+    4.685259388617121e18, 1.3331524728248732e18, 1.2548653045709084e18, -8.001523301512569e18,
+    4.066863892436677e18, -2.2901108466444698e18, 6.964844701668554e18,
+], 3, [-7.383127805332126e18, 1024.0, -3.099630318360955e17])
+
+
+def overflow_batch(case):
+    """A batch of three rounds, the middle one ``case``'s state and the
+    others all weights 1, after its passes, and its graph; checks the
+    state's start level and steps."""
+    m, log_w, start, steps = case
+    g = build_graph(2, m)
+    batch = init_state(g, 3)
+    batch.log_w[1] = log_w
+    with np.errstate(over="ignore", invalid="ignore"):
+        marg = marginals(batch)
+    assert marg[1, : m + 1].tolist() == [float(j == start) for j in range(m + 1)]
+    assert _steps(batch)[1, 0].tolist() == steps
+    return g, batch
+
+
+@pytest.mark.dispatch
+class TestBlockWalk:
+    """``sample_paths`` walks each gap row of a batch as array operations
+    and replays through ``_walk`` only the rounds whose comparisons could
+    go otherwise; its levels are ``_walk``'s, round by round (see also
+    ``TestWalk::test_walk_on_steps_is_the_per_step_reference``)."""
+
+    def test_u_on_a_product_replays_its_round(self, monkeypatch):
+        # round 1's u[1] is the product of its first two step probabilities,
+        # as _walk computes it: the walk stops after one step, on a
+        # comparison an ulp of exp could turn, so the round replays
+        g = build_graph(2, 8)
+        table = rng_from(3).normal(0.0, 1.0, (3, g.n_nodes))
+        batch = init_state(g, 3)
+        batch.log_w[...] = table
+        u = rng_from(4).random((3, 2))
+        j = int(sample_paths(batch, u)[1, 0])
+        assert j >= 2
+        steps = _steps(batch)[1, 0].tolist()
+        u[1, 1] = 1.0 * math.exp(steps[j - 1]) * math.exp(steps[j - 2])
+        expected = one_state_walks(g, table, u)
+        assert expected[1] == [j, j - 1]
+        starts = walk_calls(monkeypatch)
+        assert sample_paths(batch, u).tolist() == expected
+        assert starts == [j]
+
+    def test_a_reached_overflowing_step_raises_walks_line(self, monkeypatch):
+        g, batch = overflow_batch(OVERFLOW_REACHED)
+        u = rng_from(1).random((3, 2))
+        starts = walk_calls(monkeypatch)
+        with pytest.raises(WeightOverflow, match="^a walk step's log probability overflows$"):
+            sample_paths(batch, u)
+        assert starts == [2]
+        s = init_state(g)
+        s.log_w[:] = OVERFLOW_REACHED[1]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            WeightOverflow, match="^a walk step's log probability overflows$"
+        ):
+            sample_path(s, Uniforms(u[1].tolist()))
+
+    @pytest.mark.parametrize(
+        "case", [OVERFLOW_ABOVE_THE_START, OVERFLOW_BELOW_THE_STOP], ids=["above", "below"]
+    )
+    def test_an_unreached_overflowing_step_does_not_raise(self, case):
+        g, batch = overflow_batch(case)
+        u = rng_from(1).random((3, 2))
+        walks = sample_paths(batch, u)
+        assert walks[1].tolist() == [case[2]] * 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert walks.tolist() == one_state_walks(g, batch.log_w, u)
 
 
 def new_batch(g, rounds, order="node"):
@@ -1068,8 +1185,8 @@ class TestBatchedRounds:
             assert s.backward.tobytes() == batch.backward[r].tobytes()
             assert s.forward.tobytes() == batch.forward[r].tobytes()
             assert np.float64(s.log_gamma0).tobytes() == batch.log_gamma0[r].tobytes()
-            assert sample_path(s, draws) == walks[r]
-            assert sample_path(s, Uniforms(top[r].tolist())) == top_walks[r]
+            assert sample_path(s, draws) == tuple(walks[r].tolist())
+            assert sample_path(s, Uniforms(top[r].tolist())) == tuple(top_walks[r].tolist())
 
     @given(instances(), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @example(_wide_grid(), 4, 11)
@@ -1166,11 +1283,11 @@ class TestBatchedRounds:
         batch.log_w[...] = table
         u = np.full((3, g.k), 1.0 - 2.0**-53)
         walks = sample_paths(batch, u)
-        assert walks[1][0] == 1
+        assert walks[1, 0] == 1
         for r in range(3):
             s = init_state(g)
             s.log_w[:] = table[r]
-            assert sample_path(s, Uniforms(u[r].tolist())) == walks[r]
+            assert sample_path(s, Uniforms(u[r].tolist())) == tuple(walks[r].tolist())
 
     @staticmethod
     def failing_batch():
@@ -1186,7 +1303,7 @@ class TestBatchedRounds:
 
     @staticmethod
     def full_information(g, batch):
-        """``harness._full_information`` on a four-round block whose
+        """``harness._full_information`` on a block whose
         learner states come out as ``batch``'s log weights, give or take
         rounding: each round's signal updates every node by the next
         round's difference, at eta = 1.  ``batch`` then holds the rows the
@@ -1225,23 +1342,20 @@ class TestBatchedRounds:
         with pytest.raises(WeightOverflow, match=r"^node h\(2,1\) has log weight inf$"):
             self.full_information(g, batch)
 
-    def test_full_information_raises_an_earlier_rounds_walk_error_first(self, monkeypatch):
-        # a walk that fails in round 1 comes before round 2's failing passes
-        from uniprice import learner
-
-        g, batch = self.failing_batch()
-        walks = []
-
-        def failing(*args):
-            walks.append(args)
-            if len(walks) == 2:
-                raise WeightOverflow("a walk step's log probability overflows")
-            return _walk(*args)
-
-        monkeypatch.setattr(learner, "_walk", failing)
+    def test_full_information_raises_an_earlier_rounds_walk_error_first(self):
+        # round 1's walk reaches a step whose log probability overflows, on
+        # a real state whose passes pass; round 2's passes fail on an
+        # infinite log weight, yet round 1's walk error comes first
+        g, batch = overflow_batch(OVERFLOW_REACHED)
+        batch.log_w[2] = batch.log_w[1]
+        batch.log_w[2, bid(g, 2, 1)] = math.inf
         with pytest.raises(WeightOverflow, match="^a walk step's log probability overflows$"):
             self.full_information(g, batch)
-        assert len(walks) == 2
+        assert batch.log_w[1].tolist() == OVERFLOW_REACHED[1]  # the rows the block ran
+        s = init_state(g)
+        s.log_w[:] = batch.log_w[2]
+        with pytest.raises(WeightOverflow, match=r"^node h\(2,1\) has log weight inf$"):
+            ensure_passes(s)
 
 
 class TestPassTable:
@@ -1267,7 +1381,7 @@ class TestPassTable:
         batch.marg = batch.marg.copy()
         batch.marg[:, : m + 1] = np.eye(m + 1)[j]
         u = np.array(data.draw(st.lists(unit, min_size=3, max_size=3)))
-        assert [walk[0] for walk in sample_paths(batch, u)] == [j] * 3
+        assert sample_paths(batch, u)[:, 0].tolist() == [j] * 3
 
     def test_marginals_is_one_array_until_the_next_pass(self):
         g = build_graph(2, 4)

@@ -24,9 +24,10 @@ from uniprice import (
     sub_utility,
     zero_event_set,
 )
-from uniprice.auction_core import on_grid
+from uniprice.auction_core import on_grid, utility_sum
 from uniprice.errors import MalformedPath, OffGrid, TooLarge, WrongLength
-from uniprice.pseudo_space import event_utilities, realized_event
+from uniprice.harness import _played_events
+from uniprice.pseudo_space import event_utilities, realized_event, realized_events
 
 
 def bid(g, k, j):
@@ -353,6 +354,86 @@ class TestRealizedEvent:
         assert node == (path[0] if fired is None else fired)
         if fired is None:
             assert node in zero_event_set(beta.bids[-1], g).ids.tolist()
+
+
+@st.composite
+def played_blocks(draw):
+    """A block of 1..6 rounds, K in 1..4, M in 1..12, in either tie mode:
+    non-increasing learner levels, repeats allowed, and non-increasing
+    adversary bids; with values for the utilities.  Validate mode
+    (offset None) draws off-grid bids in (0, 1).  Perturb mode draws an
+    offset in (0, eps/100) and bids in [0, 1), grid points included, none
+    equal to a learner's market bid (see ``perturbed_rounds``)."""
+    k, m, rounds = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    g = build_graph(k, m)
+    if draw(st.booleans()):
+        offset = g.epsilon / 100 * draw(st.floats(1e-3, 1.0, exclude_max=True))
+        market = {min(level + offset, 1.0) for level in g.levels.tolist()}
+        adversary_bid = st.one_of(
+            st.integers(0, m - 1).map(lambda j: float(g.levels[j])),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ).filter(lambda b: b not in market)
+    else:
+        offset = None
+        adversary_bid = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
+            lambda b: not on_grid(b, g.epsilon)
+        )
+
+    def profiles(element):
+        row = st.lists(element, min_size=k, max_size=k).map(lambda r: sorted(r, reverse=True))
+        return np.array(draw(st.lists(row, min_size=rounds, max_size=rounds)))
+
+    levels, block = profiles(st.integers(0, m)), profiles(adversary_bid)
+    values = Valuation(tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))))
+    return g, levels, block, offset, values
+
+
+#: K = 2, M = 4 against (0.7, 0.3): x = 0 at levels (0, 0), x = K at
+#: (4, 4), and the learner tied with itself at (2, 2), where LAB caps x at
+#: the one item the adversary leaves
+_EDGE_LEVELS = np.array([[0, 0], [4, 4], [2, 2]])
+_EDGE_BLOCK = np.array([[0.7, 0.3]] * 3)
+
+
+class TestRealizedEvents:
+    """``realized_events`` and ``harness._played_events`` against the
+    per-round loop that bandit and all-winner run: ``realized_event`` and
+    ``utility_sum`` round by round, with its market price in perturb
+    mode."""
+
+    @staticmethod
+    def loop(g, levels, block, offset, values):
+        """(node, x, price, utility) of each round, as the loop computes
+        them; prices and utilities in hex."""
+        node_rows = block - offset if offset is not None else block
+        out = []
+        for lv, market_row, node_row in zip(levels.tolist(), block.tolist(), node_rows.tolist()):
+            bids = [float(g.levels[j]) for j in lv]
+            node, x, price = realized_event(lv, bids, node_row, g)
+            if offset is not None:
+                learner_sets = x and g.row[node] % 2 == 0
+                price = min(price + offset, 1.0) if learner_sets else market_row[-1 - x]
+            out.append((node, x, price.hex(), utility_sum(values.values, x, price).hex()))
+        return out
+
+    @given(played_blocks())
+    @example((build_graph(2, 4), _EDGE_LEVELS, _EDGE_BLOCK, None, Valuation((1.0, 0.6))))
+    @example((build_graph(2, 4), _EDGE_LEVELS, _EDGE_BLOCK, 0.001, Valuation((1.0, 0.6))))
+    @settings(max_examples=500, deadline=None)
+    def test_block_is_the_loop_round_by_round(self, instance):
+        g, levels, block, offset, values = instance
+        node_block = block - offset if offset is not None else block
+        played = _played_events(levels, block, node_block, offset, g)
+        columns = played.ids, played.alloc, played.price, event_utilities(played, values)
+        rows = [(i, x, p.hex(), w.hex()) for i, x, p, w in zip(*(c.tolist() for c in columns))]
+        assert rows == self.loop(g, levels, block, offset, values)
+
+    def test_the_edge_rounds(self):
+        g = build_graph(2, 4)
+        played = realized_events(_EDGE_LEVELS, _EDGE_BLOCK, g)
+        assert played.alloc.tolist() == [0, 2, 1]
+        assert played.price.tolist() == [0.3, 1.0, 0.5]
+        assert played.ids.tolist() == [bid(g, 1, 0), bid(g, 2, 4), bid(g, 1, 2)]
 
 
 @st.composite
