@@ -8,6 +8,7 @@ regardless of how replications are scheduled across workers.
 
 from __future__ import annotations
 
+import atexit
 import enum
 import math
 import time
@@ -337,27 +338,66 @@ def _run_replication(config: RunConfig, rep: int) -> RegretTrace:
     )
 
 
+#: The pooled runs' worker processes, kept between runs as (size,
+#: executor); None before the first pooled run and after a broken pool.
+_pool = None
+
+
+def _shutdown_pool() -> None:
+    """Drop the kept pool and wait for its workers to exit.  Also the exit
+    hook: the executor must go before the interpreter tears down the
+    modules its own clean-up calls."""
+    global _pool
+    if _pool is not None:
+        executor = _pool[1]
+        _pool = None
+        executor.shutdown(wait=True)
+
+
+def _run_pooled(config: RunConfig) -> list[RegretTrace]:
+    """Every replication on the kept pool of min(workers, replications)
+    processes: a pool of another size is shut down first, and the first
+    pool made registers ``_shutdown_pool`` at exit.  A broken pool is
+    dropped, so the next run forks a new one, and its error re-raised."""
+    global _pool
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    size = min(config.workers, config.replications)
+    if _pool is None or _pool[0] != size:
+        _shutdown_pool()
+        _pool = size, ProcessPoolExecutor(max_workers=size)
+        atexit.unregister(_shutdown_pool)  # one hook, however many pools were made
+        atexit.register(_shutdown_pool)
+    reps = range(config.replications)
+    try:
+        return list(_pool[1].map(_run_replication, [config] * config.replications, reps))
+    except BrokenProcessPool:
+        _shutdown_pool()
+        raise
+
+
 def run_experiment(config: RunConfig) -> list[RegretTrace]:
     """Run every replication and return traces ordered by replication index.
 
     Replications are independent given (seed, index), so worker count and
-    scheduling cannot change any output byte.  The pool holds at most one
-    process per replication: it starts all its workers up front.  Only a
-    run with more than one worker and replication imports the pool, so
-    the import and a one-process run do not load its 32 modules
+    scheduling cannot change any output byte.  A run with more than one
+    worker and replication runs on a process pool of min(workers,
+    replications) processes, which outlives the run: forked by the first
+    such run, reused by every later run of the same size in the
+    interpreter, replaced (after its workers exit) by a run of another
+    size, and shut down at interpreter exit.  Its workers run the code as
+    it was when they were forked, so a test that patches a module's names
+    must run with one worker.  Only a pooled run imports the pool, so the
+    import and a one-process run do not load its 32 modules
     (``multiprocessing``, ``socket``, ``logging`` and more).
     """
     validate_config(config)
-    reps = range(config.replications)
     try:
         if config.workers > 1 and config.replications > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(config.workers, config.replications)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                traces = list(pool.map(_run_replication, [config] * config.replications, reps))
+            traces = _run_pooled(config)
         else:
-            traces = [_run_replication(config, rep) for rep in reps]
+            traces = [_run_replication(config, rep) for rep in range(config.replications)]
     except (WeightOverflow, ZeroMarginal, ZeroObservationProbability) as exc:
         # a huge eta ends a run in any of these, none of which names it
         eta = resolve_parameters(config)[1]

@@ -88,16 +88,16 @@ class WeightState:
     Every view that ``backward_pass``, ``_suffix_scan`` and
     ``sample_path`` read or write is built here, once, for any leading
     shape: ``log_w``, ``backward`` and ``forward``; ``flip``, the pair
-    that copies row 0 of ``w2`` reversed into row 1; ``scan``, the
-    ``_scan_views`` of the stacks; ``gap_copy``, the pair that copies
-    ``acc``'s bid rows into all its gap rows; ``ends``, the first bid row
-    of each stack, a buffer for their sum, and one for its two totals with
-    a (rounds, 2) view; ``start_sums``, a buffer for the start-row sums
-    and its 1-D view; ``walk``, the three 1-D operands of the walk's step
-    log probabilities, a buffer for them and its (K-1, 2M+1)[:, :M] view,
-    the gap rows.  The arrays are updated in place, never replaced, so
-    the views stay valid; a state built on row slices of a batch builds
-    its own.
+    that copies row 0 of ``w2`` reversed into row 1 (its dirty range);
+    ``scan``, the ``_scan_views`` of the stacks; ``gap_copy``, the pair
+    that copies ``acc``'s bid rows into all its gap rows; ``ends``, the
+    first bid row of each stack, a buffer for their sum, and one for its
+    two totals with a (rounds, 2) view; ``start_sums``, a buffer for the
+    start-row sums and its 1-D view; ``walk``, the three 1-D operands of
+    the walk's step log probabilities, a buffer for them and its (K-1,
+    2M+1)[:, :M] view, the gap rows.  The arrays are updated in place,
+    never replaced, so the views stay valid; a state built on row slices
+    of a batch builds its own.
 
     ``dirty_lo`` and ``dirty_hi`` are the lowest and highest node id
     whose weight changed since the last ``ensure_passes``, or n and -1
@@ -224,8 +224,11 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
     leaves it out: F = 1 on the first bid row; elsewhere F(h) = sum over
     predecessors h' of W(h') F(h').  Predecessors are the reversed graph's
     successors, so F is Gamma of the reversed graph, kept reversed in row
-    1.  Every gap row then takes its bid row's first M entries (a row not
-    recomputed gets the bits it holds).  The same (2, M+1) sum gives the
+    1.  Row 1 of ``w2`` holds the log weights reversed for it; only the
+    dirty ids are copied there (``log_w[lo:hi+1]`` to ``n-1-hi..n-1-lo``,
+    every entry when all dirty), as the rest kept their bits.  Every gap
+    row then takes its bid row's first M entries (a row not recomputed
+    gets the bits it holds).  The same (2, M+1) sum gives the
     first bid row's W + Gamma in row 0 and the last bid row's W + F in
     row 1, and one ``np.logaddexp.reduce`` along its rows gives both
     totals: ``log_gamma0`` (``totals.T[0]``) and the end check's.  One
@@ -237,8 +240,12 @@ def backward_pass(state: WeightState, rows: int) -> WeightState:
     Every array it reads or writes is a view the state built once
     (``flip``, ``scan``, ``gap_copy``, ``ends``).
     """
-    flipped, log_w = state.flip
-    flipped[...] = log_w
+    flipped, reversed_w = state.flip
+    lo, hi, n = state.dirty_lo, state.dirty_hi, state.graph.n_nodes
+    if lo == hi and flipped.ndim == 1:  # one node of one state: bandit's update
+        flipped[n - 1 - lo] = reversed_w.item(n - 1 - lo)
+    else:  # log_w[lo:hi+1], reversed; every entry when all dirty, none when clean
+        flipped[..., n - 1 - hi : n - lo] = reversed_w[..., n - 1 - hi : n - lo]
     _suffix_scan(np.logaddexp, state.scan, rows)
     gaps, bids = state.gap_copy
     gaps[...] = bids  # gap (k, j) shares bid (k, j)'s successors
@@ -531,7 +538,7 @@ def allwinner_signal(
     g = state.graph
     x, p = feedback.allocation, feedback.price
     if x:
-        lo, hi = events.alloc.searchsorted((x, x + 1)).tolist()
+        lo, hi = int(events.alloc.searchsorted(x)), int(events.alloc.searchsorted(x + 1))
         lo += int(events.price[lo:hi].searchsorted(p))
         ids, w, n_zero = events.ids[lo:], utilities[lo:], 0
     else:
@@ -539,7 +546,7 @@ def allwinner_signal(
         ids = np.concatenate((g.bid_ids(1)[:n_zero], events.ids))
         w = np.concatenate((np.zeros(n_zero), utilities))
     q = np.ones(len(ids))
-    np.cumsum(marginals(state)[ids[:0:-1]], out=q[-2::-1])
+    np.add.accumulate(marginals(state)[ids[:0:-1]], -1, None, q[-2::-1])  # cumsum's loop
     np.subtract(1.0, q[:-1], out=q[:-1])
     if n_zero:
         q[:n_zero] = q[n_zero - 1]

@@ -351,29 +351,6 @@ class TestRunExperiment:
         b = csv_bytes(run_experiment(cfg))
         assert a == b
 
-    def test_pool_holds_at_most_one_process_per_replication(self, monkeypatch):
-        # an in-process stand-in: a real pool would start every worker;
-        # run_experiment imports the pool class only when it forks
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        traces = run_experiment(small_config(workers=1000))
-        assert sizes == [2]
-        assert [tr.run for tr in traces] == [0, 1]
-
     def test_worker_count_invariance(self):
         cfg1 = small_config(replications=4, workers=1)
         cfg2 = small_config(replications=4, workers=2)
@@ -448,6 +425,92 @@ def _realized(graph, adversary):
         if graph.row[n] == 0 and graph.levels[graph.level[n]] < adversary.bids[-1]
     ]
     return fired, zero
+
+
+@pytest.fixture
+def no_kept_pool():
+    """No process pool kept before the test or after it, so a stand-in
+    does not outlive its test."""
+    harness._shutdown_pool()
+    yield
+    harness._shutdown_pool()
+
+
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """An in-process stand-in for the process pool: the log of its calls,
+    and a list whose errors its ``map`` raises, one a call."""
+    calls, raises = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            calls.append(("make", max_workers))
+
+        def map(self, fn, *iterables):
+            calls.append("map")
+            if raises:
+                raise raises.pop()
+            return map(fn, *iterables)
+
+        def shutdown(self, wait):
+            calls.append(("shutdown", wait))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return calls, raises
+
+
+def kept_pids() -> set[int]:
+    return set(harness._pool[1]._processes)
+
+
+@pytest.mark.usefixtures("no_kept_pool")
+class TestKeptPool:
+    """Pooled runs fork their workers once per interpreter and pool size."""
+
+    def test_runs_of_one_size_share_the_workers(self):
+        run_experiment(small_config(workers=2))
+        executor, pids = harness._pool[1], kept_pids()
+        run_experiment(small_config(workers=2, seed=5, feedback=FeedbackMode.ALL_WINNER))
+        assert harness._pool[1] is executor
+        assert kept_pids() == pids and len(pids) == 2
+
+    def test_another_size_replaces_the_pool(self):
+        run_experiment(small_config(workers=1000))
+        assert harness._pool[0] == 2 and len(kept_pids()) == 2
+        old = list(harness._pool[1]._processes.values())
+        traces = run_experiment(small_config(workers=1000, replications=3))
+        assert harness._pool[0] == 3 and len(kept_pids()) == 3
+        assert [p.exitcode for p in old] == [0, 0]  # joined before the new pool forked
+        assert kept_pids().isdisjoint(p.pid for p in old)
+        assert [tr.run for tr in traces] == [0, 1, 2]
+
+    def test_another_size_waits_for_the_old_workers_before_forking(self, stand_in_pool):
+        calls, _ = stand_in_pool
+        run_experiment(small_config(workers=2))
+        run_experiment(small_config(workers=5))  # still 2 replications
+        run_experiment(small_config(workers=3, replications=3))
+        assert calls == [("make", 2), "map", "map", ("shutdown", True), ("make", 3), "map"]
+
+    def test_a_broken_pool_is_dropped_and_its_error_raised(self, stand_in_pool):
+        from concurrent.futures.process import BrokenProcessPool
+
+        calls, raises = stand_in_pool
+        raises.append(BrokenProcessPool("a worker died"))
+        with pytest.raises(BrokenProcessPool, match="a worker died"):
+            run_experiment(small_config(workers=2))
+        assert harness._pool is None
+        traces = run_experiment(small_config(workers=2))
+        assert calls == [("make", 2), "map", ("shutdown", True), ("make", 2), "map"]
+        assert [tr.run for tr in traces] == [0, 1]
+
+    def test_a_run_that_raises_keeps_the_pool(self):
+        run_experiment(small_config(workers=2))
+        executor, pids = harness._pool[1], kept_pids()
+        huge = small_config(workers=2, feedback=FeedbackMode.FULL_INFORMATION, eta=1e30)
+        with pytest.raises(WeightOverflow, match=r"^eta=1e\+30 is too large: "):
+            run_experiment(huge)
+        assert harness._pool[1] is executor and kept_pids() == pids
+        assert len(run_experiment(small_config(workers=2))) == 2
 
 
 class TestBlocks:
@@ -1032,7 +1095,8 @@ class TestSvg:
 
 def run_python(code: str) -> str:
     """Standard output of ``code`` in a fresh interpreter that imports the
-    package from this checkout's ``src``."""
+    package from this checkout's ``src``; it must exit 0 and write nothing
+    to standard error, up to and including its exit hooks."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
@@ -1040,6 +1104,7 @@ def run_python(code: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     return done.stdout.strip()
 
 
@@ -1069,3 +1134,27 @@ class TestImports:
         assert serial == []
         assert {"concurrent.futures.process", "multiprocessing"} <= set(pooled)
         assert same_bytes
+
+    def test_a_pooled_cli_run_exits_cleanly_and_leaves_no_worker(self, tmp_path):
+        """The kept pool's exit hook joins its workers and drops the
+        executor while the interpreter's modules still exist: a pooled CLI
+        run exits 0, writes nothing to standard error, no pool is kept
+        when the exit hooks registered before the run start (they run
+        last in, first out), and none of its workers is alive afterwards."""
+        out = tmp_path / "run.csv"
+        code = "\n".join([
+            "import atexit, json",
+            "from uniprice import cli, harness",
+            "atexit.register(lambda: print(json.dumps(harness._pool)))",
+            "argv = ['--feedback', 'allwinner', '--units', '2', '--values', '1.0,0.5',",
+            "        '--adversary', 'iid', '--horizon', '60', '--reps', '3', '--seed', '3',",
+            f"        '--workers', '2', '--out', {str(out)!r}]",
+            "assert cli.main(argv) == 0",
+            "print(json.dumps(sorted(harness._pool[1]._processes)))",
+        ])
+        *_, pids, kept = run_python(code).splitlines()
+        pids = json.loads(pids)
+        assert len(pids) == 2 and kept == "null" and out.exists()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
