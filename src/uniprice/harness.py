@@ -356,9 +356,9 @@ def _shutdown_pool() -> None:
 
 def _run_pooled(config: RunConfig) -> list[RegretTrace]:
     """Every replication on the kept pool of min(workers, replications)
-    processes: a pool of another size is shut down first, and the first
-    pool made registers ``_shutdown_pool`` at exit.  A broken pool is
-    dropped, so the next run forks a new one, and its error re-raised."""
+    processes: a pool of another size is shut down first, and each pool
+    made registers ``_shutdown_pool`` as the one exit hook.  A broken pool
+    is dropped, so the next run forks a new one, and its error re-raised."""
     global _pool
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -367,7 +367,7 @@ def _run_pooled(config: RunConfig) -> list[RegretTrace]:
     if _pool is None or _pool[0] != size:
         _shutdown_pool()
         _pool = size, ProcessPoolExecutor(max_workers=size)
-        atexit.unregister(_shutdown_pool)  # one hook, however many pools were made
+        atexit.unregister(_shutdown_pool)
         atexit.register(_shutdown_pool)
     reps = range(config.replications)
     try:
